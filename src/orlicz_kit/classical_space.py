@@ -12,6 +12,12 @@ inf_{k>0} (1 + modular(k*f)) / k, a one-dimensional unimodal minimization
 done on a log grid refined by golden-section search.  The defining supremum
 over the dual ball is deliberately left to test oracles on tiny atom spaces.
 
+For step-only profiles both norms use an exact step modular: the levels are
+checked and the weight masses computed once per norm, and every evaluation
+goes straight to the Young function's array kernel.  The whole Amemiya grid
+is evaluated in one batched call; profiles with analytic parts evaluate the
+modular point by point.
+
 Membership in L^Psi asks for some lambda > 0 with a finite modular; the
 search walks a geometric lambda grid downward from 1 and consults only the
 analytic finiteness verdicts, so a negative answer means every candidate
@@ -186,8 +192,13 @@ def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
 
 
 def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
-    """For a step-only profile, a fast scale -> modular(scale * p) map with
-    the weight masses precomputed (they do not depend on the scale).
+    """For a step-only profile, a fast scales -> modular(scale * p) map.
+
+    The levels are checked and the weight masses computed once, here; each
+    call then evaluates every (scale, level) pair in one `_eval_arr` call and
+    sums along the levels with np.add.reduce, the routine np.sum uses, so a
+    single scale gives exactly the value of the one-dimensional sum.  A
+    scalar scale gives a 0-d result, an array of scales an array of modulars.
     Returns None when the profile has analytic parts."""
     if p.front is not None or p.support_end == math.inf:
         return None
@@ -200,12 +211,13 @@ def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
         masses = np.asarray([wv.mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
     keep = masses > 0
     levels, masses = levels[keep], masses[keep]
-    if levels.size == 0:
-        return lambda scale: 0.0
+    if np.any(levels < 0):
+        raise DomainError("Young functions are defined for s >= 0")
 
-    def mod(scale: float) -> float:
-        vals = young.eval(levels * scale)
-        return float(np.sum(vals * masses))
+    def mod(scales):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = young._eval_arr(np.asarray(scales)[..., None] * levels)
+            return np.add.reduce(vals * masses, axis=-1)
 
     return mod
 
@@ -240,7 +252,7 @@ def luxemburg_norm(
         pre = MembershipReport(True, None)
 
         def mod_at(lam: float) -> float:
-            return fast(1.0 / lam)
+            return float(fast(1.0 / lam))
 
     iters = 0
     hi = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
@@ -298,18 +310,26 @@ def orlicz_norm(
         if not membership(young, p, w).member:
             return NormReport(math.inf, None, 0, True, None, math.inf)
 
-        def h(k: float) -> float:
-            m = modular(young, p.scale(k), w)
-            return math.inf if math.isinf(m) else (1.0 + m) / k
+        def mod_at(k: float) -> float:
+            return modular(young, p.scale(k), w)
+
+        def grid_mods(ks: np.ndarray) -> np.ndarray:
+            return np.asarray([mod_at(float(k)) for k in ks])
 
     else:
 
-        def h(k: float) -> float:
-            m = fast(k)
-            return math.inf if math.isinf(m) else (1.0 + m) / k
+        def mod_at(k: float) -> float:
+            return float(fast(k))
+
+        grid_mods = fast
+
+    def h(k: float) -> float:
+        m = mod_at(k)
+        return math.inf if math.isinf(m) else (1.0 + m) / k
 
     grid = np.geomspace(1e-8, 1e8, 33)
-    vals = np.asarray([h(float(k)) for k in grid])
+    mods = grid_mods(grid)
+    vals = np.where(np.isinf(mods), math.inf, (1.0 + mods) / grid)
     iters = len(grid)
     if not np.any(np.isfinite(vals)):
         return NormReport(math.inf, None, iters, True, None, None)

@@ -114,8 +114,7 @@ def _jsonable(x):
 
 
 def _load_profile(path: str) -> rr.DecreasingProfile:
-    with open(path, encoding="utf-8") as fh:
-        return rr.profile_from_dict(json.load(fh))
+    return rr.load_json_input(path, rr.profile_from_dict)
 
 
 def _report_base(config: RunConfig, op: str) -> dict:

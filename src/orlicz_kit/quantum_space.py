@@ -24,7 +24,6 @@ nonnegative mu_s(g), so only the upper endpoint can be finite).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,6 +45,7 @@ from .rearrange import (
     ZeroTail,
     _WeightView,
     hl_partial,
+    load_json_input,
 )
 from .young import YoungFunction, complement, cosh_minus_1
 
@@ -117,20 +117,31 @@ class MatrixObservable:
         }
 
 
+def _complex_entry(z) -> complex:
+    if isinstance(z, (list, tuple)):
+        if len(z) != 2:
+            raise DomainError("a matrix entry is a number or a [re, im] pair")
+        return complex(z[0], z[1])
+    return complex(z)
+
+
 def matrix_from_dict(d: dict) -> MatrixObservable:
+    """Matrix from {"entries": n rows of n entries, "dim": n (optional)}.
+    Ragged, non-square or non-finite entries raise DomainError."""
     entries = d["entries"]
-    arr = np.empty((len(entries), len(entries)), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, z in enumerate(row):
-            arr[i, j] = complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-    if "dim" in d and int(d["dim"]) != arr.shape[0]:
+    n = len(entries)
+    if n == 0 or any(len(row) != n for row in entries):
+        raise DomainError("matrix entries must be n >= 1 rows of n entries each")
+    arr = np.array([[_complex_entry(z) for z in row] for row in entries], dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("matrix entries must be finite")
+    if "dim" in d and int(d["dim"]) != n:
         raise DimensionMismatchError("declared dim does not match entries")
     return MatrixObservable.from_array(arr)
 
 
 def load_matrix(path) -> MatrixObservable:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_dict(json.load(fh))
+    return load_json_input(path, matrix_from_dict)
 
 
 @dataclass(frozen=True)

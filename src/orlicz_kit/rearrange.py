@@ -35,7 +35,7 @@ import numpy as np
 from scipy import integrate as _si
 from scipy import special as _sp
 
-from .errors import DomainError, InconclusiveQuadratureError
+from .errors import DomainError, InconclusiveQuadratureError, OrliczKitError
 from .young import Growth, YoungFunction
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "InvPowerSingularity",
     "DecreasingProfile",
     "profile_from_dict",
+    "load_json_input",
     "rearrange",
     "hl_partial",
     "modular",
@@ -444,6 +445,20 @@ def profile_from_dict(d: dict) -> DecreasingProfile:
     else:
         raise DomainError(f"unknown tail kind {kind!r}")
     return DecreasingProfile(steps, tail)
+
+
+def load_json_input(path, parse):
+    """parse(json.load(path)), with malformed input reported as DomainError:
+    bad JSON, a missing key, or a value of the wrong type or form."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except OrliczKitError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise DomainError(f"{path}: malformed input: {exc}") from exc
 
 
 def rearrange(f: SimpleFunction) -> DecreasingProfile:

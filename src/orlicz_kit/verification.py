@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -561,31 +559,14 @@ def _selected(only: str | None):
     return tuple(picked)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("ORLICZ_KIT_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
 def run_suite(seed: int = 42, only: str | None = None, include_determinism: bool = True) -> dict:
-    """Run the selected criteria and assemble the canonical report dict.
-
-    Criteria are pure functions of the seed, so ORLICZ_KIT_THREADS may run
-    them concurrently; results are merged in registry order and are
-    byte-identical regardless of the thread count."""
+    """Run the selected criteria in registry order and assemble the
+    canonical report dict."""
     selected = _selected(only)
-    plain = [c for c in selected if c[0] != 12]
-    threads = _thread_cap()
-    if threads > 1 and len(plain) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: c[3](seed), plain))
-    else:
-        outcomes = [fn(seed) for _, _, _, fn in plain]
     results = [
-        CriterionResult(cid, name, tags, *out)
-        for (cid, name, tags, _), out in zip(plain, outcomes)
+        CriterionResult(cid, name, tags, *fn(seed))
+        for cid, name, tags, fn in selected
+        if cid != 12
     ]
     if include_determinism:
         for cid, name, tags, fn in selected:

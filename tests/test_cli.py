@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -197,3 +201,60 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--seed", "7", "--only", "6"])
         assert res.exit_code == 0
         assert "criterion  6" in res.output
+
+
+MALFORMED_MATRICES = {
+    "ragged": '{"entries": [[1, 2], [3]]}',
+    "non-square": '{"entries": [[1, 2, 3], [4, 5, 6]]}',
+    "empty": '{"entries": []}',
+    "non-finite": '{"entries": [[1, NaN], [3, 4]]}',
+    "infinite": '{"entries": [[1, 0], [0, 1e999]]}',
+    "bad-pair": '{"entries": [[[1, 2, 3], 0], [0, 1]]}',
+    "truncated": '{"entries": [[1, 2], [3,',
+    "missing-entries": '{"dim": 2}',
+    "not-an-object": "[[1, 2], [3, 4]]",
+}
+
+MALFORMED_PROFILES = {
+    "missing-exponent": '{"steps": [], "tail": {"kind": "power", "amplitude": 1.0}}',
+    "truncated": '{"steps": [[2.0, 1.0]',
+    "not-an-object": "[1, 2]",
+    "bad-number": '{"steps": [["x", 1.0]]}',
+}
+
+
+class TestMalformedInput:
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_matrix_exits_2_with_one_line(self, runner, tmp_path, case):
+        path = self._write(tmp_path, MALFORMED_MATRICES[case])
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--matrix", path])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("domain error:")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROFILES))
+    def test_profile_exits_2_with_one_line(self, runner, tmp_path, case):
+        path = self._write(tmp_path, MALFORMED_PROFILES[case])
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--profile", path])
+        assert res.exit_code == 2, res.output
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("domain error:")
+
+    def test_no_traceback_from_the_command_line(self, tmp_path):
+        path = self._write(tmp_path, MALFORMED_MATRICES["truncated"])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "orlicz_kit.cli", "norm", "--young", "power:2", "--matrix", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("domain error:")
