@@ -43,6 +43,7 @@ from .rearrange import (
     LogSingularity,
     SimpleFunction,
     _WeightView,
+    _check_aligned,
     hl_partial,
     modular,
     modular_is_finite,
@@ -72,6 +73,8 @@ __all__ = [
 ]
 
 _LAMBDA_GRID = tuple(2.0**-k for k in range(0, 61))
+#: Step budget of each search phase of the Luxemburg and Amemiya norms.
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,7 @@ class WeightedDensityState:
 
 def _merge_density(f: SimpleFunction, density: SimpleFunction) -> SimpleFunction:
     """Atoms of f reweighted by an aligned density: weights w_i * d_i."""
-    if len(f.atoms) != len(density.atoms):
-        raise DomainError("function and density must share their atom list")
-    if not np.allclose(f.weights, density.weights, rtol=1e-12, atol=0.0):
-        raise DomainError("function and density must share atom weights")
+    _check_aligned(f, density)
     atoms = []
     for (v, w), (d, _) in zip(f.atoms, density.atoms):
         if d < 0:
@@ -228,7 +228,6 @@ def luxemburg_norm(
     weight=None,
     *,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> NormReport:
     """inf{lambda > 0 : modular(f / lambda) <= 1} by bisection on log lambda.
 
@@ -258,7 +257,7 @@ def luxemburg_norm(
     hi = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
     val_hi = mod_at(hi)
     iters += 1
-    while val_hi > 1.0 and iters < max_iter:
+    while val_hi > 1.0 and iters < _MAX_ITER:
         hi *= 4.0
         val_hi = mod_at(hi)
         iters += 1
@@ -267,7 +266,7 @@ def luxemburg_norm(
 
     lo = hi
     val_lo = val_hi
-    while val_lo <= 1.0 and iters < max_iter:
+    while val_lo <= 1.0 and iters < _MAX_ITER:
         lo /= 4.0
         val_lo = mod_at(lo)
         iters += 1
@@ -276,7 +275,7 @@ def luxemburg_norm(
         return NormReport(0.0, lo, iters, True, (0.0, lo), val_lo)
 
     bisections = 0
-    while bisections < max_iter and (hi - lo) > tol * hi:
+    while bisections < _MAX_ITER and (hi - lo) > tol * hi:
         mid = math.sqrt(lo * hi)
         if mod_at(mid) <= 1.0:
             hi = mid
@@ -295,7 +294,6 @@ def orlicz_norm(
     weight=None,
     *,
     tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> NormReport:
     """Orlicz norm via the Amemiya formula inf_k (1 + modular(k f)) / k.
 
@@ -344,7 +342,7 @@ def orlicz_norm(
     d = a + invphi * (b - a)
     fc, fd = h(math.exp(c)), h(math.exp(d))
     golden = 0
-    while golden < max_iter and (b - a) > tol:
+    while golden < _MAX_ITER and (b - a) > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -363,10 +361,7 @@ def orlicz_norm(
 
 def pairing_integral(f: SimpleFunction, g: SimpleFunction) -> float:
     """integral |f g| dmu over shared atoms."""
-    if len(f.atoms) != len(g.atoms) or not np.allclose(
-        f.weights, g.weights, rtol=1e-12, atol=0.0
-    ):
-        raise DomainError("pairing needs index-aligned atoms with equal weights")
+    _check_aligned(f, g)
     if not f.atoms:
         return 0.0
     return float(np.sum(np.abs(f.values * g.values) * f.weights))
@@ -476,12 +471,7 @@ def classical_regular_check(u, weight) -> ClassicalRegularityReport:
     is admissible.  The verdict is cross-checked against membership of u in
     the weighted cosh-1 space."""
     if isinstance(u, SimpleFunction):
-        if isinstance(weight, WeightedDensityState):
-            weight = weight.f
-        if weight is not None and not isinstance(weight, SimpleFunction):
-            raise DomainError("simple-function input takes an aligned density")
-        eff = _merge_density(u, weight) if weight is not None else u
-        member = membership(cosh_minus_1(), eff).member
+        member = membership(cosh_minus_1(), u, weight).member
         dom = DomainInterval(-math.inf, math.inf)
         return ClassicalRegularityReport(True, dom, member, member is True)
     if not isinstance(weight, DecreasingProfile):

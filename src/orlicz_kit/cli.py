@@ -194,29 +194,20 @@ def cmd_norm(young_spec, function_path, matrix_path, profile_path, weight_path, 
             if path
         )
         config = RunConfig("norm", young_spec, inputs, tolerance, fmt, None, None)
+        norm, kind = (cs.orlicz_norm, "orlicz_") if use_orlicz else (cs.luxemburg_norm, "luxemburg_")
         weight = _load_profile(weight_path) if weight_path else None
         if function_path:
             f = rr.load_simple_function(function_path)
             if weight is not None:
                 raise DomainError("--weight applies to profile or matrix inputs")
-            rep = (cs.orlicz_norm if use_orlicz else cs.luxemburg_norm)(young, f, tol=tolerance)
-            op = "orlicz_norm" if use_orlicz else "luxemburg_norm"
+            op = kind + "norm"
         elif matrix_path:
-            a = qs.load_matrix(matrix_path)
-            trace = qs.scaled_trace(trace_scale)
-            prof = qs.singular_profile(a, trace)
-            rep = (cs.orlicz_norm if use_orlicz else cs.luxemburg_norm)(
-                young, prof, weight, tol=tolerance
-            )
+            f = qs.singular_profile(qs.load_matrix(matrix_path), qs.scaled_trace(trace_scale))
             op = "nc_orlicz_norm" if use_orlicz else "nc_norm"
         else:
-            prof = _load_profile(profile_path)
-            rep = (cs.orlicz_norm if use_orlicz else cs.luxemburg_norm)(
-                young, prof, weight, tol=tolerance
-            )
-            op = ("weighted_" if weight is not None else "") + (
-                "orlicz_norm" if use_orlicz else "luxemburg_norm"
-            )
+            f = _load_profile(profile_path)
+            op = ("weighted_" if weight is not None else "") + kind + "norm"
+        rep = norm(young, f, weight, tol=tolerance)
         if not rep.converged:
             click.echo("norm computation did not converge", err=True)
             _emit(_norm_payload(config, op, rep, tolerance), out, fmt)

@@ -26,11 +26,11 @@ from .errors import DimensionMismatchError, DomainError
 from .quantum_space import (
     MatrixObservable,
     TraceFunctional,
+    _as_profile,
     counting_trace,
     nc_norm,
-    singular_profile,
 )
-from .rearrange import DecreasingProfile, hl_partial
+from .rearrange import hl_partial
 from .young import YoungFunction
 
 __all__ = [
@@ -194,12 +194,6 @@ class MajorizationReport:
     margins: tuple[float, ...]
 
 
-def _profile_of(x, trace: TraceFunctional | None) -> DecreasingProfile:
-    if isinstance(x, DecreasingProfile):
-        return x
-    return singular_profile(x, trace)
-
-
 def majorization_check(
     f,
     g,
@@ -210,8 +204,8 @@ def majorization_check(
     """Hardy-Littlewood submajorization g << f: partial integrals of mu(g)
     never exceed those of mu(f), checked at the breakpoints of both profiles
     plus any extra alphas, within `tol` absolute."""
-    pf = _profile_of(f, trace)
-    pg = _profile_of(g, trace)
+    pf = _as_profile(f, trace)
+    pg = _as_profile(g, trace)
     alphas = {a for a in (*pf.cuts(), *pg.cuts()) if a > 0}
     if alpha_grid is not None:
         alphas |= {float(a) for a in alpha_grid if a > 0}

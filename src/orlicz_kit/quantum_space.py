@@ -33,20 +33,13 @@ from .classical_space import (
     DomainInterval,
     MembershipReport,
     NormReport,
+    _transform_upper_endpoint,
     luxemburg_norm,
     membership,
     orlicz_norm,
 )
 from .errors import DimensionMismatchError, DomainError
-from .rearrange import (
-    DecreasingProfile,
-    InvPowerSingularity,
-    LogSingularity,
-    ZeroTail,
-    _WeightView,
-    hl_partial,
-    load_json_input,
-)
+from .rearrange import DecreasingProfile, _step_profile, hl_partial, load_json_input
 from .young import YoungFunction, complement, cosh_minus_1
 
 __all__ = [
@@ -72,6 +65,15 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _EIG_ZERO_TOL = 1e-12
+#: WeightedQuantumSpace.build records admissibility for E = (0, k], k = 1..8.
+_ADMISSIBILITY_SETS = 8
+
+
+def _is_hermitian(arr: np.ndarray) -> bool:
+    """arr equals its conjugate transpose within _HERMITIAN_TOL of its largest
+    entry."""
+    scale = float(np.max(np.abs(arr))) or 1.0
+    return float(np.max(np.abs(arr - arr.conj().T))) <= _HERMITIAN_TOL * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +87,8 @@ class MatrixObservable:
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatchError("matrix must be square with dim >= 1")
-        if self.hermitian:
-            scale = float(np.max(np.abs(arr))) or 1.0
-            if float(np.max(np.abs(arr - arr.conj().T))) > _HERMITIAN_TOL * scale:
-                raise DomainError("hermitian flag set but the matrix is not hermitian")
+        if self.hermitian and not _is_hermitian(arr):
+            raise DomainError("hermitian flag set but the matrix is not hermitian")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -100,12 +100,7 @@ class MatrixObservable:
     def from_array(a, hermitian: bool | None = None) -> "MatrixObservable":
         arr = np.asarray(a, dtype=complex)
         if hermitian is None:
-            scale = float(np.max(np.abs(arr))) or 1.0
-            hermitian = bool(
-                arr.ndim == 2
-                and arr.shape[0] == arr.shape[1]
-                and float(np.max(np.abs(arr - arr.conj().T))) <= _HERMITIAN_TOL * scale
-            )
+            hermitian = bool(arr.ndim == 2 and arr.shape[0] == arr.shape[1] and _is_hermitian(arr))
         return MatrixObservable(arr, hermitian)
 
     def to_dict(self) -> dict:
@@ -191,17 +186,13 @@ def singular_values(a: MatrixObservable) -> np.ndarray:
 def singular_profile(a: MatrixObservable, trace: TraceFunctional | None = None) -> DecreasingProfile:
     """Step profile of the generalized singular values: levels are the
     distinct singular values, lengths their trace masses."""
-    trace = trace or counting_trace()
-    s = singular_values(a)
-    steps: list[tuple[float, float]] = []
-    for v in s:
-        if v == 0.0:
-            continue
-        if steps and steps[-1][0] == v:
-            steps[-1] = (v, steps[-1][1] + trace.scale)
-        else:
-            steps.append((float(v), trace.scale))
-    return DecreasingProfile(tuple(steps), ZeroTail())
+    scale = (trace or counting_trace()).scale
+    return _step_profile((v, scale) for v in singular_values(a).tolist())
+
+
+def _as_profile(x, trace: TraceFunctional | None = None) -> DecreasingProfile:
+    """x itself when it is a profile, else the singular profile of matrix x."""
+    return x if isinstance(x, DecreasingProfile) else singular_profile(x, trace)
 
 
 def kunze_modular(
@@ -253,14 +244,13 @@ class WeightedQuantumSpace:
         young: YoungFunction,
         weight,
         trace: TraceFunctional | None = None,
-        k_max: int = 8,
     ) -> "WeightedQuantumSpace":
-        wprof = weight if isinstance(weight, DecreasingProfile) else singular_profile(weight, trace)
+        wprof = _as_profile(weight, trace)
         if math.isinf(hl_partial(wprof, math.inf)):
             raise DomainError("the weight profile must be integrable (x in L^1_+)")
         comp = complement(young)
         records = []
-        for k in range(1, k_max + 1):
+        for k in range(1, _ADMISSIBILITY_SETS + 1):
             nu = hl_partial(wprof, float(k))
             chi = DecreasingProfile(((1.0, float(k)),))
             ind = luxemburg_norm(young, chi, wprof).value
@@ -278,8 +268,7 @@ class WeightedQuantumSpace:
 
 def weighted_nc_norm(space: WeightedQuantumSpace, g) -> NormReport:
     """Luxemburg norm of mu(g) against the weight mu_t(x) dt."""
-    gprof = g if isinstance(g, DecreasingProfile) else singular_profile(g)
-    return luxemburg_norm(space.young, gprof, space.weight)
+    return luxemburg_norm(space.young, _as_profile(g), space.weight)
 
 
 @dataclass(frozen=True)
@@ -288,28 +277,13 @@ class QuantumRegularityReport:
     domain: DomainInterval
 
 
-def _as_profile(g) -> DecreasingProfile:
-    return g if isinstance(g, DecreasingProfile) else singular_profile(g)
-
-
 def quantum_regular_check(g, x_weight: DecreasingProfile) -> QuantumRegularityReport:
     """Interval of t with integral exp(t mu_s(g)) mu_s(x) ds < inf, reported
     one-sided (mu_s(g) >= 0); regular iff 0 lies in the open interior."""
-    gprof = _as_profile(g)
-    if math.isinf(hl_partial(x_weight, math.inf)):
-        raise DomainError("the weight profile must be integrable")
-    front = gprof.front
-    theta_w = _WeightView(x_weight).inv_order
-    if front is None:
-        dom = DomainInterval(-math.inf, math.inf)
-    elif isinstance(front, LogSingularity):
-        upper = max((1.0 - theta_w) / front.coeff, 0.0)
-        if upper > 0:
-            dom = DomainInterval(-math.inf, upper)
-        else:
-            dom = DomainInterval(-math.inf, 0.0, upper_closed=True)
+    upper = _transform_upper_endpoint(_as_profile(g), x_weight)
+    if upper > 0:
+        dom = DomainInterval(-math.inf, upper)
     else:
-        assert isinstance(front, InvPowerSingularity)
         dom = DomainInterval(-math.inf, 0.0, upper_closed=True)
     return QuantumRegularityReport(dom.contains_zero_in_interior, dom)
 
@@ -340,11 +314,10 @@ def nc_entropy(
     if eps < 0:
         raise DomainError("eps must be >= 0")
     arr = f.entries
-    scale = float(np.max(np.abs(arr))) or 1.0
-    if float(np.max(np.abs(arr - arr.conj().T))) > _HERMITIAN_TOL * scale:
+    if not _is_hermitian(arr):
         raise DomainError("entropy requires a hermitian matrix")
     evals = np.linalg.eigvalsh(arr)
-    if np.min(evals) < -1e-12 * max(scale, 1.0):
+    if np.min(evals) < -1e-12 * max(float(np.max(np.abs(arr))), 1.0):
         raise DomainError("entropy requires a positive semidefinite matrix")
     lam = np.clip(evals, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):

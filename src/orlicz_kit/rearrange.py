@@ -36,7 +36,7 @@ from scipy import integrate as _si
 from scipy import special as _sp
 
 from .errors import DomainError, InconclusiveQuadratureError, OrliczKitError
-from .young import Growth, YoungFunction
+from .young import Growth, YoungFunction, _load_two_columns
 
 __all__ = [
     "MeasureSpaceDesc",
@@ -152,10 +152,8 @@ def simple_function(values, weights, space: MeasureSpaceDesc | None = None) -> S
 
 def load_simple_function(path, space: MeasureSpaceDesc | None = None) -> SimpleFunction:
     """Two-column text: value, weight."""
-    data = np.loadtxt(path, dtype=float, ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError(f"{path}: expected two columns (value, weight)")
-    return simple_function(data[:, 0], data[:, 1], space)
+    values, weights = _load_two_columns(path, "value, weight")
+    return simple_function(values, weights, space)
 
 
 def _check_aligned(f: SimpleFunction, g: SimpleFunction) -> None:
@@ -461,17 +459,21 @@ def load_json_input(path, parse):
         raise DomainError(f"{path}: malformed input: {exc}") from exc
 
 
+def _step_profile(pairs) -> DecreasingProfile:
+    """Step profile of (level, length) pairs: equal levels merged exactly by
+    adding their lengths in input order, zero levels dropped, levels sorted
+    decreasingly."""
+    acc: dict[float, float] = {}
+    for lvl, w in pairs:
+        if lvl != 0.0:
+            acc[lvl] = acc.get(lvl, 0.0) + w
+    return DecreasingProfile(tuple(sorted(acc.items(), key=lambda kv: -kv[0])), ZeroTail())
+
+
 def rearrange(f: SimpleFunction) -> DecreasingProfile:
     """Decreasing rearrangement of |f|: sorted absolute values as steps,
     equal levels merged exactly, zero values dropped."""
-    acc: dict[float, float] = {}
-    for v, w in f.atoms:
-        lvl = abs(v)
-        if lvl == 0.0:
-            continue
-        acc[lvl] = acc.get(lvl, 0.0) + w
-    steps = tuple(sorted(acc.items(), key=lambda kv: -kv[0]))
-    return DecreasingProfile(steps, ZeroTail())
+    return _step_profile((abs(v), w) for v, w in f.atoms)
 
 
 # ----------------------------------------------------------------------------
@@ -662,18 +664,23 @@ def _log_bump_sup(delta: float, q: int) -> float:
     return math.exp(-delta * lstar) * (1.0 + lstar) ** q
 
 
-def _quad_chunks(fn, pieces, atol: float, rtol: float) -> float:
+#: Absolute and relative budgets of every certified integral.
+_ATOL = 1e-10
+_RTOL = 1e-8
+
+
+def _quad_chunks(fn, pieces) -> float:
     total, err = 0.0, 0.0
     n = max(len(pieces), 1)
     for a, b in pieces:
         if b <= a:
             continue
-        res = _si.quad(fn, a, b, epsabs=atol / n, epsrel=rtol, limit=200, full_output=1)
+        res = _si.quad(fn, a, b, epsabs=_ATOL / n, epsrel=_RTOL, limit=200, full_output=1)
         if len(res) > 3:
             raise InconclusiveQuadratureError(f"quadrature failed on [{a:g}, {b:g}]: {res[3]}")
         total += res[0]
         err += res[1]
-    if err > 10.0 * max(atol, rtol * abs(total)):
+    if err > 10.0 * max(_ATOL, _RTOL * abs(total)):
         raise InconclusiveQuadratureError("quadrature error estimate exceeds budget")
     return total
 
@@ -688,7 +695,7 @@ def _geo_split(a: float, b: float, n: int) -> list[tuple[float, float]]:
     return list(zip(xs[:-1], xs[1:]))
 
 
-def _front_head_value(young, front, w: _WeightView, m: float, atol: float, rtol: float) -> float:
+def _front_head_value(young, front, w: _WeightView, m: float) -> float:
     """Certified value of integral_0^m Psi(head(t)) w(t) dt (already known to
     converge); m has no weight cuts inside."""
     g = _require_growth(young)
@@ -716,13 +723,13 @@ def _front_head_value(young, front, w: _WeightView, m: float, atol: float, rtol:
             y_lo = y1
         ymax = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
         for _ in range(400):
-            if amp * _gamma_tail(k, r, ymax) < 0.5 * atol:
+            if amp * _gamma_tail(k, r, ymax) < 0.5 * _ATOL:
                 break
             ymax *= 1.5
         else:
             raise InconclusiveQuadratureError("log head truncation did not certify")
         n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
-        return _quad_chunks(integrand, _split(y1, ymax, n), atol, rtol)
+        return _quad_chunks(integrand, _split(y1, ymax, n))
 
     # inverse-power head, polynomial growth, theta*d + theta_w < 1
     c, th = front.coeff, front.exponent
@@ -737,13 +744,13 @@ def _front_head_value(young, front, w: _WeightView, m: float, atol: float, rtol:
         beta_eff = beta
     kc = ((1.0 + abs(math.log(c))) * (1.0 + th)) ** logpow
     amp = g.hi * c**g.degree * kc * wA * bump
-    eps = (0.5 * atol * (1.0 - beta_eff) / max(amp, 1e-300)) ** (1.0 / (1.0 - beta_eff))
+    eps = (0.5 * _ATOL * (1.0 - beta_eff) / max(amp, 1e-300)) ** (1.0 / (1.0 - beta_eff))
     eps = min(max(eps, 1e-280), 0.5 * m)
 
     def integrand_t(t):
         return float(young.eval(front.coeff * t ** (-front.exponent))) * w.value(t)
 
-    return _quad_chunks(integrand_t, _geo_split(eps, m, 8), atol, rtol)
+    return _quad_chunks(integrand_t, _geo_split(eps, m, 8))
 
 
 def _tail_solve_crossing(back, level: float) -> float:
@@ -753,28 +760,31 @@ def _tail_solve_crossing(back, level: float) -> float:
     return (back.amplitude / level) ** (1.0 / back.exponent) - back.offset
 
 
+def _past_threshold(young, profile, w: _WeightView, start: float, end: float) -> float:
+    """Where Psi(p) turns finite on the back-tail region (start, end).
+
+    A tail starting above Psi's finiteness threshold makes Psi(p) = inf on
+    the slab up to the crossing: inf when the weight charges that slab,
+    otherwise the slab's end (capped at end).  Without a crossing, start."""
+    thr = young.finite_threshold
+    if not (math.isfinite(thr) and profile.value(start) > thr):
+        return start
+    cross = start + _tail_solve_crossing(profile.back, thr)
+    lo = min(max(cross, start), end)
+    return math.inf if w.mass(start, lo) > 0 else lo
+
+
 def _back_region_value(
-    young, profile, w: _WeightView, start: float, atol: float, rtol: float, want_value: bool
+    young, profile, w: _WeightView, integrand, start: float, want_value: bool
 ) -> float:
     """The unbounded region (start, inf) where the profile follows its back
     tail.  Returns the contribution or inf; raises on inconclusive."""
     back = profile.back
     s0 = profile.steps_end
-    junction = profile.value(start)
-
-    def integrand(t):
-        return float(young.eval(profile.value(t))) * w.value(t)
-
-    lo = start
-    # a finiteness threshold crossed by the tail start makes an infinite slab
-    thr = young.finite_threshold
-    if math.isfinite(thr) and junction > thr:
-        ustar = _tail_solve_crossing(back, thr)
-        cross = s0 + ustar
-        if w.mass(lo, max(cross, lo)) > 0:
-            return math.inf
-        lo = max(cross, lo)
-        junction = min(junction, thr)
+    lo = _past_threshold(young, profile, w, start, math.inf)
+    if math.isinf(lo):
+        return math.inf
+    junction = min(profile.value(start), young.finite_threshold)
 
     v0 = young.vanish_below
     if v0 > 0:
@@ -785,7 +795,7 @@ def _back_region_value(
         if not want_value:
             return 0.0
         pieces = _geo_split(max(lo, 1e-300), hi, 8) if lo > 0 else _split(lo, hi, 8)
-        return _quad_chunks(integrand, pieces, atol, rtol)
+        return _quad_chunks(integrand, pieces)
 
     if _back_diverges(young, back, w):
         return math.inf
@@ -804,7 +814,7 @@ def _back_region_value(
             wm = w.mass(lo + u, math.inf)
             if math.isfinite(wm):
                 rem = min(rem, slope * back.amplitude * math.exp(-back.rate * u) * wm)
-            if rem < 0.5 * atol:
+            if rem < 0.5 * _ATOL:
                 break
             u *= 1.6
         else:
@@ -838,7 +848,7 @@ def _back_region_value(
                     * (moff + u) ** (1.0 - kappa) / (kappa - 1.0)
                 )
             rem = min(cands) if cands else math.inf
-            if rem < 0.5 * atol:
+            if rem < 0.5 * _ATOL:
                 break
             u *= 1.6
         else:
@@ -851,7 +861,7 @@ def _back_region_value(
     for c in inner_cuts + [hi]:
         pieces.extend(_split(prev, c, max(int((c - prev) / max(u / 12.0, 1e-6)) + 1, 1)))
         prev = c
-    return _quad_chunks(integrand, pieces, atol, rtol)
+    return _quad_chunks(integrand, pieces)
 
 
 def _modular_impl(
@@ -859,11 +869,12 @@ def _modular_impl(
     profile: DecreasingProfile,
     weight: DecreasingProfile | None,
     want_value: bool,
-    atol: float,
-    rtol: float,
 ) -> float:
     w = _WeightView(weight)
     total = 0.0
+
+    def integrand(t):
+        return float(young.eval(profile.value(t))) * w.value(t)
 
     # effective end of integration: beyond it either Psi(p) = 0 or w = 0
     eff_end = math.inf
@@ -881,14 +892,11 @@ def _modular_impl(
             if want_value:
                 inner = sorted({c for c in w.cuts() if 0.0 < c < head_end})
                 m = inner[0] if inner else head_end
-                total += _front_head_value(young, profile.front, w, m, atol, rtol)
+                total += _front_head_value(young, profile.front, w, m)
                 prev = m
                 for c in inner[1:] + [head_end]:
                     if c > prev:
-                        def integrand(t):
-                            return float(young.eval(profile.value(t))) * w.value(t)
-
-                        total += _quad_chunks(integrand, _split(prev, c, 4), atol, rtol)
+                        total += _quad_chunks(integrand, _split(prev, c, 4))
                         prev = c
 
     # 2. steps (exact)
@@ -914,29 +922,16 @@ def _modular_impl(
     if profile.back is not None and not isinstance(profile.back, ZeroTail):
         start = profile.steps_end
         if math.isinf(eff_end):
-            res = _back_region_value(young, profile, w, start, atol, rtol, want_value)
+            res = _back_region_value(young, profile, w, integrand, start, want_value)
             if math.isinf(res):
                 return math.inf
             total += res
-        elif eff_end > start and want_value:
-            thr = young.finite_threshold
-            lo = start
-            if math.isfinite(thr) and profile.value(start) > thr:
-                cross = start + _tail_solve_crossing(profile.back, thr)
-                if w.mass(lo, min(cross, eff_end)) > 0:
-                    return math.inf
-                lo = min(cross, eff_end)
-            def integrand(t2):
-                return float(young.eval(profile.value(t2))) * w.value(t2)
-
-            if eff_end > lo:
-                total += _quad_chunks(integrand, _split(lo, eff_end, 8), atol, rtol)
         elif eff_end > start:
-            thr = young.finite_threshold
-            if math.isfinite(thr) and profile.value(start) > thr:
-                cross = start + _tail_solve_crossing(profile.back, thr)
-                if w.mass(start, min(cross, eff_end)) > 0:
-                    return math.inf
+            lo = _past_threshold(young, profile, w, start, eff_end)
+            if math.isinf(lo):
+                return math.inf
+            if want_value and eff_end > lo:
+                total += _quad_chunks(integrand, _split(lo, eff_end, 8))
 
     return total
 
@@ -945,14 +940,11 @@ def modular(
     young: YoungFunction,
     profile: DecreasingProfile,
     weight: DecreasingProfile | None = None,
-    *,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
 ) -> float:
     """integral_0^inf Psi(p(t)) w(t) dt; +inf exactly when a comparison test
     certifies divergence.  Raises InconclusiveQuadratureError when the value
     cannot be certified within the budget."""
-    return _modular_impl(young, profile, weight, True, atol, rtol)
+    return _modular_impl(young, profile, weight, True)
 
 
 def modular_is_finite(
@@ -962,16 +954,13 @@ def modular_is_finite(
 ) -> bool:
     """Finiteness verdict of the modular by comparison tests alone (no
     quadrature is performed)."""
-    return not math.isinf(_modular_impl(young, profile, weight, False, 1e-10, 1e-8))
+    return not math.isinf(_modular_impl(young, profile, weight, False))
 
 
 def cross_integral(
     p: DecreasingProfile,
     weight: DecreasingProfile | None,
     upper: float,
-    *,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
 ) -> float:
     """integral_0^upper p(t) w(t) dt (exact where both are steps, quadrature
     elsewhere); upper must be finite."""
@@ -1003,7 +992,7 @@ def cross_integral(
         lo = max(a, 1e-12 * upper) if a == 0.0 else a
         if a == 0.0 and (in_head or w_front):
             # integrable singular piece; shrink the cutoff until stable
-            total += _quad_chunks(integrand, _geo_split(max(lo, 1e-280), b, 12), atol, rtol)
+            total += _quad_chunks(integrand, _geo_split(max(lo, 1e-280), b, 12))
         else:
-            total += _quad_chunks(integrand, _split(a, b, 4), atol, rtol)
+            total += _quad_chunks(integrand, _split(a, b, 4))
     return total

@@ -72,9 +72,9 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _psi_inverse(young, target, hi0=1.0):
+def _psi_inverse(young, target):
     """Independent root find of Psi(x) = target by plain bisection."""
-    hi = hi0
+    hi = 1.0
     while young.eval(hi) < target:
         hi *= 2.0
     lo = 0.0
@@ -501,13 +501,7 @@ def _criterion_11(seed):
             avg = 0.5 * (lv[j] + lv[j + 1])
             lv2 = lv.copy()
             lv2[j] = lv2[j + 1] = avg
-            steps = []
-            for v in lv2:
-                if steps and steps[-1][0] == v:
-                    steps[-1] = (v, steps[-1][1] + 1.0)
-                else:
-                    steps.append((float(v), 1.0))
-            pg = rr.DecreasingProfile(tuple(steps))
+            pg = rr._step_profile((v, 1.0) for v in lv2.tolist())
         if not mps.majorization_check(pf, pg).majorized:
             fails += 1
             continue

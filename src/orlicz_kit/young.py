@@ -39,6 +39,7 @@ Everything here is immutable and safe for unsynchronized concurrent use.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +98,9 @@ DEFAULT_EVAL_GRID.setflags(write=False)
 
 #: Default scale-factor search grid for equivalence_check (powers of two).
 DEFAULT_B_GRID = tuple(2.0**k for k in range(-14, 15))
+
+_DELTA2_EXPLOSION = 1e6
+_VALIDATE_REL_TOL = 1e-12
 
 
 def _as_nonneg_array(s):
@@ -611,13 +615,25 @@ def tabulated(xs, ys, limit: float = math.inf) -> TabulatedYoung:
     return TabulatedYoung(tuple(float(x) for x in xs), tuple(float(y) for y in ys), limit)
 
 
+def _load_two_columns(path, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a whitespace-separated text file of numbers.  An
+    unreadable or empty file, a non-numeric cell, ragged rows or a column
+    count other than two raise DomainError; `names` labels the columns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty file
+            data = np.loadtxt(path, dtype=float, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise DomainError(f"{path}: malformed input: {exc}") from exc
+    if data.shape[1] != 2:
+        raise DomainError(f"{path}: expected two columns ({names})")
+    return data[:, 0], data[:, 1]
+
+
 def load_tabulated(path) -> TabulatedYoung:
     """Two-column text: breakpoint, density value; strictly increasing first
     column starting at 0."""
-    data = np.loadtxt(path, dtype=float, ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError(f"{path}: expected two columns (breakpoint, density)")
-    xs, ys = data[:, 0], data[:, 1]
+    xs, ys = _load_two_columns(path, "breakpoint, density")
     if np.any(np.diff(xs) <= 0):
         raise DomainError(f"{path}: breakpoints must be strictly increasing")
     return tabulated(xs, ys)
@@ -743,9 +759,9 @@ class EquivalenceReport:
     grid: tuple[float, ...]
 
 
-def delta2_check(y: YoungFunction, s_grid=None, explosion: float = 1e6) -> Delta2Report:
+def delta2_check(y: YoungFunction, s_grid=None) -> Delta2Report:
     """Doubling check: find the smallest grid suffix on which
-    Psi(2s)/Psi(s) stays below `explosion`; its supremum is the witness c.
+    Psi(2s)/Psi(s) stays below _DELTA2_EXPLOSION; its supremum is the witness c.
 
     Grid points where Psi vanishes are dropped (the suffix starts above the
     first positive value); any point where Psi(s) or Psi(2s) is infinite
@@ -762,7 +778,7 @@ def delta2_check(y: YoungFunction, s_grid=None, explosion: float = 1e6) -> Delta
     if grid_v.size == 0:
         return Delta2Report(False, None, None, tuple(grid))
     ratio = np.where(np.isfinite(p2[positive]), p2[positive] / ps[positive], math.inf)
-    ok = ratio <= explosion
+    ok = ratio <= _DELTA2_EXPLOSION
     # a valid suffix must also be contiguous in the original grid past s0
     finite_tail = np.cumsum(~positive[::-1])[::-1] == 0  # all points >= i are positive/finite
     suffix_ok = np.cumsum(~ok[::-1])[::-1] == 0
@@ -794,18 +810,17 @@ def nabla2_check(y: YoungFunction, s_grid=None, l_candidates=(2.0, 3.0, 4.0, 8.0
     return Nabla2Report(False, None, None, tuple(grid))
 
 
-def equivalence_check(y1: YoungFunction, y2: YoungFunction, b_search=None, grid=None) -> EquivalenceReport:
-    """Search a geometric grid of scale factors for two-sided domination
+def equivalence_check(y1: YoungFunction, y2: YoungFunction, grid=None) -> EquivalenceReport:
+    """Search DEFAULT_B_GRID of scale factors for two-sided domination
     y1(b*x) >= y2(x) and y2(b'*x) >= y1(x) on the evaluation grid."""
-    bs = tuple(DEFAULT_B_GRID if b_search is None else b_search)
     xs = np.asarray(DEFAULT_EVAL_GRID if grid is None else grid, dtype=float)
-    if not bs or xs.size == 0:
-        raise DomainError("equivalence search needs nonempty grids")
+    if xs.size == 0:
+        raise DomainError("equivalence search needs a nonempty grid")
 
     def smallest_b(f_hi: YoungFunction, f_lo: YoungFunction):
         with np.errstate(over="ignore", invalid="ignore"):
             target = np.asarray(f_lo._eval_arr(xs))
-            for b in sorted(bs):
+            for b in DEFAULT_B_GRID:
                 if np.all(np.asarray(f_hi._eval_arr(b * xs)) >= target):
                     return float(b)
         return None
@@ -815,9 +830,9 @@ def equivalence_check(y1: YoungFunction, y2: YoungFunction, b_search=None, grid=
     return EquivalenceReport(bf is not None and bb is not None, bf, bb, tuple(xs))
 
 
-def validate_young(y: YoungFunction, grid=None, rel_tol: float = 1e-12) -> None:
+def validate_young(y: YoungFunction, grid=None) -> None:
     """Check the structural invariants on a grid: Psi(0) = 0, monotone,
-    midpoint convex within rel_tol, not identically 0 or inf, density
+    midpoint convex within _VALIDATE_REL_TOL, not identically 0 or inf, density
     monotone.  Raises DomainError on violation."""
     xs = np.asarray(DEFAULT_EVAL_GRID if grid is None else grid, dtype=float)
     if y.eval(0.0) != 0.0:
@@ -830,12 +845,12 @@ def validate_young(y: YoungFunction, grid=None, rel_tol: float = 1e-12) -> None:
         mid = np.asarray(y._eval_arr(0.5 * (a + b)))
         avg = 0.5 * (vals[:-1] + vals[1:])
         finite = np.isfinite(avg) & np.isfinite(mid)
-        slack = rel_tol * np.maximum(avg[finite], 1.0)
+        slack = _VALIDATE_REL_TOL * np.maximum(avg[finite], 1.0)
         if np.any(mid[finite] > avg[finite] + slack):
             raise DomainError(f"{y.name}: midpoint convexity violated")
         dens = np.asarray(y._density_arr(xs))
         dfin = np.isfinite(dens[:-1]) & np.isfinite(dens[1:])
-        if np.any((dens[1:] - dens[:-1])[dfin] < -rel_tol * np.maximum(np.abs(dens[:-1])[dfin], 1.0)):
+        if np.any((dens[1:] - dens[:-1])[dfin] < -_VALIDATE_REL_TOL * np.maximum(np.abs(dens[:-1])[dfin], 1.0)):
             raise DomainError(f"{y.name}: density must be non-decreasing")
     top = y.eval(float(xs[-1]))
     if top == 0.0:

@@ -222,6 +222,14 @@ MALFORMED_PROFILES = {
     "bad-number": '{"steps": [["x", 1.0]]}',
 }
 
+MALFORMED_TWO_COLUMNS = {
+    "non-numeric": "abc def\n",
+    "ragged-3-2": "1.0 2.0 3.0\n4.0 5.0\n",
+    "non-numeric-cell": "0.0 0.0\n1.0 x\n",
+    "three-columns": "1.0 2.0 3.0\n4.0 5.0 6.0\n",
+    "empty": "",
+}
+
 
 class TestMalformedInput:
     @staticmethod
@@ -244,6 +252,24 @@ class TestMalformedInput:
         path = self._write(tmp_path, MALFORMED_PROFILES[case])
         res = runner.invoke(main, ["norm", "--young", "power:2", "--profile", path])
         assert res.exit_code == 2, res.output
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("domain error:")
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TWO_COLUMNS))
+    @pytest.mark.parametrize("role", ["function", "tabulated"])
+    def test_two_column_text_exits_2_with_one_line(self, runner, tmp_path, role, case):
+        bad = tmp_path / "input.txt"
+        bad.write_text(MALFORMED_TWO_COLUMNS[case])
+        good = tmp_path / "f.txt"
+        good.write_text("2.0 0.5\n-1.0 0.25\n")
+        if role == "function":
+            args = ["norm", "--young", "power:2", "--function", str(bad)]
+        else:
+            args = ["norm", "--young", f"tabulated:{bad}", "--function", str(good)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("domain error:")
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from orlicz_kit import classical_space as cs
 from orlicz_kit import quantum_space as qs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
@@ -24,6 +25,38 @@ def random_matrix(rng, n, positive=False):
     if positive:
         return qs.MatrixObservable.from_array(g.conj().T @ g / (8.0 * n), hermitian=True)
     return qs.MatrixObservable.from_array(g)
+
+
+def run_merge_steps(values, length):
+    """Reference step merge: one pass over decreasing values that drops
+    zeros and merges each run of equal values into one step."""
+    steps = []
+    for v in values:
+        if v == 0.0:
+            continue
+        if steps and steps[-1][0] == v:
+            steps[-1] = (v, steps[-1][1] + length)
+        else:
+            steps.append((float(v), length))
+    return tuple(steps)
+
+
+def _repeated_spectrum(rng, levels, reps):
+    q, _ = np.linalg.qr(rng.normal(size=(len(levels) * reps,) * 2))
+    return qs.MatrixObservable.from_array(q @ np.diag(np.repeat(levels, reps)) @ q.T)
+
+
+STEP_MERGE_MATRICES = {
+    "n=1": lambda rng: qs.MatrixObservable.from_array([[2.5]]),
+    "identity": lambda rng: qs.MatrixObservable.from_array(np.eye(5)),
+    "zero": lambda rng: qs.MatrixObservable.from_array(np.zeros((4, 4))),
+    "block-repeated": lambda rng: qs.MatrixObservable.from_array(
+        np.kron(np.diag([3.0, 1.0, 1.0, 0.0]), np.eye(3))
+    ),
+    "rotated-repeated": lambda rng: _repeated_spectrum(rng, [2.0, 2.0, 0.5], 4),
+    "random": lambda rng: random_matrix(rng, 9),
+    "random-positive": lambda rng: random_matrix(rng, 7, positive=True),
+}
 
 
 class TestMatrixObservable:
@@ -79,6 +112,23 @@ class TestSingularProfile:
         a = qs.MatrixObservable.from_array(np.diag([2.0, 2.0]))
         prof = qs.singular_profile(a, qs.scaled_trace(0.5))
         assert prof.steps == ((2.0, 1.0),)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("case", sorted(STEP_MERGE_MATRICES))
+    def test_step_merge_matches_run_merge(self, case, scale):
+        a = STEP_MERGE_MATRICES[case](np.random.default_rng(11))
+        steps = qs.singular_profile(a, qs.scaled_trace(scale)).steps
+        assert steps == run_merge_steps(qs.singular_values(a), scale)
+        assert all(type(level) is float for level, _ in steps)
+
+    def test_step_merge_on_averaged_level_pairs(self):
+        # criterion-11 construction: two neighbouring levels replaced by their mean
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            lv = np.sort(np.exp(rng.uniform(-1.5, 1.5, 5)))[::-1]
+            j = int(rng.integers(0, 4))
+            lv[j] = lv[j + 1] = 0.5 * (lv[j] + lv[j + 1])
+            assert rr._step_profile((v, 1.0) for v in lv.tolist()).steps == run_merge_steps(lv, 1.0)
 
 
 class TestTraceIdentity:
@@ -248,6 +298,38 @@ class TestQuantumRegularity:
         rep = qs.quantum_regular_check(g, w)
         assert not rep.regular
         assert rep.domain.as_tuple() == (-math.inf, 0.0, False, True)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0)),
+            rr.DecreasingProfile(((0.5, 2.0),)),
+            rr.DecreasingProfile(((0.2, 1.0),), rr.InvPowerSingularity(1.0, 0.3, 1.0)),
+            rr.DecreasingProfile((), rr.InvPowerSingularity(0.5, 0.8, 1.0)),
+        ],
+        ids=["exp-no-head", "step-no-head", "inv-power-head-0.3", "inv-power-head-0.8"],
+    )
+    @pytest.mark.parametrize(
+        "head",
+        [
+            rr.LogSingularity(0.5, 1.0),
+            rr.LogSingularity(1.0, 0.5),
+            rr.LogSingularity(2.0, 1.0),
+            rr.InvPowerSingularity(1.0, 0.5, 1.0),
+            rr.InvPowerSingularity(1.0, 1.0, 1.0),
+        ],
+        ids=["log-0.5", "log-1", "log-2", "inv-0.5", "inv-1"],
+    )
+    def test_endpoint_agrees_with_classical(self, head, weight):
+        # a weight without a singular head is Lebesgue-like at t = 0 (theta_w = 0)
+        g = rr.DecreasingProfile((), head)
+        q = qs.quantum_regular_check(g, weight)
+        c = cs.classical_regular_check(g, weight)
+        theta_w = weight.front.exponent if weight.front is not None else 0.0
+        expected = max((1.0 - theta_w) / head.coeff, 0.0) if head.kind == "log_singularity" else 0.0
+        assert q.domain.upper == c.domain.upper == expected
+        assert q.regular == c.regular == (expected > 0)
+        assert q.domain.upper_closed == c.domain.upper_closed == (expected == 0)
 
     def test_transform_finiteness_against_quadrature(self):
         # integral_0^1 s^-t e^-s ds converges iff t < 1

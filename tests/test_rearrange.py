@@ -212,6 +212,43 @@ class TestModular:
         assert rr.modular(thr, p_ok) == 0.0
         assert rr.modular(thr, p_bad) == math.inf
 
+    # complement(identity) is 0 up to 1 and +inf beyond; these tails start at
+    # 2 and 3, crossing 1 at t = log 2 and t = sqrt(3) - 1
+    TAILS_ABOVE = {
+        "exp": rr.DecreasingProfile((), rr.ExponentialTail(2.0, 1.0)),
+        "power": rr.DecreasingProfile((), rr.PowerTail(3.0, 2.0, 1.0)),
+    }
+    SLAB_WEIGHTS = {
+        "lebesgue": None,
+        "support-ends-before-crossing": rr.DecreasingProfile(((1.0, 0.5),)),
+        "support-ends-after-crossing": rr.DecreasingProfile(((1.0, 2.0), (0.5, 3.0))),
+    }
+
+    @pytest.mark.parametrize("weight", sorted(SLAB_WEIGHTS))
+    @pytest.mark.parametrize("tail", sorted(TAILS_ABOVE))
+    def test_tail_starting_above_threshold_diverges(self, tail, weight):
+        thr = yg.complement(yg.identity())
+        p, w = self.TAILS_ABOVE[tail], self.SLAB_WEIGHTS[weight]
+        assert rr.modular(thr, p, w) == math.inf
+        assert not rr.modular_is_finite(thr, p, w)
+
+    @pytest.mark.parametrize("weight", sorted(SLAB_WEIGHTS))
+    @pytest.mark.parametrize(
+        "p",
+        [
+            rr.DecreasingProfile(((0.8, 0.5),), rr.ExponentialTail(0.6, 1.5)),
+            rr.DecreasingProfile(((0.9, 1.0),), rr.PowerTail(0.5, 2.0, 1.0)),
+        ],
+        ids=["exp", "power"],
+    )
+    def test_tail_starting_below_threshold_is_the_step_part(self, p, weight):
+        thr = yg.complement(yg.identity())
+        w = self.SLAB_WEIGHTS[weight]
+        ((level, length),) = p.steps
+        mass = length if w is None else rr.hl_partial(w, length)
+        assert rr.modular(thr, p, w) == float(thr.eval(level)) * mass
+        assert rr.modular_is_finite(thr, p, w)
+
     def test_weighted_step_exact(self):
         p = rr.DecreasingProfile(((2.0, 1.0),))
         w = rr.DecreasingProfile(((0.5, 3.0),))
