@@ -25,4 +25,22 @@ class ConvergenceError(OrliczKitError, RuntimeError):
 
 
 class InconclusiveQuadratureError(OrliczKitError, RuntimeError):
-    """Numerical integration could not certify a finite value or a divergence."""
+    """Numerical integration could not certify a finite value or a divergence.
+
+    Raised by the quadrature kernel, it carries the `interval` integrated
+    over, the error `budget`, the error `estimate` reached (inf for a
+    non-finite integrand value) and the number of `panels` in use, and its
+    message names them.  They are None when no quadrature was run (a missing
+    envelope, a truncation bound that did not certify)."""
+
+    def __init__(self, message, *, interval=None, budget=None, estimate=None, panels=None):
+        if interval is not None:
+            message = (
+                f"{message} on [{interval[0]:.6g}, {interval[1]:.6g}]: error estimate "
+                f"{estimate:.3g} against budget {budget:.3g} with {panels} panels"
+            )
+        super().__init__(message)
+        self.interval = interval
+        self.budget = budget
+        self.estimate = estimate
+        self.panels = panels

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orlicz_kit.cli import main
 
@@ -284,3 +286,102 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("domain error:")
+
+
+class TestInconclusiveQuadrature:
+    def test_exits_4_with_one_line_naming_the_quadrature_context(self, runner, tmp_path):
+        # cosh(c*log(1/t)) overflows on the certified range of the log head
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({
+            "steps": [[0.4 / 0.71, 1.0]],
+            "tail": {"kind": "log_singularity", "coeff": 0.7 / 0.71, "width": 0.5},
+        }))
+        weight = tmp_path / "w.json"
+        weight.write_text(json.dumps({"steps": [[1.0, 0.6]]}))
+        res = runner.invoke(
+            main, ["norm", "--young", "cosh-1", "--profile", str(profile), "--weight", str(weight)]
+        )
+        assert res.exit_code == 4, res.output
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("inconclusive quadrature: non-finite integrand on [")
+        for part in ("error estimate inf", "against budget", "panels"):
+            assert part in lines[0]
+
+
+# mostly well-formed values, so that parsing succeeds often enough for the
+# norms and checks behind it to run on odd but valid input
+_GOOD = st.floats(min_value=0.05, max_value=5.0)
+_ODD = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+    st.integers(min_value=-3, max_value=3),
+    st.text(max_size=3),
+    st.none(),
+)
+_NUMBERS = st.integers(min_value=0, max_value=9).flatmap(lambda k: _ODD if k == 0 else _GOOD)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_STEPS = st.lists(st.tuples(_NUMBERS, _NUMBERS).map(list), max_size=3)
+_TAIL = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["zero", "exponential", "power", "log_singularity", "inv_power", "x"])},
+    optional={k: _NUMBERS for k in ("amplitude", "rate", "exponent", "offset", "coeff", "width")},
+)
+_PROFILE = st.fixed_dictionaries(
+    {"steps": _STEPS.map(lambda s: sorted(s, key=str, reverse=True)) | _STEPS | _JSON},
+    optional={"tail": _TAIL | _JSON},
+)
+_SQUARE = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_MATRIX = st.fixed_dictionaries(
+    {"entries": _SQUARE | st.lists(st.lists(_NUMBERS | st.lists(_NUMBERS, max_size=3), max_size=3), max_size=3)},
+    optional={"dim": _NUMBERS},
+)
+_JSON_TEXT = st.one_of(
+    (_PROFILE | _MATRIX | _JSON).map(json.dumps),
+    (_PROFILE | _MATRIX).map(lambda d: json.dumps(d)[:-1]),  # truncated
+    st.text(max_size=30),
+)
+_CELL = _NUMBERS.map(str) | st.text(alphabet="0123456789.-eE x", max_size=6)
+_ROW = st.tuples(_CELL, _CELL).map(list) | st.lists(_CELL, max_size=3)
+_TWO_COLUMNS = st.lists(_ROW.map(" ".join), max_size=4).map("\n".join) | st.text(max_size=30)
+_JSON_COMMANDS = (
+    ["norm", "--young", "power:2", "--profile"],
+    ["norm", "--young", "cosh-1", "--orlicz", "--profile"],
+    ["check", "membership", "--young", "cosh-1", "--profile"],
+    ["norm", "--young", "cosh-1", "--matrix"],
+)
+_TEXT_COMMANDS = (
+    ["norm", "--young", "power:2", "--function"],
+    ["check", "embedding-chain", "--p-exponent", "2", "--function"],
+)
+
+
+class TestCliFuzz:
+    """Malformed or odd input never ends in a traceback or an exit code
+    outside {0 success, 2 domain error, 3 non-convergence, 4 inconclusive}."""
+
+    @staticmethod
+    def _check(args, text):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            Path("input").write_text(text)
+            res = runner.invoke(main, [*args, "input"])
+        assert res.exit_code in (0, 2, 3, 4), (args, text, res.output, res.exception)
+        assert "Traceback" not in res.output
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(_JSON_COMMANDS), _JSON_TEXT)
+    def test_json_input(self, args, text):
+        self._check(args, text)
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(_TEXT_COMMANDS), _TWO_COLUMNS)
+    def test_two_column_input(self, args, text):
+        self._check(args, text)
