@@ -335,11 +335,17 @@ def cmd_check(what, young_spec, y1, y2, function_path, profile_path, weight_path
 @click.option("--only", default=None, help="filter criteria by id, tag, or name substring")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="report file (stdout lines always printed)")
-def cmd_verify(seed, only, fmt, out):
+@click.option("--timings", is_flag=True, help="print each criterion's wall time to stderr")
+def cmd_verify(seed, only, fmt, out, timings):
     """Run the acceptance suite; exit 0 iff every criterion passes."""
 
     def run():
-        report = vf.run_suite(seed=seed, only=only)
+        seconds = {} if timings else None
+        report = vf.run_suite(seed=seed, only=only, timings=seconds)
+        for cid, s in (seconds or {}).items():
+            click.echo(f"criterion {cid:2d}: {s:.3f} s", err=True)
+        if seconds:
+            click.echo(f"total: {sum(seconds.values()):.3f} s", err=True)
         config = RunConfig("verify", None, (), None, fmt, seed, only)
         report["config_digest"] = config.digest()
         for c in report["criteria"]:

@@ -335,6 +335,14 @@ class DecreasingProfile:
             edges.append(t)
         return tuple(edges)
 
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        return np.asarray(self.step_edges)
+
+    @cached_property
+    def _level_array(self) -> np.ndarray:
+        return np.asarray([l for l, _ in self.steps])
+
     @property
     def steps_end(self) -> float:
         return self.step_edges[-1] if self.steps else self.front_width
@@ -384,11 +392,9 @@ class DecreasingProfile:
                         out,
                     )
         if self.steps:
-            edges = np.asarray(self.step_edges)
-            idx = np.searchsorted(edges, arr, side="right")
+            idx = np.searchsorted(self._edge_array, arr, side="right")
             in_steps = (arr >= fw) & (idx < len(self.steps))
-            lvl = np.asarray([l for l, _ in self.steps])
-            out = np.where(in_steps, lvl[np.minimum(idx, len(self.steps) - 1)], out)
+            out = np.where(in_steps, self._level_array[np.minimum(idx, len(self.steps) - 1)], out)
         if self.back is not None and not isinstance(self.back, ZeroTail):
             u = arr - self.steps_end
             beyond = u >= 0
@@ -870,6 +876,70 @@ def _past_threshold(young, profile, w: _WeightView, start: float, end: float) ->
     return math.inf if w.mass(start, lo) > 0 else lo
 
 
+def _power_tail_cutoff(young, back: PowerTail, w: _WeightView, lo: float) -> float:
+    """Certified truncation length u of a power tail starting at lo: the
+    first rung of the ladder u0, 1.6*u0, 1.6*1.6*u0, ... (u0 = max(offset, 1)
+    and past the envelope's validity) whose bound on the mass of Psi(p) w
+    beyond lo + u is below half of _ATOL.
+
+    The bound falls as u grows, so a gallop over the rungs followed by a
+    bisection finds the rung a linear scan would stop at, in about
+    2*log2(rungs) bounds instead of one per rung.  The rungs are built
+    lazily by the same repeated product, so u is bit-identical to the
+    scan's.  Raises when no rung up to 1e300 certifies."""
+    so = young.small_order()
+    if so is None:
+        raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
+    a, g_exp, t0 = back.amplitude, back.exponent, back.offset
+    kind, wtail = w.far_field()
+    gamma_w = wtail.exponent if kind == "power" else 0.0
+    kappa = g_exp * so.alpha + gamma_w
+    u = max(t0, 1.0)
+    if so.valid_to < math.inf:
+        need = (a / so.valid_to) ** (1.0 / g_exp) - t0
+        u = max(u, need)
+
+    def certifies(u: float) -> bool:
+        amp_env = so.hi * (a * (t0 + u) ** (-g_exp)) ** so.alpha
+        cands = []
+        if g_exp * so.alpha > 1.0:
+            cands.append(
+                so.hi * a**so.alpha * (t0 + u) ** (1.0 - g_exp * so.alpha)
+                / (g_exp * so.alpha - 1.0) * w.value(lo + u)
+            )
+        wm = w.mass(lo + u, math.inf)
+        if math.isfinite(wm):
+            cands.append(amp_env * wm)
+        if kind == "power" and kappa > 1.0:
+            moff = min(t0, wtail.offset)
+            cands.append(
+                so.hi * a**so.alpha * wtail.amplitude
+                * (moff + u) ** (1.0 - kappa) / (kappa - 1.0)
+            )
+        return bool(cands) and min(cands) < 0.5 * _ATOL
+
+    rungs = [u]
+
+    def rung(k: int) -> int:
+        """Index k, or the last rung when the ladder stops below k."""
+        while len(rungs) <= k and rungs[-1] * 1.6 <= 1e300:
+            rungs.append(rungs[-1] * 1.6)
+        return min(k, len(rungs) - 1)
+
+    failed, k = -1, 0
+    while not certifies(rungs[k]):
+        failed, k = k, rung(2 * k + 1)
+        if k == failed:
+            raise InconclusiveQuadratureError("power tail truncation did not certify")
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if certifies(rungs[mid]):
+            k = mid
+        else:
+            failed = mid
+    return rungs[k]
+
+
 def _back_region_value(
     young, profile, w: _WeightView, integrand, start: float, want_value: bool
 ) -> float:
@@ -898,7 +968,6 @@ def _back_region_value(
     if not want_value:
         return 0.0
 
-    so = young.small_order()
     if isinstance(back, ExponentialTail):
         # Psi(x) <= (Psi(j)/j) * x below the junction value j (convexity)
         j = max(junction, 1e-300)
@@ -916,39 +985,7 @@ def _back_region_value(
         else:
             raise InconclusiveQuadratureError("exponential tail truncation did not certify")
     else:
-        if so is None:
-            raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
-        a, g_exp, t0 = back.amplitude, back.exponent, back.offset
-        kind, wtail = w.far_field()
-        gamma_w = wtail.exponent if kind == "power" else 0.0
-        kappa = g_exp * so.alpha + gamma_w
-        u = max(t0, 1.0)
-        if so.valid_to < math.inf:
-            need = (a / so.valid_to) ** (1.0 / g_exp) - t0
-            u = max(u, need)
-        while True:
-            amp_env = so.hi * (a * (t0 + u) ** (-g_exp)) ** so.alpha
-            cands = []
-            if g_exp * so.alpha > 1.0:
-                cands.append(
-                    so.hi * a**so.alpha * (t0 + u) ** (1.0 - g_exp * so.alpha)
-                    / (g_exp * so.alpha - 1.0) * w.value(lo + u)
-                )
-            wm = w.mass(lo + u, math.inf)
-            if math.isfinite(wm):
-                cands.append(amp_env * wm)
-            if kind == "power" and kappa > 1.0:
-                moff = min(t0, wtail.offset)
-                cands.append(
-                    so.hi * a**so.alpha * wtail.amplitude
-                    * (moff + u) ** (1.0 - kappa) / (kappa - 1.0)
-                )
-            rem = min(cands) if cands else math.inf
-            if rem < 0.5 * _ATOL:
-                break
-            if u * 1.6 > 1e300:
-                raise InconclusiveQuadratureError("power tail truncation did not certify")
-            u *= 1.6
+        u = _power_tail_cutoff(young, back, w, lo)
 
     hi = lo + u
     inner_cuts = [c for c in w.cuts() if lo < c < hi]

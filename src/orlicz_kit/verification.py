@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -553,20 +554,25 @@ def _selected(only: str | None):
     return tuple(picked)
 
 
-def run_suite(seed: int = 42, only: str | None = None, include_determinism: bool = True) -> dict:
+def run_suite(
+    seed: int = 42,
+    only: str | None = None,
+    include_determinism: bool = True,
+    timings: dict[int, float] | None = None,
+) -> dict:
     """Run the selected criteria in registry order and assemble the
-    canonical report dict."""
-    selected = _selected(only)
-    results = [
-        CriterionResult(cid, name, tags, *fn(seed))
-        for cid, name, tags, fn in selected
-        if cid != 12
-    ]
-    if include_determinism:
-        for cid, name, tags, fn in selected:
-            if cid == 12:
-                passed, measured, tol = fn(seed, only, [asdict(r) for r in results])
-                results.append(CriterionResult(cid, name, tags, passed, measured, tol))
+    canonical report dict.  A `timings` dict receives each criterion's wall
+    time in seconds, keyed by id; the report does not depend on it."""
+    results = []
+    # criterion 12 is last in the registry, so it sees every other result
+    for cid, name, tags, fn in _selected(only):
+        if cid == 12 and not include_determinism:
+            continue
+        start = time.perf_counter()
+        args = (seed, only, [asdict(r) for r in results]) if cid == 12 else (seed,)
+        results.append(CriterionResult(cid, name, tags, *fn(*args)))
+        if timings is not None:
+            timings[cid] = time.perf_counter() - start
     return {
         "tool": "orlicz-kit",
         "version": __version__,
