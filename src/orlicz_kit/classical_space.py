@@ -210,7 +210,7 @@ def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
     single scale gives exactly the value of the one-dimensional sum.  A
     scalar scale gives a 0-d result, an array of scales an array of modulars.
     Returns None when the profile has analytic parts."""
-    if p.front is not None or p.support_end == math.inf:
+    if p.head is not None or p.support_end == math.inf:
         return None
     levels = np.asarray([l for l, _ in p.steps])
     if w is None:
@@ -497,12 +497,11 @@ def _transform_upper_endpoint(u: DecreasingProfile, w: DecreasingProfile) -> flo
     wv = _WeightView(w)
     if math.isinf(hl_partial(w, math.inf)):
         raise DomainError("the weight must be integrable")
-    front = u.front
-    if front is None:
+    if u.head is None:
         return math.inf
     theta_w = wv.inv_order
-    if isinstance(front, LogSingularity):
-        return max((1.0 - theta_w) / front.coeff, 0.0)
+    if isinstance(u.head, LogSingularity):
+        return max((1.0 - theta_w) / u.head.coeff, 0.0)
     return 0.0
 
 

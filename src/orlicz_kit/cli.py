@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import click
 
@@ -104,6 +105,8 @@ def _to_csv(payload: dict) -> str:
 
 
 def _jsonable(x):
+    if isinstance(x, cs.DomainInterval):
+        return _jsonable(x.as_tuple())
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
@@ -129,18 +132,16 @@ def _report_base(config: RunConfig, op: str) -> dict:
     }
 
 
-def _norm_payload(config: RunConfig, op: str, rep: cs.NormReport, tolerance: float) -> dict:
+def _payload(config: RunConfig, op: str, report, fields: tuple[str, ...]) -> dict:
+    """The report base plus the named attributes of a report."""
     payload = _report_base(config, op)
-    payload.update(
-        {
-            "value": _jsonable(rep.value),
-            "witness": _jsonable(rep.witness),
-            "converged": rep.converged,
-            "iterations": rep.iterations,
-            "tolerance": tolerance,
-        }
-    )
+    payload.update({name: _jsonable(getattr(report, name)) for name in fields})
     return payload
+
+
+def _norm_payload(config: RunConfig, op: str, rep: cs.NormReport, tolerance: float) -> dict:
+    fields = ("value", "witness", "converged", "iterations")
+    return {**_payload(config, op, rep, fields), "tolerance": tolerance}
 
 
 @click.group()
@@ -217,14 +218,48 @@ def cmd_norm(young_spec, function_path, matrix_path, profile_path, weight_path, 
     _run_guarded(run)
 
 
-@main.command("check")
-@click.argument(
-    "what",
-    type=click.Choice(
-        ["delta2", "nabla2", "equivalent", "membership", "regular", "quantum-regular",
-         "majorization", "embedding-chain"]
+# check subcommand -> (required options, the check on the parsed options,
+# the report attributes put in the payload)
+_CHECKS = {
+    "delta2": (("--young",), lambda o: yg.delta2_check(yg.from_spec(o.young)), ("holds", "s0", "c")),
+    "nabla2": (("--young",), lambda o: yg.nabla2_check(yg.from_spec(o.young)), ("holds", "x0", "l")),
+    "equivalent": (
+        ("--y1", "--y2"),
+        lambda o: yg.equivalence_check(yg.from_spec(o.y1), yg.from_spec(o.y2)),
+        ("equivalent", "b_forward", "b_backward"),
     ),
-)
+    "membership": (
+        ("--young", "--profile"),
+        lambda o: cs.membership(yg.from_spec(o.young), _load_profile(o.profile),
+                                _load_profile(o.weight) if o.weight else None),
+        ("member", "lambda_witness"),
+    ),
+    "regular": (
+        ("--profile", "--weight"),
+        lambda o: cs.classical_regular_check(_load_profile(o.profile), _load_profile(o.weight)),
+        ("regular", "domain", "member", "agrees"),
+    ),
+    "quantum-regular": (
+        ("--profile", "--weight"),
+        lambda o: qs.quantum_regular_check(_load_profile(o.profile), _load_profile(o.weight)),
+        ("regular", "domain"),
+    ),
+    "majorization": (
+        ("--f", "--g"),
+        lambda o: mps.majorization_check(_load_profile(o.f), _load_profile(o.g)),
+        ("majorized", "alphas", "margins"),
+    ),
+    "embedding-chain": (
+        ("--function",),
+        lambda o: cs.embedding_chain_check(
+            rr.load_simple_function(o.function, rr.probability_space()), o.p_exponent),
+        ("sup_norm", "lexp_norm", "p_norm", "llogl_norm", "l1_norm", "finiteness_monotone"),
+    ),
+}
+
+
+@main.command("check")
+@click.argument("what", type=click.Choice(list(_CHECKS)))
 @click.option("--young", "young_spec", help="Young-function spec")
 @click.option("--y1", help="first Young function (equivalent)")
 @click.option("--y2", help="second Young function (equivalent)")
@@ -241,91 +276,17 @@ def cmd_check(what, young_spec, y1, y2, function_path, profile_path, weight_path
     """Run a structural check and emit its report."""
 
     def run():
-        inputs = tuple(
-            (role, p)
-            for role, p in (
-                ("function", function_path),
-                ("profile", profile_path),
-                ("weight", weight_path),
-                ("f", f_path),
-                ("g", g_path),
-            )
-            if p
-        )
+        opts = SimpleNamespace(young=young_spec, y1=y1, y2=y2, function=function_path,
+                               profile=profile_path, weight=weight_path, f=f_path, g=g_path,
+                               p_exponent=p_exponent)
+        inputs = tuple((role, getattr(opts, role)) for role in ("function", "profile", "weight", "f", "g")
+                       if getattr(opts, role))
         config = RunConfig(f"check:{what}", young_spec or (f"{y1}|{y2}" if y1 else None),
                            inputs, None, fmt, None, None)
-        payload = _report_base(config, f"check:{what}")
-        if what == "delta2":
-            if not young_spec:
-                raise DomainError("delta2 needs --young")
-            r = yg.delta2_check(yg.from_spec(young_spec))
-            payload.update({"holds": r.holds, "s0": _jsonable(r.s0), "c": _jsonable(r.c)})
-        elif what == "nabla2":
-            if not young_spec:
-                raise DomainError("nabla2 needs --young")
-            r = yg.nabla2_check(yg.from_spec(young_spec))
-            payload.update({"holds": r.holds, "x0": _jsonable(r.x0), "l": _jsonable(r.l)})
-        elif what == "equivalent":
-            if not (y1 and y2):
-                raise DomainError("equivalent needs --y1 and --y2")
-            r = yg.equivalence_check(yg.from_spec(y1), yg.from_spec(y2))
-            payload.update(
-                {
-                    "equivalent": r.equivalent,
-                    "b_forward": _jsonable(r.b_forward),
-                    "b_backward": _jsonable(r.b_backward),
-                }
-            )
-        elif what == "membership":
-            if not (young_spec and profile_path):
-                raise DomainError("membership needs --young and --profile")
-            weight = _load_profile(weight_path) if weight_path else None
-            r = cs.membership(yg.from_spec(young_spec), _load_profile(profile_path), weight)
-            payload.update({"member": r.member, "lambda_witness": _jsonable(r.lambda_witness)})
-        elif what == "regular":
-            if not (profile_path and weight_path):
-                raise DomainError("regular needs --profile and --weight")
-            r = cs.classical_regular_check(_load_profile(profile_path), _load_profile(weight_path))
-            payload.update(
-                {
-                    "regular": r.regular,
-                    "domain": _jsonable(r.domain.as_tuple()),
-                    "member": r.member,
-                    "agrees": r.agrees,
-                }
-            )
-        elif what == "quantum-regular":
-            if not (profile_path and weight_path):
-                raise DomainError("quantum-regular needs --profile and --weight")
-            r = qs.quantum_regular_check(_load_profile(profile_path), _load_profile(weight_path))
-            payload.update({"regular": r.regular, "domain": _jsonable(r.domain.as_tuple())})
-        elif what == "majorization":
-            if not (f_path and g_path):
-                raise DomainError("majorization needs --f and --g")
-            r = mps.majorization_check(_load_profile(f_path), _load_profile(g_path))
-            payload.update(
-                {
-                    "majorized": r.majorized,
-                    "alphas": _jsonable(r.alphas),
-                    "margins": _jsonable(r.margins),
-                }
-            )
-        else:  # embedding-chain
-            if not function_path:
-                raise DomainError("embedding-chain needs --function")
-            f = rr.load_simple_function(function_path, rr.probability_space())
-            r = cs.embedding_chain_check(f, p_exponent)
-            payload.update(
-                {
-                    "sup_norm": _jsonable(r.sup_norm),
-                    "lexp_norm": _jsonable(r.lexp_norm),
-                    "p_norm": _jsonable(r.p_norm),
-                    "llogl_norm": _jsonable(r.llogl_norm),
-                    "l1_norm": _jsonable(r.l1_norm),
-                    "finiteness_monotone": r.finiteness_monotone,
-                }
-            )
-        _emit(payload, out, fmt)
+        needs, check, fields = _CHECKS[what]
+        if not all(getattr(opts, flag[2:]) for flag in needs):
+            raise DomainError(f"{what} needs {' and '.join(needs)}")
+        _emit(_payload(config, f"check:{what}", check(opts), fields), out, fmt)
 
     _run_guarded(run)
 

@@ -3,12 +3,16 @@
 A DecreasingProfile is the common currency of the classical and quantum
 sides: a non-increasing, right-continuous function on (0, inf) assembled from
 
-  * an optional singular head near t = 0 (log_singularity: c*log(1/t), or
+  * an optional singular `head` near t = 0 (log_singularity: c*log(1/t), or
     inv_power: c*t**-theta), modelling unbounded rearrangements,
   * a finite stack of steps (level, length) with strictly decreasing levels,
-  * an optional analytic tail after the steps (exponential a*e^(-beta*u) or
+  * an optional analytic `tail` after the steps (exponential a*e^(-beta*u) or
     power a*(t0+u)**-gamma in the local coordinate u measured from the end
     of the steps), modelling slow decay on infinite measure.
+
+Either end, or both, may be present.  Each head and tail class owns its
+closed forms (value, exact partial integral, scaled copy, and for tails the
+level crossing); the profile composes them.
 
 modular(Y, p, w) evaluates integral_0^inf Psi(p(t)) * w(t) dt against an
 optional weight profile (Lebesgue when omitted).  Step-by-step pieces
@@ -33,6 +37,7 @@ for fixed inputs (fixed summation order, no randomized algorithms).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -56,7 +61,6 @@ __all__ = [
     "simple_function",
     "load_simple_function",
     "add_aligned",
-    "ZeroTail",
     "ExponentialTail",
     "PowerTail",
     "LogSingularity",
@@ -140,10 +144,6 @@ class SimpleFunction:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v, _ in self.atoms)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum()) if self.atoms else 0.0
-
     def abs(self) -> "SimpleFunction":
         return SimpleFunction(tuple((abs(v), w) for v, w in self.atoms), self.space)
 
@@ -186,14 +186,6 @@ def add_aligned(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 
 
 @dataclass(frozen=True)
-class ZeroTail:
-    kind = "zero"
-
-    def to_dict(self):
-        return {"kind": "zero"}
-
-
-@dataclass(frozen=True)
 class ExponentialTail:
     """value(u) = amplitude * exp(-rate * u), u measured from the junction."""
 
@@ -205,8 +197,27 @@ class ExponentialTail:
         if not (self.amplitude > 0 and self.rate > 0):
             raise DomainError("exponential tail needs amplitude > 0 and rate > 0")
 
-    def to_dict(self):
-        return {"kind": "exponential", "amplitude": self.amplitude, "rate": self.rate}
+    @property
+    def junction(self) -> float:
+        return self.amplitude
+
+    def value(self, u):
+        return self.amplitude * np.exp(-self.rate * u)
+
+    def partial(self, u: float) -> float:
+        """integral over the first u units (u may be inf)."""
+        if u <= 0:
+            return 0.0
+        if math.isinf(u):
+            return self.amplitude / self.rate
+        return self.amplitude / self.rate * -math.expm1(-self.rate * u)
+
+    def scale(self, a: float) -> "ExponentialTail":
+        return ExponentialTail(a * self.amplitude, self.rate)
+
+    def crossing(self, level: float) -> float:
+        """u* with value(u*) = level (level below the junction)."""
+        return math.log(self.amplitude / level) / self.rate
 
 
 @dataclass(frozen=True)
@@ -222,13 +233,30 @@ class PowerTail:
         if not (self.amplitude > 0 and self.exponent > 0 and self.offset > 0):
             raise DomainError("power tail needs amplitude, exponent, offset > 0")
 
-    def to_dict(self):
-        return {
-            "kind": "power",
-            "amplitude": self.amplitude,
-            "exponent": self.exponent,
-            "offset": self.offset,
-        }
+    @property
+    def junction(self) -> float:
+        return self.amplitude * self.offset ** (-self.exponent)
+
+    def value(self, u):
+        return self.amplitude * (self.offset + u) ** (-self.exponent)
+
+    def partial(self, u: float) -> float:
+        """integral over the first u units (u may be inf)."""
+        if u <= 0:
+            return 0.0
+        a, g, t0 = self.amplitude, self.exponent, self.offset
+        if g == 1.0:
+            return math.inf if math.isinf(u) else a * math.log((t0 + u) / t0)
+        if math.isinf(u):
+            return math.inf if g < 1.0 else a * t0 ** (1.0 - g) / (g - 1.0)
+        return a / (1.0 - g) * ((t0 + u) ** (1.0 - g) - t0 ** (1.0 - g))
+
+    def scale(self, a: float) -> "PowerTail":
+        return PowerTail(a * self.amplitude, self.exponent, self.offset)
+
+    def crossing(self, level: float) -> float:
+        """u* with value(u*) = level (level below the junction)."""
+        return (self.amplitude / level) ** (1.0 / self.exponent) - self.offset
 
 
 @dataclass(frozen=True)
@@ -243,8 +271,21 @@ class LogSingularity:
         if not (self.coeff > 0 and 0 < self.width <= 1.0):
             raise DomainError("log singularity needs coeff > 0 and width in (0, 1]")
 
-    def to_dict(self):
-        return {"kind": "log_singularity", "coeff": self.coeff, "width": self.width}
+    @property
+    def at_width(self) -> float:
+        return self.coeff * math.log(1.0 / self.width)
+
+    def value(self, t):
+        return self.coeff * np.log(1.0 / t)
+
+    def partial(self, x: float) -> float:
+        """integral_0^x, x <= width."""
+        if x <= 0:
+            return 0.0
+        return self.coeff * x * (1.0 - math.log(x))
+
+    def scale(self, a: float) -> "LogSingularity":
+        return LogSingularity(a * self.coeff, self.width)
 
 
 @dataclass(frozen=True)
@@ -260,39 +301,49 @@ class InvPowerSingularity:
         if not (self.coeff > 0 and self.exponent > 0 and self.width > 0):
             raise DomainError("inverse-power singularity needs positive parameters")
 
-    def to_dict(self):
-        return {
-            "kind": "inv_power",
-            "coeff": self.coeff,
-            "exponent": self.exponent,
-            "width": self.width,
-        }
+    @property
+    def at_width(self) -> float:
+        return self.coeff * self.width ** (-self.exponent)
+
+    def value(self, t):
+        return self.coeff * t ** (-self.exponent)
+
+    def partial(self, x: float) -> float:
+        """integral_0^x, x <= width; inf when exponent >= 1."""
+        if x <= 0:
+            return 0.0
+        th = self.exponent
+        if th >= 1.0:
+            return math.inf
+        return self.coeff * x ** (1.0 - th) / (1.0 - th)
+
+    def scale(self, a: float) -> "InvPowerSingularity":
+        return InvPowerSingularity(a * self.coeff, self.exponent, self.width)
 
 
-Tail = ZeroTail | ExponentialTail | PowerTail | LogSingularity | InvPowerSingularity
-_FRONT_KINDS = (LogSingularity, InvPowerSingularity)
-
-
-def _front_value_at_width(front) -> float:
-    if isinstance(front, LogSingularity):
-        return front.coeff * math.log(1.0 / front.width)
-    return front.coeff * front.width ** (-front.exponent)
+Head = LogSingularity | InvPowerSingularity
+Tail = ExponentialTail | PowerTail
 
 
 @dataclass(frozen=True)
 class DecreasingProfile:
     """Canonical decreasing rearrangement: singular head + steps + tail.
 
-    The `tail` field holds either a back tail (zero / exponential / power,
-    placed after the steps) or a singular head (log_singularity / inv_power,
-    placed before the steps, with the profile dropping to zero after the
-    steps in that case).
+    `head` (log_singularity / inv_power) covers (0, head.width]; the steps
+    follow it; `tail` (exponential / power) follows the steps, in the local
+    coordinate u measured from their end.  Either end may be None: without a
+    tail the profile is zero after the steps.
     """
 
     steps: tuple[tuple[float, float], ...] = ()
-    tail: Tail = ZeroTail()
+    tail: Tail | None = None
+    head: Head | None = None
 
     def __post_init__(self):
+        if not isinstance(self.head, Head | None):
+            raise DomainError(f"the head must be a singular head, not {self.head!r}")
+        if not isinstance(self.tail, Tail | None):
+            raise DomainError(f"the tail must be an exponential or power tail, not {self.tail!r}")
         levels = [l for l, _ in self.steps]
         for l, w in self.steps:
             if not (w > 0 and math.isfinite(w)):
@@ -301,35 +352,25 @@ class DecreasingProfile:
                 raise DomainError("step levels must be finite and >= 0")
         if any(a <= b for a, b in zip(levels, levels[1:])):
             raise DomainError("step levels must be strictly decreasing")
-        if self.front is not None and self.steps:
-            if _front_value_at_width(self.front) < levels[0] - 1e-15 * max(1.0, levels[0]):
-                raise DomainError("singular head must dominate the first step level")
-        if self.back is not None and not isinstance(self.back, ZeroTail) and self.steps:
-            junction = (
-                self.back.amplitude
-                if isinstance(self.back, ExponentialTail)
-                else self.back.amplitude * self.back.offset ** (-self.back.exponent)
-            )
+        if self.head is not None and (self.steps or self.tail is not None):
+            below = levels[0] if self.steps else self.tail.junction
+            if self.head.at_width < below - 1e-15 * max(1.0, below):
+                raise DomainError("singular head must dominate the first step level"
+                                  if self.steps else "singular head must dominate the tail")
+        if self.tail is not None and self.steps:
+            junction = self.tail.junction
             if junction > levels[-1] + 1e-15 * max(1.0, junction):
                 raise DomainError("tail level at the junction exceeds the last step level")
 
     @property
-    def front(self):
-        return self.tail if isinstance(self.tail, _FRONT_KINDS) else None
-
-    @property
-    def back(self):
-        return None if isinstance(self.tail, _FRONT_KINDS) else self.tail
-
-    @property
-    def front_width(self) -> float:
-        return self.front.width if self.front is not None else 0.0
+    def head_width(self) -> float:
+        return self.head.width if self.head is not None else 0.0
 
     @cached_property
     def step_edges(self) -> tuple[float, ...]:
         """Cumulative right edges of the steps, starting after the head."""
         edges = []
-        t = self.front_width
+        t = self.head_width
         for _, w in self.steps:
             t += w
             edges.append(t)
@@ -345,119 +386,109 @@ class DecreasingProfile:
 
     @property
     def steps_end(self) -> float:
-        return self.step_edges[-1] if self.steps else self.front_width
+        return self.step_edges[-1] if self.steps else self.head_width
 
     @property
     def support_end(self) -> float:
-        if self.back is not None and not isinstance(self.back, ZeroTail):
-            return math.inf
-        return self.steps_end
+        return math.inf if self.tail is not None else self.steps_end
 
     @property
     def is_bounded(self) -> bool:
-        return self.front is None
+        return self.head is None
 
     @property
     def sup_value(self) -> float:
-        if self.front is not None:
+        if self.head is not None:
             return math.inf
         if self.steps:
             return self.steps[0][0]
-        if isinstance(self.back, ExponentialTail):
-            return self.back.amplitude
-        if isinstance(self.back, PowerTail):
-            return self.back.amplitude * self.back.offset ** (-self.back.exponent)
-        return 0.0
+        return self.tail.junction if self.tail is not None else 0.0
 
     @property
     def is_zero(self) -> bool:
-        return self.front is None and isinstance(self.back, ZeroTail) and not any(
-            l > 0 for l, _ in self.steps
-        )
+        return self.head is None and self.tail is None and not any(l > 0 for l, _ in self.steps)
 
     def value(self, t):
         """mu_t, right-continuous, vectorized; defined for t > 0."""
         arr = np.asarray(t, dtype=float)
         out = np.zeros_like(arr)
-        fw = self.front_width
-        if self.front is not None:
-            head = arr < fw
+        hw = self.head_width
+        if self.head is not None:
             with np.errstate(divide="ignore", over="ignore"):
-                if isinstance(self.front, LogSingularity):
-                    out = np.where(head, self.front.coeff * np.log(1.0 / np.maximum(arr, 1e-320)), out)
-                else:
-                    out = np.where(
-                        head,
-                        self.front.coeff * np.maximum(arr, 1e-320) ** (-self.front.exponent),
-                        out,
-                    )
+                out = np.where(arr < hw, self.head.value(np.maximum(arr, 1e-320)), out)
         if self.steps:
             idx = np.searchsorted(self._edge_array, arr, side="right")
-            in_steps = (arr >= fw) & (idx < len(self.steps))
+            in_steps = (arr >= hw) & (idx < len(self.steps))
             out = np.where(in_steps, self._level_array[np.minimum(idx, len(self.steps) - 1)], out)
-        if self.back is not None and not isinstance(self.back, ZeroTail):
+        if self.tail is not None:
             u = arr - self.steps_end
-            beyond = u >= 0
             with np.errstate(over="ignore"):
-                if isinstance(self.back, ExponentialTail):
-                    tail_v = self.back.amplitude * np.exp(-self.back.rate * np.maximum(u, 0.0))
-                else:
-                    tail_v = self.back.amplitude * (self.back.offset + np.maximum(u, 0.0)) ** (
-                        -self.back.exponent
-                    )
-            out = np.where(beyond, tail_v, out)
+                out = np.where(u >= 0, self.tail.value(np.maximum(u, 0.0)), out)
         return float(out) if np.ndim(t) == 0 else out
 
     def cuts(self) -> tuple[float, ...]:
         """Interior breakpoints (head end and step edges), ascending."""
-        pts = []
-        if self.front is not None:
-            pts.append(self.front_width)
+        pts = [self.head_width] if self.head is not None else []
         pts.extend(self.step_edges)
         return tuple(dict.fromkeys(pts))
 
     def scale(self, a: float) -> "DecreasingProfile":
-        """The profile of a*|f|: levels and tail amplitudes multiplied by a."""
+        """The profile of a*|f|: levels and head and tail amplitudes multiplied by a."""
         if not (a > 0 and math.isfinite(a)):
             raise DomainError("scale factor must be positive and finite")
-        steps = tuple((a * l, w) for l, w in self.steps)
-        t = self.tail
-        if isinstance(t, ExponentialTail):
-            t = ExponentialTail(a * t.amplitude, t.rate)
-        elif isinstance(t, PowerTail):
-            t = PowerTail(a * t.amplitude, t.exponent, t.offset)
-        elif isinstance(t, LogSingularity):
-            t = LogSingularity(a * t.coeff, t.width)
-        elif isinstance(t, InvPowerSingularity):
-            t = InvPowerSingularity(a * t.coeff, t.exponent, t.width)
-        return DecreasingProfile(steps, t)
+        return DecreasingProfile(
+            tuple((a * l, w) for l, w in self.steps),
+            None if self.tail is None else self.tail.scale(a),
+            None if self.head is None else self.head.scale(a),
+        )
 
     def to_dict(self) -> dict:
-        return {"steps": [[l, w] for l, w in self.steps], "tail": self.tail.to_dict()}
+        d = {"steps": [[l, w] for l, w in self.steps]}
+        for key, piece in (("head", self.head), ("tail", self.tail)):
+            if piece is not None:
+                d[key] = {"kind": piece.kind, **dataclasses.asdict(piece)}
+        return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+_PIECES = {c.kind: c for c in (LogSingularity, InvPowerSingularity, ExponentialTail, PowerTail)}
+#: Keys a profile file must give although the class has a default for them.
+_REQUIRED = {"inv_power": ("exponent",)}
+
+
+def _piece_from_dict(d: dict, where: str):
+    """The head or tail a profile file describes under `where`; None for
+    kind zero.  Keys outside the kind's fields are rejected."""
+    kind = d.get("kind", "zero")
+    if kind != "zero" and kind not in _PIECES:
+        raise DomainError(f"unknown {where} kind {kind!r}")
+    fields = dataclasses.fields(_PIECES[kind]) if kind != "zero" else ()
+    unknown = sorted(set(d) - {"kind", *(f.name for f in fields)})
+    if unknown:
+        raise DomainError(f"unknown key(s) {', '.join(map(repr, unknown))} in the {kind} {where}")
+    for f in fields:
+        if f.name not in d and (f.default is dataclasses.MISSING or f.name in _REQUIRED.get(kind, ())):
+            raise KeyError(f.name)
+    if kind == "zero":
+        return None
+    return _PIECES[kind](**{f.name: float(d[f.name]) for f in fields if f.name in d})
 
 
 def profile_from_dict(d: dict) -> DecreasingProfile:
+    """The profile of a JSON object {"steps", "head", "tail"}.  A head kind
+    under "tail", the older layout, is read as the head."""
+    if not isinstance(d, dict):
+        raise DomainError("a profile must be a JSON object")
+    unknown = sorted(set(d) - {"steps", "head", "tail"})
+    if unknown:
+        raise DomainError(f"unknown profile key(s) {', '.join(map(repr, unknown))}")
     steps = tuple((float(l), float(w)) for l, w in d.get("steps", []))
-    td = d.get("tail", {"kind": "zero"})
-    kind = td.get("kind", "zero")
-    if kind == "zero":
-        tail: Tail = ZeroTail()
-    elif kind == "exponential":
-        tail = ExponentialTail(float(td["amplitude"]), float(td["rate"]))
-    elif kind == "power":
-        tail = PowerTail(float(td["amplitude"]), float(td["exponent"]), float(td.get("offset", 1.0)))
-    elif kind == "log_singularity":
-        tail = LogSingularity(float(td.get("coeff", 1.0)), float(td.get("width", 1.0)))
-    elif kind == "inv_power":
-        tail = InvPowerSingularity(
-            float(td.get("coeff", 1.0)), float(td["exponent"]), float(td.get("width", 1.0))
-        )
-    else:
-        raise DomainError(f"unknown tail kind {kind!r}")
-    return DecreasingProfile(steps, tail)
+    head = _piece_from_dict(d["head"], "head") if "head" in d else None
+    tail = _piece_from_dict(d.get("tail", {}), "tail")
+    if isinstance(tail, Head):
+        if head is not None:
+            raise DomainError("a profile has at most one singular head")
+        head, tail = tail, None
+    return DecreasingProfile(steps, tail, head)
 
 
 def load_json_input(path, parse):
@@ -482,7 +513,7 @@ def _step_profile(pairs) -> DecreasingProfile:
     for lvl, w in pairs:
         if lvl != 0.0:
             acc[lvl] = acc.get(lvl, 0.0) + w
-    return DecreasingProfile(tuple(sorted(acc.items(), key=lambda kv: -kv[0])), ZeroTail())
+    return DecreasingProfile(tuple(sorted(acc.items(), key=lambda kv: -kv[0])))
 
 
 def rearrange(f: SimpleFunction) -> DecreasingProfile:
@@ -496,52 +527,24 @@ def rearrange(f: SimpleFunction) -> DecreasingProfile:
 # ----------------------------------------------------------------------------
 
 
-def _front_partial(front, x: float) -> float:
-    """integral_0^x of the head, x <= width."""
-    if x <= 0:
-        return 0.0
-    if isinstance(front, LogSingularity):
-        return front.coeff * x * (1.0 - math.log(x))
-    th = front.exponent
-    if th >= 1.0:
-        return math.inf
-    return front.coeff * x ** (1.0 - th) / (1.0 - th)
-
-
-def _back_partial(back, u: float) -> float:
-    """integral over the first u units of the back tail (u may be inf)."""
-    if u <= 0:
-        return 0.0
-    if isinstance(back, ExponentialTail):
-        if math.isinf(u):
-            return back.amplitude / back.rate
-        return back.amplitude / back.rate * -math.expm1(-back.rate * u)
-    a, g, t0 = back.amplitude, back.exponent, back.offset
-    if g == 1.0:
-        return math.inf if math.isinf(u) else a * math.log((t0 + u) / t0)
-    if math.isinf(u):
-        return math.inf if g < 1.0 else a * t0 ** (1.0 - g) / (g - 1.0)
-    return a / (1.0 - g) * ((t0 + u) ** (1.0 - g) - t0 ** (1.0 - g))
-
-
 def hl_partial(p: DecreasingProfile, alpha: float) -> float:
     """Exact integral of the profile over (0, alpha]; alpha may be inf."""
     if alpha <= 0:
         raise DomainError("hl_partial needs alpha > 0")
     total = 0.0
-    fw = p.front_width
-    if p.front is not None:
-        total += _front_partial(p.front, min(alpha, fw))
-        if alpha <= fw:
+    hw = p.head_width
+    if p.head is not None:
+        total += p.head.partial(min(alpha, hw))
+        if alpha <= hw:
             return total
-    t = fw
+    t = hw
     for (lvl, w), edge in zip(p.steps, p.step_edges):
         if alpha <= t:
             return total
         total += lvl * (min(alpha, edge) - t)
         t = edge
-    if p.back is not None and not isinstance(p.back, ZeroTail) and alpha > p.steps_end:
-        total += _back_partial(p.back, alpha - p.steps_end)
+    if p.tail is not None and alpha > p.steps_end:
+        total += p.tail.partial(alpha - p.steps_end)
     return total
 
 
@@ -578,36 +581,33 @@ class _WeightView:
         return math.inf if self.profile is None else self.profile.support_end
 
     @property
-    def front(self):
-        return None if self.profile is None else self.profile.front
+    def head(self):
+        return None if self.profile is None else self.profile.head
 
     @property
     def inv_order(self) -> float:
         """theta of an inverse-power head of the weight (0 otherwise)."""
-        f = self.front
-        return f.exponent if isinstance(f, InvPowerSingularity) else 0.0
+        h = self.head
+        return h.exponent if isinstance(h, InvPowerSingularity) else 0.0
 
     @property
-    def has_log_front(self) -> bool:
-        return isinstance(self.front, LogSingularity)
+    def has_log_head(self) -> bool:
+        return isinstance(self.head, LogSingularity)
 
     def head_coeff(self, m: float) -> float:
         """Constant A with w(t) <= A * (head shape) on (0, m]."""
-        f = self.front
-        if isinstance(f, (LogSingularity, InvPowerSingularity)):
-            return f.coeff
+        if self.head is not None:
+            return self.head.coeff
         return self.value(m * 0.5) if self.profile is not None else 1.0
 
     def far_field(self):
         """Behaviour on the unbounded end: ('lebesgue'|'exp'|'power'|'zero', tail)."""
         if self.profile is None:
             return ("lebesgue", None)
-        b = self.profile.back
-        if b is None or isinstance(b, ZeroTail):
+        b = self.profile.tail
+        if b is None:
             return ("zero", None)
-        if isinstance(b, ExponentialTail):
-            return ("exp", b)
-        return ("power", b)
+        return ("exp" if isinstance(b, ExponentialTail) else "power", b)
 
 
 # ----------------------------------------------------------------------------
@@ -624,25 +624,25 @@ def _require_growth(young: YoungFunction) -> Growth:
     return g
 
 
-def _front_diverges(young: YoungFunction, front, w: _WeightView) -> bool:
+def _head_diverges(young: YoungFunction, head, w: _WeightView) -> bool:
     """Does integral_0 Psi(head(t)) w(t) dt diverge near t = 0?"""
     g = _require_growth(young)
     if g.kind == "threshold":
         return True  # unbounded head crosses the finiteness threshold
     theta_w = w.inv_order
-    if isinstance(front, LogSingularity):
+    if isinstance(head, LogSingularity):
         if g.kind == "exp":
-            return front.coeff * g.rate + theta_w >= 1.0
+            return head.coeff * g.rate + theta_w >= 1.0
         return theta_w >= 1.0
     # inverse-power head
     if g.kind == "exp":
         return True
-    return front.exponent * g.degree + theta_w >= 1.0
+    return head.exponent * g.degree + theta_w >= 1.0
 
 
-def _back_diverges(young: YoungFunction, back, w: _WeightView) -> bool:
+def _tail_diverges(young: YoungFunction, tail, w: _WeightView) -> bool:
     """Does the unbounded tail region diverge?  (exp tails never do)."""
-    if isinstance(back, ExponentialTail):
+    if isinstance(tail, ExponentialTail):
         return False
     if young.vanish_below > 0:
         return False
@@ -655,7 +655,7 @@ def _back_diverges(young: YoungFunction, back, w: _WeightView) -> bool:
             f"no small-argument envelope for {young.name}; cannot decide a slow tail"
         )
     gamma_w = wtail.exponent if kind == "power" else 0.0
-    return back.exponent * so.alpha + gamma_w <= 1.0
+    return tail.exponent * so.alpha + gamma_w <= 1.0
 
 
 # ----------------------------------------------------------------------------
@@ -791,16 +791,16 @@ def _decade_split(a: float, b: float, shift: float = 0.0) -> list[tuple[float, f
     return _geo_split(a, b, n, shift)
 
 
-def _front_head_value(young, front, w: _WeightView, m: float) -> float:
+def _head_value(young, head, w: _WeightView, m: float) -> float:
     """Certified value of integral_0^m Psi(head(t)) w(t) dt (already known to
     converge); m has no weight cuts inside."""
     g = _require_growth(young)
     theta_w = w.inv_order
-    w_log = w.has_log_front
+    w_log = w.has_log_head
     wA = w.head_coeff(m)
 
-    if isinstance(front, LogSingularity):
-        c = front.coeff
+    if isinstance(head, LogSingularity):
+        c = head.coeff
         y1 = math.log(1.0 / m)
 
         def integrand(y):
@@ -828,7 +828,7 @@ def _front_head_value(young, front, w: _WeightView, m: float) -> float:
         return _integrate(integrand, _split(y1, ymax, n))
 
     # inverse-power head, polynomial growth, theta*d + theta_w < 1
-    c, th = front.coeff, front.exponent
+    c, th = head.coeff, head.exponent
     beta = th * g.degree + theta_w
     logpow = (1 if g.has_log else 0) + (1 if w_log else 0)
     if logpow:
@@ -855,15 +855,8 @@ def _front_head_value(young, front, w: _WeightView, m: float) -> float:
     return value
 
 
-def _tail_solve_crossing(back, level: float) -> float:
-    """Local coordinate u* with back(u*) = level (back(0) > level assumed)."""
-    if isinstance(back, ExponentialTail):
-        return math.log(back.amplitude / level) / back.rate
-    return (back.amplitude / level) ** (1.0 / back.exponent) - back.offset
-
-
 def _past_threshold(young, profile, w: _WeightView, start: float, end: float) -> float:
-    """Where Psi(p) turns finite on the back-tail region (start, end).
+    """Where Psi(p) turns finite on the tail region (start, end).
 
     A tail starting above Psi's finiteness threshold makes Psi(p) = inf on
     the slab up to the crossing: inf when the weight charges that slab,
@@ -871,12 +864,12 @@ def _past_threshold(young, profile, w: _WeightView, start: float, end: float) ->
     thr = young.finite_threshold
     if not (math.isfinite(thr) and profile.value(start) > thr):
         return start
-    cross = start + _tail_solve_crossing(profile.back, thr)
+    cross = start + profile.tail.crossing(thr)
     lo = min(max(cross, start), end)
     return math.inf if w.mass(start, lo) > 0 else lo
 
 
-def _power_tail_cutoff(young, back: PowerTail, w: _WeightView, lo: float) -> float:
+def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> float:
     """Certified truncation length u of a power tail starting at lo: the
     first rung of the ladder u0, 1.6*u0, 1.6*1.6*u0, ... (u0 = max(offset, 1)
     and past the envelope's validity) whose bound on the mass of Psi(p) w
@@ -890,7 +883,7 @@ def _power_tail_cutoff(young, back: PowerTail, w: _WeightView, lo: float) -> flo
     so = young.small_order()
     if so is None:
         raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
-    a, g_exp, t0 = back.amplitude, back.exponent, back.offset
+    a, g_exp, t0 = tail.amplitude, tail.exponent, tail.offset
     kind, wtail = w.far_field()
     gamma_w = wtail.exponent if kind == "power" else 0.0
     kappa = g_exp * so.alpha + gamma_w
@@ -940,12 +933,12 @@ def _power_tail_cutoff(young, back: PowerTail, w: _WeightView, lo: float) -> flo
     return rungs[k]
 
 
-def _back_region_value(
+def _tail_region_value(
     young, profile, w: _WeightView, integrand, start: float, want_value: bool
 ) -> float:
-    """The unbounded region (start, inf) where the profile follows its back
+    """The unbounded region (start, inf) where the profile follows its
     tail.  Returns the contribution or inf; raises on inconclusive."""
-    back = profile.back
+    tail = profile.tail
     s0 = profile.steps_end
     lo = _past_threshold(young, profile, w, start, math.inf)
     if math.isinf(lo):
@@ -956,48 +949,48 @@ def _back_region_value(
     if v0 > 0:
         if junction <= v0:
             return 0.0
-        u0 = _tail_solve_crossing(back, v0)
+        u0 = tail.crossing(v0)
         hi = s0 + u0
         if not want_value:
             return 0.0
         pieces = _geo_split(max(lo, 1e-300), hi, 8) if lo > 0 else _split(lo, hi, 8)
         return _integrate(integrand, pieces)
 
-    if _back_diverges(young, back, w):
+    if _tail_diverges(young, tail, w):
         return math.inf
     if not want_value:
         return 0.0
 
-    if isinstance(back, ExponentialTail):
+    if isinstance(tail, ExponentialTail):
         # Psi(x) <= (Psi(j)/j) * x below the junction value j (convexity)
         j = max(junction, 1e-300)
         slope = float(young.eval(j)) / j
-        u = max(10.0 / back.rate, 1.0)
+        u = max(10.0 / tail.rate, 1.0)
         for _ in range(200):
-            rem_cap = slope * back.amplitude / back.rate * math.exp(-back.rate * u)
+            rem_cap = slope * tail.amplitude / tail.rate * math.exp(-tail.rate * u)
             rem = rem_cap * w.value(lo + u)
             wm = w.mass(lo + u, math.inf)
             if math.isfinite(wm):
-                rem = min(rem, slope * back.amplitude * math.exp(-back.rate * u) * wm)
+                rem = min(rem, slope * tail.amplitude * math.exp(-tail.rate * u) * wm)
             if rem < 0.5 * _ATOL:
                 break
             u *= 1.6
         else:
             raise InconclusiveQuadratureError("exponential tail truncation did not certify")
     else:
-        u = _power_tail_cutoff(young, back, w, lo)
+        u = _power_tail_cutoff(young, tail, w, lo)
 
     hi = lo + u
     inner_cuts = [c for c in w.cuts() if lo < c < hi]
     pieces = []
     prev = lo
     for c in inner_cuts + [hi]:
-        if isinstance(back, ExponentialTail):
+        if isinstance(tail, ExponentialTail):
             pieces.extend(_split(prev, c, max(int((c - prev) / max(u / 12.0, 1e-6)) + 1, 1)))
         else:
             # a slow power tail keeps its mass near the start: split geometrically
             # in offset + u, the coordinate in which it decays as a power
-            pieces.extend(_decade_split(prev, c, back.offset - s0))
+            pieces.extend(_decade_split(prev, c, tail.offset - s0))
         prev = c
     return _integrate(integrand, pieces)
 
@@ -1015,22 +1008,19 @@ def _modular_impl(
         return young._eval_arr(profile.value(t)) * w.value(t)
 
     # effective end of integration: beyond it either Psi(p) = 0 or w = 0
-    eff_end = math.inf
-    if profile.back is None or isinstance(profile.back, ZeroTail):
-        eff_end = profile.steps_end
-    eff_end = min(eff_end, w.support_end)
+    eff_end = min(profile.support_end, w.support_end)
 
     # 1. singular head
-    fw = profile.front_width
-    if profile.front is not None:
-        head_end = min(fw, eff_end)
+    hw = profile.head_width
+    if profile.head is not None:
+        head_end = min(hw, eff_end)
         if head_end > 0:
-            if _front_diverges(young, profile.front, w):
+            if _head_diverges(young, profile.head, w):
                 return math.inf
             if want_value:
                 inner = sorted({c for c in w.cuts() if 0.0 < c < head_end})
                 m = inner[0] if inner else head_end
-                total += _front_head_value(young, profile.front, w, m)
+                total += _head_value(young, profile.head, w, m)
                 prev = m
                 for c in inner[1:] + [head_end]:
                     if c > prev:
@@ -1038,7 +1028,7 @@ def _modular_impl(
                         prev = c
 
     # 2. steps (exact)
-    t = fw
+    t = hw
     for (lvl, _w_len), edge in zip(profile.steps, profile.step_edges):
         a, b = t, min(edge, eff_end)
         t = edge
@@ -1056,11 +1046,11 @@ def _modular_impl(
         if t >= eff_end:
             break
 
-    # 3. back tail
-    if profile.back is not None and not isinstance(profile.back, ZeroTail):
+    # 3. tail
+    if profile.tail is not None:
         start = profile.steps_end
         if math.isinf(eff_end):
-            res = _back_region_value(young, profile, w, integrand, start, want_value)
+            res = _tail_region_value(young, profile, w, integrand, start, want_value)
             if math.isinf(res):
                 return math.inf
             total += res
@@ -1110,7 +1100,7 @@ def cross_integral(
     cuts = sorted({c for c in (*p.cuts(), *w.cuts()) if 0.0 < c < upper})
     bounds = [0.0, *cuts, upper]
     total = 0.0
-    fw = p.front_width
+    hw = p.head_width
 
     def integrand(t):
         return p.value(t) * w.value(t)
@@ -1119,13 +1109,13 @@ def cross_integral(
         if b <= a:
             continue
         pa = p.value(0.5 * (a + b))
-        in_head = p.front is not None and b <= fw
-        in_tail = p.back is not None and not isinstance(p.back, ZeroTail) and a >= p.steps_end
-        w_front = w.front is not None and b <= (w.front.width if w.front else 0.0)
-        if not in_head and not in_tail and not w_front:
+        in_head = p.head is not None and b <= hw
+        in_tail = p.tail is not None and a >= p.steps_end
+        w_head = w.head is not None and b <= w.head.width
+        if not in_head and not in_tail and not w_head:
             total += pa * w.mass(a, b)
-        elif a == 0.0 and (in_head or w_front):
-            heads = [q.front for q, on in ((p, in_head), (w.profile, w_front)) if on]
+        elif a == 0.0 and (in_head or w_head):
+            heads = [q.head for q, on in ((p, in_head), (w.profile, w_head)) if on]
             other = None if len(heads) == 2 else (w.profile if in_head else p)
             res = _singular_piece(heads, other, integrand, b)
             if math.isinf(res):

@@ -73,23 +73,10 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _psi_inverse(young, target):
-    """Independent root find of Psi(x) = target by plain bisection."""
-    hi = 1.0
-    while young.eval(hi) < target:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if young.eval(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _psi_inverse_vec(young, targets):
-    """Vectorized bisection for Psi(x) = target, target >= 0 elementwise."""
+def _psi_inverse(young, targets):
+    """Independent root of Psi(x) = target by plain bisection, elementwise
+    (0 where target <= 0): hi doubles from 1 until Psi(hi) >= target, then
+    (0, hi) is halved until every midpoint stops moving, at most 200 times."""
     t = np.asarray(targets, dtype=float)
     hi = np.ones_like(t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,8 +86,10 @@ def _psi_inverse_vec(young, targets):
                 break
             hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros_like(t)
-        for _ in range(100):
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi) | (t <= 0)):
+                break
             ge = young.eval(mid) >= t
             hi = np.where(ge, mid, hi)
             lo = np.where(ge, lo, mid)
@@ -167,7 +156,7 @@ def _criterion_2(seed):
     for m in (0.05, 0.2, 0.5, 1.0, 2.0, 8.0):
         for y in (yg.power(2), yg.cosh_minus_1(), yg.llog(), yg.xlog1p(), yg.zygmund_exp()):
             got = cs.luxemburg_norm(y, rr.simple_function([1.0], [m])).value
-            ref = 1.0 / _psi_inverse(y, 1.0 / m)
+            ref = 1.0 / float(_psi_inverse(y, 1.0 / m))
             worst_ind = max(worst_ind, abs(got - ref) / ref)
     ok = ok and worst_ind <= 1e-9
     return ok, f"p-norm rel {worst:.3e}, indicator rel {worst_ind:.3e}", "1e-10; 1e-9"
@@ -180,11 +169,11 @@ def _sup_oracle(young, f, rounds=5, base_pts=25):
     w = f.weights
     av = np.abs(f.values)
     n = len(w)
-    caps = _psi_inverse_vec(comp, 1.0 / w)
+    caps = _psi_inverse(comp, 1.0 / w)
 
     def last_coord(budget, wlast):
         # solve Phi(g) * wlast = budget
-        return _psi_inverse_vec(comp, np.maximum(budget, 0.0) / wlast)
+        return _psi_inverse(comp, np.maximum(budget, 0.0) / wlast)
 
     if n == 1:
         return float(av[0] * caps[0] * w[0])
@@ -270,11 +259,11 @@ def _criterion_4(seed):
     disagreements = 0
     fam = [
         rr.DecreasingProfile(((3.0, 0.3), (1.0, 0.5))),
-        rr.DecreasingProfile((), rr.LogSingularity(0.5, 1.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(2.0, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.5, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.8, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.5, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(0.5, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(2.0, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.8, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 1.5, 1.0)),
         rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0)),
         rr.DecreasingProfile((), rr.PowerTail(1.0, 0.4)),
         rr.DecreasingProfile((), rr.PowerTail(1.0, 2.0)),
@@ -317,13 +306,13 @@ def _criterion_5(seed):
             bad += 1
     profiles = [
         rr.DecreasingProfile(((2.0, 0.5), (1.0, 0.5))),
-        rr.DecreasingProfile((), rr.LogSingularity(0.5, 1.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(2.0, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.3, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.6, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.9, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.2, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(0.5, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(1.0, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(2.0, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.3, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.6, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.9, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 1.2, 1.0)),
     ]
     bad_prof = 0
     for p in profiles:
@@ -406,11 +395,11 @@ def _criterion_8(seed):
     gs = [
         rr.DecreasingProfile(((2.0, 1.0), (1.0, 2.0))),
         rr.DecreasingProfile(((1.0, 1.0),), rr.ExponentialTail(1.0, 2.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(0.5, 1.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0)),
-        rr.DecreasingProfile((), rr.LogSingularity(2.0, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.5, 1.0)),
-        rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.0, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(0.5, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(1.0, 1.0)),
+        rr.DecreasingProfile(head=rr.LogSingularity(2.0, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+        rr.DecreasingProfile(head=rr.InvPowerSingularity(1.0, 1.0, 1.0)),
         qs.singular_profile(_random_matrix(rng, 6, positive=True)),
     ]
     total, disagree = 0, 0

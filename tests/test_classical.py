@@ -38,7 +38,7 @@ class TestMembership:
         assert rep.member and rep.lambda_witness == 1.0
 
     def test_log_head_member_with_half_witness(self):
-        p = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        p = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         rep = cs.membership(yg.cosh_minus_1(), p)
         assert rep.member and rep.lambda_witness == 0.5
 
@@ -217,10 +217,10 @@ class TestEmbeddingChain:
 
     def test_profile_membership_monotone(self):
         cases = [
-            rr.DecreasingProfile((), rr.LogSingularity(c, 1.0))
+            rr.DecreasingProfile((), head=rr.LogSingularity(c, 1.0))
             for c in (0.5, 1.0, 2.0)
         ] + [
-            rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, th, 1.0))
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, th, 1.0))
             for th in (0.3, 0.6, 0.9, 1.2)
         ]
         for p in cases:
@@ -229,7 +229,7 @@ class TestEmbeddingChain:
 
     def test_inv_power_head_separates_lp_from_llogl(self):
         # theta = 0.6: not in L^2 (2*0.6 > 1) but still in LlogL and L^1
-        p = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.6, 1.0))
+        p = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.6, 1.0))
         verdicts, _ = cs.embedding_chain_membership(p, p=2.0)
         assert verdicts == (False, False, False, True, True)
 
@@ -279,21 +279,21 @@ class TestRegularity:
         assert rep.domain.as_tuple() == (-math.inf, math.inf, False, False)
 
     def test_log_head_symmetrized_interval(self):
-        u = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        u = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         rep = cs.classical_regular_check(u, w)
         assert rep.regular and rep.agrees
         assert rep.domain.as_tuple() == (-1.0, 1.0, False, False)
 
     def test_inv_power_head_not_regular(self):
-        u = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.0, 1.0))
+        u = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 1.0, 1.0))
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         rep = cs.classical_regular_check(u, w)
         assert not rep.regular and rep.agrees
         assert rep.domain.as_tuple() == (-math.inf, 0.0, False, True)
 
     def test_weight_must_be_integrable(self):
-        u = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        u = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         w = rr.DecreasingProfile((), rr.PowerTail(1.0, 0.5))
         with pytest.raises(DomainError):
             cs.classical_regular_check(u, w)
@@ -318,8 +318,8 @@ class TestEquivalenceAtNormLevel:
     def test_cosh_lexp_membership_agreement_on_probability_space(self):
         profiles = [
             rr.DecreasingProfile(((2.0, 0.5), (0.5, 0.5))),
-            rr.DecreasingProfile((), rr.LogSingularity(0.7, 1.0)),
-            rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+            rr.DecreasingProfile((), head=rr.LogSingularity(0.7, 1.0)),
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.5, 1.0)),
         ]
         for p in profiles:
             m1 = cs.membership(yg.cosh_minus_1(), p).member

@@ -179,6 +179,24 @@ class TestCheck:
         res = runner.invoke(main, ["check", "regular"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "what, message",
+        [
+            ("delta2", "delta2 needs --young"),
+            ("nabla2", "nabla2 needs --young"),
+            ("equivalent", "equivalent needs --y1 and --y2"),
+            ("membership", "membership needs --young and --profile"),
+            ("regular", "regular needs --profile and --weight"),
+            ("quantum-regular", "quantum-regular needs --profile and --weight"),
+            ("majorization", "majorization needs --f and --g"),
+            ("embedding-chain", "embedding-chain needs --function"),
+        ],
+    )
+    def test_required_options(self, runner, what, message):
+        res = runner.invoke(main, ["check", what])
+        assert res.exit_code == 2
+        assert res.stdout == "" and res.stderr == f"domain error: {message}\n"
+
 
 class TestVerify:
     def test_subset_run_and_determinism_bytes(self, runner, tmp_path):
@@ -222,6 +240,13 @@ MALFORMED_PROFILES = {
     "truncated": '{"steps": [[2.0, 1.0]',
     "not-an-object": "[1, 2]",
     "bad-number": '{"steps": [["x", 1.0]]}',
+    "unknown-profile-key": '{"steps": [[1, 1]], "tial": {"kind": "exponential", "amplitude": 1, "rate": 1}}',
+    "unknown-tail-key": '{"steps": [], "tail": {"kind": "exponential", "amplitude": 1, "rate": 1, "ratee": 2}}',
+    "unknown-head-key": '{"steps": [], "head": {"kind": "log_singularity", "coef": 0.5}}',
+    "key-on-zero-tail": '{"steps": [[1, 1]], "tail": {"kind": "zero", "rate": 1}}',
+    "inv-power-head-missing-exponent": '{"steps": [], "head": {"kind": "inv_power", "coeff": 1}}',
+    "tail-kind-under-head": '{"steps": [], "head": {"kind": "exponential", "amplitude": 1, "rate": 1}}',
+    "two-heads": '{"head": {"kind": "log_singularity"}, "tail": {"kind": "inv_power", "exponent": 0.5}}',
 }
 
 MALFORMED_TWO_COLUMNS = {

@@ -251,7 +251,7 @@ CUTOFF_CASES = [
 def test_power_tail_cutoff_equals_linear_scan(kappa, young, exponent, weight):
     back = rr.PowerTail(2.0, exponent, 1.25)
     w = rr._WeightView(weight)
-    gamma_w = weight.back.exponent if weight is not None else 0.0
+    gamma_w = weight.tail.exponent if weight is not None else 0.0
     assert exponent * young.small_order().alpha + gamma_w == pytest.approx(kappa)
     for lo in (0.0, 0.5, 3.0):
         assert rr._power_tail_cutoff(young, back, w, lo) == linear_scan_cutoff(young, back, w, lo)

@@ -5,15 +5,18 @@ independent `mpmath.quad` (tanh-sinh) oracle that evaluates the profiles
 and Young functions in multiple precision, or against a closed form.
 """
 
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
+from orlicz_kit.cli import main
 from orlicz_kit.errors import InconclusiveQuadratureError
 
 D = rr.DecreasingProfile
@@ -33,21 +36,21 @@ def mp_value(prof, t):
     """The profile at t in multiple precision (1 for the Lebesgue weight)."""
     if prof is None:
         return mp.mpf(1)
-    front = prof.front
-    if front is not None and t < front.width:
-        if isinstance(front, L):
-            return front.coeff * mp.log(1 / t)
-        return front.coeff * t ** (-front.exponent)
-    edge = mp.mpf(prof.front_width)
+    head = prof.head
+    if head is not None and t < head.width:
+        if isinstance(head, L):
+            return head.coeff * mp.log(1 / t)
+        return head.coeff * t ** (-head.exponent)
+    edge = mp.mpf(prof.head_width)
     for level, length in prof.steps:
         edge += length
         if t < edge:
             return mp.mpf(level)
-    back, u = prof.back, t - edge
-    if isinstance(back, E):
-        return back.amplitude * mp.exp(-back.rate * u)
-    if isinstance(back, P):
-        return back.amplitude * (back.offset + u) ** (-back.exponent)
+    tail, u = prof.tail, t - edge
+    if isinstance(tail, E):
+        return tail.amplitude * mp.exp(-tail.rate * u)
+    if isinstance(tail, P):
+        return tail.amplitude * (tail.offset + u) ** (-tail.exponent)
     return mp.mpf(0)
 
 
@@ -160,22 +163,25 @@ class TestKernel:
     def test_errors_outside_the_kernel_carry_no_quadrature_context(self):
         # theta * d = 0.99: no cutoff above 1e-280 certifies the dropped part
         with pytest.raises(InconclusiveQuadratureError, match="did not certify") as info:
-            rr.modular(yg.power(2.5), D((), I(1.0, 0.99 / 2.5, 1.0)))
+            rr.modular(yg.power(2.5), D((), head=I(1.0, 0.99 / 2.5, 1.0)))
         exc = info.value
         assert (exc.interval, exc.budget, exc.estimate, exc.panels) == (None, None, None, None)
 
 
 PROFILES = {
-    "log": D(((0.3, 1.0),), L(0.5, 0.5)),
-    "inv": D(((0.3, 1.0),), I(0.5, 0.2, 0.8)),
+    "log": D(((0.3, 1.0),), head=L(0.5, 0.5)),
+    "inv": D(((0.3, 1.0),), head=I(0.5, 0.2, 0.8)),
     "exp": D(((1.0, 0.5),), E(0.8, 1.5)),
     "power": D(((1.0, 0.5),), P(0.8, 1.2, 1.0)),
+    # both ends: c * rate + theta_w <= 0.8 under cosh-1
+    "log+exp": D(((0.3, 1.0),), E(0.25, 1.5), head=L(0.5, 0.5)),
+    "inv+power": D((), P(0.4, 1.2, 1.0), head=I(0.5, 0.2, 0.8)),
 }
 WEIGHTS = {
     "none": None,
     "exp": D((), E(1.0, 1.0)),
     "power": D(((1.0, 0.5),), P(0.9, 0.5, 1.0)),
-    "inv": D(((0.5, 1.0),), I(1.0, 0.3, 1.0)),
+    "inv": D(((0.5, 1.0),), head=I(1.0, 0.3, 1.0)),
 }
 
 
@@ -187,7 +193,7 @@ class TestModularAgainstMpmath:
     def test_grid(self, shape, spec, weight):
         p, w = PROFILES[shape], WEIGHTS[weight]
         got = rr.modular(yg.from_spec(spec), p, w)
-        if shape == "inv" and spec == "cosh-1":
+        if isinstance(p.head, I) and spec == "cosh-1":
             assert got == math.inf  # an inverse-power head under exp growth
             return
         assert certified(got, mp_modular(spec, p, w))
@@ -196,8 +202,8 @@ class TestModularAgainstMpmath:
         "p, w",
         [
             # theta * d + theta_w = 0.95 under power:2.5
-            (D(((0.3, 1.0),), I(0.5, 0.38, 0.8)), None),
-            (D(((0.3, 1.0),), I(0.5, 0.26, 0.8)), WEIGHTS["inv"]),
+            (D(((0.3, 1.0),), head=I(0.5, 0.38, 0.8)), None),
+            (D(((0.3, 1.0),), head=I(0.5, 0.26, 0.8)), WEIGHTS["inv"]),
         ],
         ids=["unweighted", "inv-weight"],
     )
@@ -208,9 +214,9 @@ class TestModularAgainstMpmath:
         "p, w",
         [
             # c * rate + theta_w = 0.95 under cosh-1
-            (D(((0.3, 1.0),), L(0.95, 0.5)), None),
-            (D(((0.3, 1.0),), L(0.95, 0.5)), WEIGHTS["exp"]),
-            (D(((0.3, 1.0),), L(0.65, 0.5)), WEIGHTS["inv"]),
+            (D(((0.3, 1.0),), head=L(0.95, 0.5)), None),
+            (D(((0.3, 1.0),), head=L(0.95, 0.5)), WEIGHTS["exp"]),
+            (D(((0.3, 1.0),), head=L(0.65, 0.5)), WEIGHTS["inv"]),
         ],
         ids=["unweighted", "exp-weight", "inv-weight"],
     )
@@ -219,7 +225,7 @@ class TestModularAgainstMpmath:
 
     def test_log_head_overflow_on_a_certified_range_still_raises(self):
         # cosh(c*y) overflows inside the certified range of y = log(1/t)
-        p = D(((0.4, 1.0),), L(0.7, 0.5)).scale(1 / 0.71)
+        p = D(((0.4, 1.0),), head=L(0.7, 0.5)).scale(1 / 0.71)
         with pytest.raises(InconclusiveQuadratureError) as info:
             rr.modular(yg.cosh_minus_1(), p, D(((1.0, 0.6),)))
         assert info.value.estimate == math.inf
@@ -233,8 +239,8 @@ class TestRegressions:
         "spec, scale", [("llogl", 2.5), ("xlog1p", 0.3), ("xlog1p", 1.0), ("xlog1p", 2.5)]
     )
     def test_inv_power_head_under_inv_power_head_weight(self, spec, scale):
-        p = D(((0.3, 1.0),), I(0.5, 0.4, 0.8)).scale(scale)
-        w = D(((0.2, 1.0),), I(1.0, 0.3, 1.0))
+        p = D(((0.3, 1.0),), head=I(0.5, 0.4, 0.8)).scale(scale)
+        w = D(((0.2, 1.0),), head=I(1.0, 0.3, 1.0))
         got = rr.modular(yg.from_spec(spec), p, w)
         assert certified(got, mp_modular(spec, p, w))
         if spec == "llogl":
@@ -280,7 +286,7 @@ class TestRegressions:
     @pytest.mark.parametrize("theta_p", [0.8, 0.93])
     def test_luxemburg_norm_of_an_inv_power_head(self, theta_p):
         p_exp = 2.5
-        prof = D(((1.0, 0.5), (0.6, 0.5)), I(1.0, theta_p / p_exp, 0.5))
+        prof = D(((1.0, 0.5), (0.6, 0.5)), head=I(1.0, theta_p / p_exp, 0.5))
         integral = 0.5 ** (1 - theta_p) / (1 - theta_p) + 0.5 + 0.5 * 0.6**p_exp
         got = cs.luxemburg_norm(yg.power(p_exp), prof)
         assert got.converged
@@ -290,22 +296,22 @@ class TestRegressions:
 class TestCrossIntegral:
     @pytest.mark.parametrize("theta", [0.5, 0.9, 0.99])
     def test_inv_power_head_on_the_profile(self, theta):
-        got = rr.cross_integral(D((), I(1.0, theta, 1.0)), D(((1.0, 2.0),)), 1.0)
+        got = rr.cross_integral(D((), head=I(1.0, theta, 1.0)), D(((1.0, 2.0),)), 1.0)
         assert got == pytest.approx(1 / (1 - theta), rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0.5, 0.9, 0.99])
     def test_inv_power_head_on_the_weight(self, theta):
-        got = rr.cross_integral(D(((1.0, 2.0),)), D((), I(1.0, theta, 1.0)), 1.0)
+        got = rr.cross_integral(D(((1.0, 2.0),)), D((), head=I(1.0, theta, 1.0)), 1.0)
         assert got == pytest.approx(1 / (1 - theta), rel=1e-12)
 
     @pytest.mark.parametrize(
         "p, w",
         [
-            (D((), I(1.0, 0.9, 1.0)), D((), E(1.0, 1.0))),
-            (D((), E(1.0, 1.0)), D((), I(1.0, 0.9, 1.0))),
-            (D((), L(1.0, 1.0)), D((), P(1.0, 2.0))),
-            (D((), I(1.0, 0.5, 0.5)), D((), I(1.0, 0.3, 1.0))),
-            (D(((0.5, 1.0),), L(1.0, 0.5)), D(((1.0, 0.5),), I(1.0, 0.6, 0.25))),
+            (D((), head=I(1.0, 0.9, 1.0)), D((), E(1.0, 1.0))),
+            (D((), E(1.0, 1.0)), D((), head=I(1.0, 0.9, 1.0))),
+            (D((), head=L(1.0, 1.0)), D((), P(1.0, 2.0))),
+            (D((), head=I(1.0, 0.5, 0.5)), D((), head=I(1.0, 0.3, 1.0))),
+            (D(((0.5, 1.0),), head=L(1.0, 0.5)), D(((1.0, 0.5),), head=I(1.0, 0.6, 0.25))),
         ],
         ids=["inv-head-exp-weight", "exp-profile-inv-weight", "log-head-power-weight",
              "two-inv-heads", "log-head-inv-weight"],
@@ -315,5 +321,20 @@ class TestCrossIntegral:
         assert certified(rr.cross_integral(p, w, 2.0), oracle)
 
     def test_heads_with_a_non_integrable_product(self):
-        assert rr.cross_integral(D((), I(1.0, 0.6, 1.0)), D((), I(1.0, 0.5, 1.0)), 1.0) == math.inf
+        assert rr.cross_integral(D((), head=I(1.0, 0.6, 1.0)), D((), head=I(1.0, 0.5, 1.0)), 1.0) == math.inf
 
+
+
+def test_cli_norm_of_a_profile_with_both_ends(tmp_path):
+    p = PROFILES["log+exp"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(p.to_dict()))
+    res = CliRunner().invoke(main, ["norm", "--young", "cosh-1", "--profile", str(path)])
+    assert res.exit_code == 0, res.output
+    value = json.loads(res.output)["value"]
+    # the mpmath root of integral cosh(p(t)/lam) - 1 dt = 1, by secant steps
+    # from a bracket around it
+    lo, hi = 0.8 * value, 1.25 * value
+    assert mp_modular("cosh-1", p.scale(1 / lo)) > 1 > mp_modular("cosh-1", p.scale(1 / hi))
+    root = mp.findroot(lambda lam: mp_modular("cosh-1", p.scale(1 / float(lam))) - 1, (lo, hi), tol=1e-24)
+    assert value == pytest.approx(float(root), rel=1e-8)

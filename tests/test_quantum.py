@@ -269,7 +269,7 @@ class TestWeightedSpace:
     def test_log_head_weighted_norm_finite_with_witness(self):
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         sp = qs.WeightedQuantumSpace.build(yg.cosh_minus_1(), w)
-        g = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        g = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         rep = qs.weighted_nc_norm(sp, g)
         assert rep.converged and math.isfinite(rep.value)
         # norm must exceed the divergence scale: modular(g/lam) = inf for lam <= 1
@@ -286,14 +286,14 @@ class TestQuantumRegularity:
         assert rep.domain.as_tuple() == (-math.inf, math.inf, False, False)
 
     def test_log_head_one_sided_interval(self):
-        g = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        g = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         rep = qs.quantum_regular_check(g, w)
         assert rep.regular
         assert rep.domain.as_tuple() == (-math.inf, 1.0, False, False)
 
     def test_inv_power_head_not_regular(self):
-        g = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.0, 1.0))
+        g = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 1.0, 1.0))
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         rep = qs.quantum_regular_check(g, w)
         assert not rep.regular
@@ -304,8 +304,8 @@ class TestQuantumRegularity:
         [
             rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0)),
             rr.DecreasingProfile(((0.5, 2.0),)),
-            rr.DecreasingProfile(((0.2, 1.0),), rr.InvPowerSingularity(1.0, 0.3, 1.0)),
-            rr.DecreasingProfile((), rr.InvPowerSingularity(0.5, 0.8, 1.0)),
+            rr.DecreasingProfile(((0.2, 1.0),), head=rr.InvPowerSingularity(1.0, 0.3, 1.0)),
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(0.5, 0.8, 1.0)),
         ],
         ids=["exp-no-head", "step-no-head", "inv-power-head-0.3", "inv-power-head-0.8"],
     )
@@ -322,10 +322,10 @@ class TestQuantumRegularity:
     )
     def test_endpoint_agrees_with_classical(self, head, weight):
         # a weight without a singular head is Lebesgue-like at t = 0 (theta_w = 0)
-        g = rr.DecreasingProfile((), head)
+        g = rr.DecreasingProfile((), head=head)
         q = qs.quantum_regular_check(g, weight)
         c = cs.classical_regular_check(g, weight)
-        theta_w = weight.front.exponent if weight.front is not None else 0.0
+        theta_w = weight.head.exponent if weight.head is not None else 0.0
         expected = max((1.0 - theta_w) / head.coeff, 0.0) if head.kind == "log_singularity" else 0.0
         assert q.domain.upper == c.domain.upper == expected
         assert q.regular == c.regular == (expected > 0)
@@ -344,9 +344,9 @@ class TestQuantumRegularity:
         w_pow = rr.DecreasingProfile((), rr.PowerTail(1.0, 2.0))
         cases = [
             rr.DecreasingProfile(((2.0, 1.0),)),
-            rr.DecreasingProfile((), rr.LogSingularity(0.5, 1.0)),
-            rr.DecreasingProfile((), rr.LogSingularity(2.0, 1.0)),
-            rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.0, 1.0)),
+            rr.DecreasingProfile((), head=rr.LogSingularity(0.5, 1.0)),
+            rr.DecreasingProfile((), head=rr.LogSingularity(2.0, 1.0)),
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 1.0, 1.0)),
         ]
         for w in (w_exp, w_pow):
             for g in cases:

@@ -1,5 +1,6 @@
 """Profiles, rearrangements, partial integrals, and the modular engine."""
 
+import json
 import math
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestProfiles:
 
     def test_head_must_dominate_steps(self):
         with pytest.raises(DomainError):
-            rr.DecreasingProfile(((10.0, 1.0),), rr.LogSingularity(1.0, 0.5))
+            rr.DecreasingProfile(((10.0, 1.0),), head=rr.LogSingularity(1.0, 0.5))
 
     def test_tail_junction_below_last_step(self):
         with pytest.raises(DomainError):
@@ -98,7 +99,7 @@ class TestProfiles:
         assert p.value(3.0) == pytest.approx(0.5 * math.exp(-2.0))
 
     def test_log_head_layout(self):
-        p = rr.DecreasingProfile((), rr.LogSingularity(2.0, 0.5))
+        p = rr.DecreasingProfile((), head=rr.LogSingularity(2.0, 0.5))
         assert p.value(0.1) == pytest.approx(2.0 * math.log(10.0))
         assert p.value(0.7) == 0.0
 
@@ -111,12 +112,83 @@ class TestProfiles:
     def test_serialization_roundtrip(self):
         profiles = [
             rr.DecreasingProfile(((2.0, 1.0), (1.0, 0.5))),
-            rr.DecreasingProfile((), rr.LogSingularity(1.5, 0.75)),
-            rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+            rr.DecreasingProfile((), head=rr.LogSingularity(1.5, 0.75)),
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.5, 1.0)),
             rr.DecreasingProfile(((2.0, 1.0),), rr.PowerTail(1.0, 2.0, 1.0)),
         ]
         for p in profiles:
             assert rr.profile_from_dict(p.to_dict()) == p
+
+
+class TestHeadAndTail:
+    """Profiles with a singular head and a tail at once."""
+
+    P = rr.DecreasingProfile(((0.5, 1.0),), rr.ExponentialTail(0.4, 2.0), head=rr.LogSingularity(1.0, 0.5))
+    HEAD_MASS = 0.5 * (1.0 + math.log(2.0))  # integral_0^0.5 log(1/t) dt
+
+    def test_value(self):
+        p = self.P
+        assert p.value(0.1) == pytest.approx(math.log(10.0))
+        assert p.value(0.5) == p.value(1.4) == 0.5
+        assert p.value(1.5) == pytest.approx(0.4)
+        assert p.value(2.0) == pytest.approx(0.4 * math.exp(-1.0))
+        assert p.cuts() == (0.5, 1.5)
+        assert (p.sup_value, p.support_end) == (math.inf, math.inf)
+
+    def test_hl_partial(self):
+        assert rr.hl_partial(self.P, 0.5) == pytest.approx(self.HEAD_MASS, rel=1e-14)
+        assert rr.hl_partial(self.P, 1.5) == pytest.approx(self.HEAD_MASS + 0.5, rel=1e-14)
+        assert rr.hl_partial(self.P, math.inf) == pytest.approx(self.HEAD_MASS + 0.7, rel=1e-14)
+
+    def test_scale(self):
+        assert self.P.scale(3.0) == rr.DecreasingProfile(
+            ((1.5, 1.0),), rr.ExponentialTail(1.2000000000000002, 2.0), head=rr.LogSingularity(3.0, 0.5)
+        )
+
+    def test_json_roundtrip(self):
+        d = json.loads(json.dumps(self.P.to_dict()))
+        assert d["head"] == {"kind": "log_singularity", "coeff": 1.0, "width": 0.5}
+        assert rr.profile_from_dict(d) == self.P
+
+    def test_without_steps_the_head_must_dominate_the_tail(self):
+        head = rr.LogSingularity(1.0, 0.5)  # log 2 at its width
+        assert rr.DecreasingProfile((), rr.PowerTail(0.6, 1.5), head=head).value(0.5) == 0.6
+        with pytest.raises(DomainError, match="dominate"):
+            rr.DecreasingProfile((), rr.PowerTail(0.8, 1.5), head=head)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            {"kind": "log_singularity", "coeff": 0.5, "width": 0.5},
+            {"kind": "log_singularity", "width": 0.5},
+            {"kind": "inv_power", "coeff": 2.0, "exponent": 0.3},
+        ],
+        ids=["log", "log-default-coeff", "inv-power"],
+    )
+    def test_legacy_head_under_tail(self, head):
+        legacy = rr.profile_from_dict({"steps": [[0.1, 1.0]], "tail": head})
+        assert legacy == rr.profile_from_dict({"steps": [[0.1, 1.0]], "head": head})
+        assert legacy.tail is None and legacy.head.kind == head["kind"]
+
+    def test_zero_tail_is_no_tail(self):
+        p = rr.profile_from_dict({"steps": [[1.0, 1.0]], "tail": {"kind": "zero"}})
+        assert p == rr.DecreasingProfile(((1.0, 1.0),)) and p.tail is None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: rr.DecreasingProfile((), rr.LogSingularity(1.0, 0.5)),
+            lambda: rr.DecreasingProfile((), head=rr.ExponentialTail(1.0, 1.0)),
+            lambda: rr.profile_from_dict({"head": {"kind": "power", "amplitude": 1.0, "exponent": 2.0}}),
+            lambda: rr.profile_from_dict(
+                {"head": {"kind": "log_singularity"}, "tail": {"kind": "inv_power", "exponent": 0.5}}
+            ),
+        ],
+        ids=["head-as-tail", "tail-as-head", "tail-kind-under-head", "two-heads"],
+    )
+    def test_misplaced_ends_are_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
 
 
 class TestHlPartial:
@@ -133,12 +205,12 @@ class TestHlPartial:
         assert rr.hl_partial(p, 1.0) == 2.0
 
     def test_log_head_partial(self):
-        p = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        p = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         x = 0.25
         assert rr.hl_partial(p, x) == pytest.approx(x * (1 - math.log(x)), rel=1e-14)
 
     def test_inv_power_not_locally_integrable(self):
-        p = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 1.5, 1.0))
+        p = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 1.5, 1.0))
         assert rr.hl_partial(p, 0.5) == math.inf
 
     def test_concave_nondecreasing(self):
@@ -164,7 +236,7 @@ class TestModular:
 
     def test_log_head_divergence_threshold(self):
         wexp = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
-        plog = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        plog = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         # cosh(lam * log(1/t)) ~ t^-lam / 2: diverges for lam >= 1
         assert rr.modular(yg.cosh_minus_1(), plog, wexp) == math.inf
         assert rr.modular(yg.cosh_minus_1(), plog.scale(2.0), wexp) == math.inf
@@ -172,7 +244,7 @@ class TestModular:
 
     def test_log_head_value_against_quadrature_oracle(self):
         wexp = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
-        plog = rr.DecreasingProfile((), rr.LogSingularity(0.5, 1.0))
+        plog = rr.DecreasingProfile((), head=rr.LogSingularity(0.5, 1.0))
         mine = rr.modular(yg.cosh_minus_1(), plog, wexp)
         oracle = quad(
             lambda y: (math.cosh(0.5 * y) - 1) * math.exp(-math.exp(-y)) * math.exp(-y),
@@ -193,17 +265,17 @@ class TestModular:
         assert mine == pytest.approx(oracle, abs=1e-8)
 
     def test_inv_power_head_divergence_for_exponential_young(self):
-        p = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.5, 1.0))
+        p = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.5, 1.0))
         assert rr.modular(yg.cosh_minus_1(), p) == math.inf
         # scale-free: every positive multiple diverges too
         assert rr.modular(yg.cosh_minus_1(), p.scale(1e-6)) == math.inf
 
     def test_inv_power_head_under_polynomial_young(self):
-        p = rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.3, 1.0))
+        p = rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.3, 1.0))
         mine = rr.modular(yg.power(2), p)
         # integral_0^1 t^-0.6 dt = 1/0.4
         assert mine == pytest.approx(1.0 / 0.4, rel=1e-9)
-        assert rr.modular(yg.power(2), rr.DecreasingProfile((), rr.InvPowerSingularity(1.0, 0.6, 1.0))) == math.inf
+        assert rr.modular(yg.power(2), rr.DecreasingProfile((), head=rr.InvPowerSingularity(1.0, 0.6, 1.0))) == math.inf
 
     def test_threshold_young_step_divergence(self):
         thr = yg.complement(yg.identity())
@@ -281,7 +353,7 @@ class TestCrossIntegral:
         assert rr.cross_integral(p, None, 2.0) == rr.hl_partial(p, 2.0)
 
     def test_against_quadrature(self):
-        p = rr.DecreasingProfile((), rr.LogSingularity(1.0, 1.0))
+        p = rr.DecreasingProfile((), head=rr.LogSingularity(1.0, 1.0))
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
         mine = rr.cross_integral(p, w, 1.0)
         oracle = quad(lambda t: math.log(1 / t) * math.exp(-t), 1e-16, 1.0, limit=300)[0]
