@@ -15,15 +15,27 @@ converged report always has modular_at_witness <= 1, and within 1e-8 of 1
 when the modular is continuous at the crossing.
 
 The Orlicz (dual-pairing) norm is computed through the Amemiya formula
-inf_{k>0} (1 + modular(k*f)) / k, a one-dimensional unimodal minimization
-done on a log grid refined by golden-section search.  The defining supremum
-over the dual ball is deliberately left to test oracles on tiny atom spaces.
+inf_{k>0} (1 + modular(k*f)) / k.  The objective's slope has the sign of
+Q(k) - 1, where Q(k) = integral (k|f| psi(k|f|) - Psi(k|f|)) dmu is the
+non-decreasing gap in Young's equality, so for step-only profiles the
+minimiser is the root of Q(k) = 1 (Krasnosel'skii & Rutickii, Convex
+Functions and Orlicz Spaces, sections 9-10; Hudzik & Maligranda, Indag. Math.
+2000), found by the same bracket and Illinois loop in t = 1/k, starting at
+k = 1/ess sup |f|.  Three cases are decided without a search: a Young
+function with a finiteness threshold T is minimised at the jump k = T/sup|f|
+when Q <= 1 there; a bounded density psi whose Q never exceeds 1 gives the
+k -> inf limit psi(inf) * integral |f|; and kinks of Psi at vanish_below
+(llogl) are evaluated with the final bracket ends.  Profiles with analytic
+parts keep a log grid refined by golden-section search, since certified
+quadrature of Q would need growth envelopes for x psi(x) - Psi(x).  The
+defining supremum over the dual ball is deliberately left to test oracles on
+tiny atom spaces.
 
 For step-only profiles both norms use an exact step modular: the levels are
 checked and the weight masses computed once per norm, and every evaluation
-goes straight to the Young function's array kernel.  The whole Amemiya grid
-is evaluated in one batched call; profiles with analytic parts evaluate the
-modular point by point.
+of the modular or of Q goes straight to the Young function's array kernel.
+Profiles with analytic parts evaluate the modular by quadrature, point by
+point.
 
 Membership in L^Psi asks for some lambda > 0 with a finite modular; the
 search walks a geometric lambda grid downward from 1 and consults only the
@@ -201,15 +213,9 @@ def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
     return MembershipReport(False, None)
 
 
-def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
-    """For a step-only profile, a fast scales -> modular(scale * p) map.
-
-    The levels are checked and the weight masses computed once, here; each
-    call then evaluates every (scale, level) pair in one `_eval_arr` call and
-    sums along the levels with np.add.reduce, the routine np.sum uses, so a
-    single scale gives exactly the value of the one-dimensional sum.  A
-    scalar scale gives a 0-d result, an array of scales an array of modulars.
-    Returns None when the profile has analytic parts."""
+def _step_levels(p: DecreasingProfile, w):
+    """For a step-only profile, its levels and the weight masses of their
+    steps, restricted to positive masses; None when it has analytic parts."""
     if p.head is not None or p.support_end == math.inf:
         return None
     levels = np.asarray([l for l, _ in p.steps])
@@ -223,18 +229,100 @@ def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
     levels, masses = levels[keep], masses[keep]
     if np.any(levels < 0):
         raise DomainError("Young functions are defined for s >= 0")
+    return levels, masses
 
-    def mod(scales):
+
+def _step_sum(kernel, levels: np.ndarray, masses: np.ndarray):
+    """scales -> sum_i masses_i * kernel(scale * levels_i).
+
+    Each call evaluates every (scale, level) pair in one kernel call and sums
+    along the levels with np.add.reduce, the routine np.sum uses, so a single
+    scale gives exactly the value of the one-dimensional sum.  A scalar scale
+    gives a 0-d result, an array of scales an array of sums."""
+
+    def total(scales):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = young._eval_arr(np.asarray(scales)[..., None] * levels)
+            vals = kernel(np.asarray(scales)[..., None] * levels)
             return np.add.reduce(vals * masses, axis=-1)
 
-    return mod
+    return total
+
+
+def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
+    """For a step-only profile, a fast scales -> modular(scale * p) map: the
+    levels are checked and the weight masses computed once, here, and each
+    call goes straight to the Young function's array kernel.  Returns None
+    when the profile has analytic parts."""
+    steps = _step_levels(p, w)
+    return None if steps is None else _step_sum(young._eval_arr, *steps)
 
 
 def _log_modular(m: float) -> float:
     """log of a modular value, with log 0 = -inf (and log inf = inf)."""
     return math.log(m) if m > 0.0 else -math.inf
+
+
+def _level_crossing(fn, start: float, tol: float):
+    """Bracket and solve fn(t) = 1 for a non-increasing fn of t > 0.
+
+    The bracket grows from `start` by factors of 4 until fn(lo) > 1 >= fn(hi);
+    a rung passed on the way up serves as lo.  Safeguarded Illinois regula
+    falsi on (log t, log fn) then shrinks it to relative width tol.  Returns
+    (lo, hi, fn(lo), fn(hi), evaluations, converged).  When no bracket forms
+    within _MAX_ITER rungs, converged is False and either fn(hi) > 1 (fn
+    never falls to 1; lo = hi/4) or fn(lo) <= 1 (fn never exceeds 1)."""
+    evals = 1
+    hi, f_hi = start, fn(start)
+    lo, f_lo = hi, f_hi
+    while f_hi > 1.0 and evals < _MAX_ITER:
+        lo, f_lo = hi, f_hi
+        hi *= 4.0
+        f_hi = fn(hi)
+        evals += 1
+    if f_hi > 1.0:
+        return lo, hi, f_lo, f_hi, evals, False
+    while f_lo <= 1.0 and evals < _MAX_ITER:
+        lo /= 4.0
+        f_lo = fn(lo)
+        evals += 1
+    if f_lo <= 1.0:
+        return lo, hi, f_lo, f_hi, evals, False
+
+    # The interpolant's log-scale offset from lo is kept a tenth of the
+    # tolerance inside each end, so a root next to an end closes the bracket
+    # in one more step, with hi within about tol/10 of a root the interpolant
+    # hit.
+    g_lo, g_hi = _log_modular(f_lo), _log_modular(f_hi)
+    kept = 0  # +1 after a step that kept lo, -1 after one that kept hi
+    width, stalled = math.log(hi / lo), 0
+    steps = 0
+    while steps < _MAX_ITER and (hi - lo) > tol * hi:
+        span = math.log(hi / lo)
+        t = math.sqrt(lo * hi)
+        forced = stalled >= _STALL_STEPS
+        if not forced and math.isfinite(g_lo) and math.isfinite(g_hi):
+            gap = min(0.1 * tol, 0.5 * span)
+            cand = lo * math.exp(min(max(span * g_lo / (g_lo - g_hi), gap), span - gap))
+            if lo < cand < hi:
+                t = cand
+        m = fn(t)
+        if m <= 1.0:
+            hi, f_hi, g_hi = t, m, _log_modular(m)
+            if kept == 1:
+                g_lo *= 0.5
+            kept = 1
+        else:
+            lo, f_lo, g_lo = t, m, _log_modular(m)
+            if kept == -1:
+                g_hi *= 0.5
+            kept = -1
+        span = math.log(hi / lo)
+        if forced or span <= 0.5 * width:
+            width, stalled = span, 0
+        else:
+            stalled += 1
+        steps += 1
+    return lo, hi, f_lo, f_hi, evals + steps, (hi - lo) <= tol * hi
 
 
 def luxemburg_norm(
@@ -248,9 +336,9 @@ def luxemburg_norm(
     regula falsi on (log lambda, log modular).
 
     The search stops when the bracket's relative width is at most tol; each
-    iteration is one modular evaluation, and one more at the witness fills
-    modular_at_witness.  Returns 0 for f = 0 and +inf for non-members.  When
-    the modular jumps across level 1 (threshold kinds), every step is a
+    iteration is one modular evaluation, and modular_at_witness reuses the
+    one taken at the witness.  Returns 0 for f = 0 and +inf for non-members.
+    When the modular jumps across level 1 (threshold kinds), every step is a
     geometric bisection, the returned witness is the boundary infimum and
     modular_at_witness records the sub-unit value."""
     p, w = _as_profile_weight(f, weight)
@@ -272,65 +360,64 @@ def luxemburg_norm(
         def mod_at(lam: float) -> float:
             return float(fast(1.0 / lam))
 
-    iters = 0
-    hi = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
-    val_hi = mod_at(hi)
-    iters += 1
-    while val_hi > 1.0 and iters < _MAX_ITER:
-        hi *= 4.0
-        val_hi = mod_at(hi)
-        iters += 1
-    if val_hi > 1.0:
-        return NormReport(math.inf, None, iters, False, (hi / 4.0, hi), val_hi)
-
-    lo = hi
-    val_lo = val_hi
-    while val_lo <= 1.0 and iters < _MAX_ITER:
-        lo /= 4.0
-        val_lo = mod_at(lo)
-        iters += 1
-    if val_lo <= 1.0:
+    start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
+    lo, hi, m_lo, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
+    if m_hi > 1.0:
+        return NormReport(math.inf, None, iters, False, (lo, hi), m_hi)
+    if m_lo <= 1.0:
         # modular never exceeds 1: the infimum is 0 in the limit
-        return NormReport(0.0, lo, iters, True, (0.0, lo), val_lo)
+        return NormReport(0.0, lo, iters, True, (0.0, lo), m_lo)
+    return NormReport(hi, hi, iters, converged, (lo, hi), m_hi)
 
-    # Illinois regula falsi on (log lambda, log M): the interpolant's log-scale
-    # offset from lo is kept a tenth of the tolerance inside each end, so a
-    # root next to an end closes the bracket in one more step, with the
-    # witness within about tol/10 of a root the interpolant hit.
-    g_lo, g_hi = _log_modular(val_lo), _log_modular(val_hi)
-    kept = 0  # +1 after a step that kept lo, -1 after one that kept hi
-    width, stalled = math.log(hi / lo), 0
-    steps = 0
-    while steps < _MAX_ITER and (hi - lo) > tol * hi:
-        span = math.log(hi / lo)
-        lam = math.sqrt(lo * hi)
-        forced = stalled >= _STALL_STEPS
-        if not forced and math.isfinite(g_lo) and math.isfinite(g_hi):
-            gap = min(0.1 * tol, 0.5 * span)
-            cand = lo * math.exp(min(max(span * g_lo / (g_lo - g_hi), gap), span - gap))
-            if lo < cand < hi:
-                lam = cand
-        m = mod_at(lam)
-        if m <= 1.0:
-            hi, g_hi = lam, _log_modular(m)
-            if kept == 1:
-                g_lo *= 0.5
-            kept = 1
-        else:
-            lo, g_lo = lam, _log_modular(m)
-            if kept == -1:
-                g_hi *= 0.5
-            kept = -1
-        span = math.log(hi / lo)
-        if forced or span <= 0.5 * width:
-            width, stalled = span, 0
-        else:
-            stalled += 1
-        steps += 1
-        iters += 1
-    converged = (hi - lo) <= tol * hi
-    final = mod_at(hi)
-    return NormReport(hi, hi, iters, converged, (lo, hi), final)
+
+def _amemiya_steps(
+    young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float
+) -> NormReport:
+    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i).
+
+    The objective's slope has the sign of Q(k) - 1, where
+    Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i)) is non-decreasing, so the
+    minimiser is the root of Young's equality Q(k) = 1.  By homogeneity it is
+    solved for f / max a_i, on (log k, log Q) by _level_crossing in t = 1/k
+    from k = 1, and the value is the objective at the better end of the
+    final bracket, scaled back."""
+    top = float(levels.max(initial=0.0))
+    if top == 0.0:
+        return NormReport(0.0, None, 0, True, None, 0.0)
+    levels = levels / top
+    # levels that vanish at this scale (or underflow) add nothing to M or Q
+    keep = levels > 0
+    levels, masses = levels[keep], masses[keep]
+    mod = _step_sum(young._eval_arr, levels, masses)
+    gap = _step_sum(young._equality_gap_arr, levels, masses)
+    x1 = young.linear_from
+    if x1 < math.inf:
+        # psi is constant past x1, so Q rises to gap(x1) * mass and stays;
+        # when that is at most 1 the objective falls to its k -> inf limit
+        x = np.asarray(2.0 * x1 + 1.0)
+        if float(young._equality_gap_arr(x)) * float(np.sum(masses)) <= 1.0:
+            value = float(young._density_arr(x)) * float(np.sum(levels * masses)) * top
+            return NormReport(value, None, 0, True, None, None)
+    k0, evals = 1.0, 0
+    thr = young.finite_threshold
+    if thr < math.inf:
+        # M(k) = inf beyond k = thr: with Q <= 1 there, the objective falls
+        # all the way to that jump
+        k0, evals = thr, 1
+        if float(gap(thr)) <= 1.0:
+            k = thr / top
+            return NormReport(top * (1.0 + float(mod(thr))) / thr, k, 2, True, (k, k), None)
+    lo, hi, _, _, iters, converged = _level_crossing(lambda t: float(gap(1.0 / t)), 1.0 / k0, tol)
+    k_lo, k_hi = 1.0 / hi, 1.0 / lo
+    # Q jumps where a level crosses a kink of Psi at vanish_below (llogl); a
+    # minimiser on such a jump is one of these points
+    kinks = young.vanish_below / levels
+    ks = np.concatenate(([k_lo, k_hi], kinks[(k_lo < kinks) & (kinks < k_hi)]))
+    vals = (1.0 + mod(ks)) / ks
+    i = int(np.argmin(vals))
+    return NormReport(
+        top * float(vals[i]), float(ks[i]) / top, evals + iters + 1, converged, (k_lo / top, k_hi / top), None
+    )
 
 
 def orlicz_norm(
@@ -342,37 +429,27 @@ def orlicz_norm(
 ) -> NormReport:
     """Orlicz norm via the Amemiya formula inf_k (1 + modular(k f)) / k.
 
-    The objective is unimodal in k; a coarse log grid brackets the minimum
-    and golden-section search refines it.  The bracket tolerance is on
-    log(k); the value error near the flat minimum is second order in it."""
+    Step-only profiles solve Young's equality Q(k) = 1 for the minimiser
+    (see _amemiya_steps) and stop when the bracket's relative width is at
+    most tol; the value error near the flat minimum is second order in it.
+    Profiles with analytic parts scan a coarse log grid that brackets the
+    minimum and refine it by golden-section search to a bracket of width tol
+    in log(k)."""
     p, w = _as_profile_weight(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
-    fast = _step_modular_fn(young, p, w)
-    if fast is None:
-        if not membership(young, p, w).member:
-            return NormReport(math.inf, None, 0, True, None, math.inf)
-
-        def mod_at(k: float) -> float:
-            return modular(young, p.scale(k), w)
-
-        def grid_mods(ks: np.ndarray) -> np.ndarray:
-            return np.asarray([mod_at(float(k)) for k in ks])
-
-    else:
-
-        def mod_at(k: float) -> float:
-            return float(fast(k))
-
-        grid_mods = fast
+    steps = _step_levels(p, w)
+    if steps is not None:
+        return _amemiya_steps(young, *steps, tol)
+    if not membership(young, p, w).member:
+        return NormReport(math.inf, None, 0, True, None, math.inf)
 
     def h(k: float) -> float:
-        m = mod_at(k)
+        m = modular(young, p.scale(k), w)
         return math.inf if math.isinf(m) else (1.0 + m) / k
 
     grid = np.geomspace(1e-8, 1e8, 33)
-    mods = grid_mods(grid)
-    vals = np.where(np.isinf(mods), math.inf, (1.0 + mods) / grid)
+    vals = np.asarray([h(float(k)) for k in grid])
     iters = len(grid)
     if not np.any(np.isfinite(vals)):
         return NormReport(math.inf, None, iters, True, None, None)

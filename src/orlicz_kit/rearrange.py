@@ -594,11 +594,13 @@ class _WeightView:
     def has_log_head(self) -> bool:
         return isinstance(self.head, LogSingularity)
 
-    def head_coeff(self, m: float) -> float:
-        """Constant A with w(t) <= A * (head shape) on (0, m]."""
+    @property
+    def head_coeff(self) -> float:
+        """Constant A with w(t) <= A * (head shape) near t = 0: the head's
+        coefficient, or the supremum of a weight without a head."""
         if self.head is not None:
             return self.head.coeff
-        return self.value(m * 0.5) if self.profile is not None else 1.0
+        return self.profile.sup_value if self.profile is not None else 1.0
 
     def far_field(self):
         """Behaviour on the unbounded end: ('lebesgue'|'exp'|'power'|'zero', tail)."""
@@ -797,7 +799,7 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     g = _require_growth(young)
     theta_w = w.inv_order
     w_log = w.has_log_head
-    wA = w.head_coeff(m)
+    wA = w.head_coeff
 
     if isinstance(head, LogSingularity):
         c = head.coeff

@@ -179,6 +179,18 @@ class YoungFunction:
         return 0.0
 
     @property
+    def linear_from(self) -> float:
+        """Psi is affine (psi constant) beyond this argument; inf if never."""
+        return math.inf
+
+    def _equality_gap_arr(self, s: np.ndarray) -> np.ndarray:
+        """The gap in Young's equality, s*psi(s) - Psi(s) = Psi*(psi(s)):
+        non-decreasing, clipped at 0, and +inf beyond the finiteness threshold
+        or where both terms overflow."""
+        gap = s * self._density_arr(s) - self._eval_arr(s)
+        return np.where((s > self.finite_threshold) | np.isnan(gap), math.inf, np.maximum(gap, 0.0))
+
+    @property
     def name(self) -> str:
         raise NotImplementedError
 
@@ -224,6 +236,10 @@ class PowerYoung(YoungFunction):
         if self.coef == 1.0:
             return f"power:{self.exponent:g}"
         return f"scaled-power:{self.coef:g}:{self.exponent:g}"
+
+    @property
+    def linear_from(self):
+        return 0.0 if self.exponent == 1.0 else math.inf
 
     def small_order(self):
         return SmallOrder(self.exponent, self.coef, self.coef, math.inf)
@@ -472,6 +488,10 @@ class TabulatedYoung(YoungFunction):
     def finite_threshold(self):
         return self.limit
 
+    @property
+    def linear_from(self):
+        return self.xs[-1] if math.isinf(self.limit) else math.inf
+
     @cached_property
     def _vanish(self):
         ys = self._ys
@@ -562,6 +582,10 @@ class NumericConjugate(YoungFunction):
         val = dsafe * s - self.base._eval_arr(dsafe)
         val = np.maximum(val, 0.0)
         return np.where(finite, val, math.inf)
+
+    def _equality_gap_arr(self, s):
+        # s*phi(s) - Phi(s) = Psi(phi(s)): one inversion instead of two
+        return self.base._eval_arr(self._inverse_density(s))
 
     @property
     def name(self):

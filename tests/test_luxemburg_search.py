@@ -85,19 +85,21 @@ def recorded_search(monkeypatch, young, f):
 
 def bracket_steps(seen):
     """Replay the bracket: for each root-search evaluation, the (lo, m_lo,
-    hi, m_hi) it started from and the lambda it evaluated.  The expansion
-    phase and the final evaluation at the witness are skipped."""
+    hi, m_hi) it started from and the lambda it evaluated.  The bracketing
+    phase is skipped."""
     i = 0
     while seen[i][1] > 1.0:  # grow hi
         i += 1
     hi, m_hi = seen[i]
-    i += 1
-    while seen[i][1] <= 1.0:  # shrink lo
-        hi, m_hi = seen[i]
+    if i > 0:  # the last rung passed on the way up is lo
+        lo, m_lo = seen[i - 1]
+    else:  # shrink lo from the start, where hi stays
         i += 1
-    lo, m_lo = seen[i]
+        while seen[i][1] <= 1.0:
+            i += 1
+        lo, m_lo = seen[i]
     steps = []
-    for lam, m in seen[i + 1 : -1]:
+    for lam, m in seen[i + 1 :]:
         steps.append((lo, m_lo, hi, m_hi, lam))
         if m <= 1.0:
             hi, m_hi = lam, m
@@ -129,7 +131,8 @@ def test_against_bisection_oracle(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_YOUNGS))
 def test_infinite_or_zero_end_takes_bisection(monkeypatch, name):
     rep, seen = recorded_search(monkeypatch, ORACLE_YOUNGS[name], F)
-    assert len(seen) == rep.iterations + 1
+    # one evaluation per iteration: nothing is evaluated twice
+    assert len(seen) == rep.iterations
     steps = bracket_steps(seen)
     for lo, m_lo, hi, m_hi, lam in steps:
         if m_lo == math.inf or m_hi == 0.0:

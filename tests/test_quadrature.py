@@ -170,6 +170,8 @@ class TestKernel:
 
 PROFILES = {
     "log": D(((0.3, 1.0),), head=L(0.5, 0.5)),
+    # a head alone: the steep weight at half its width is far below sup w
+    "log-bare": D((), head=L(0.5, 1.0)),
     "inv": D(((0.3, 1.0),), head=I(0.5, 0.2, 0.8)),
     "exp": D(((1.0, 0.5),), E(0.8, 1.5)),
     "power": D(((1.0, 0.5),), P(0.8, 1.2, 1.0)),
@@ -182,6 +184,8 @@ WEIGHTS = {
     "exp": D((), E(1.0, 1.0)),
     "power": D(((1.0, 0.5),), P(0.9, 0.5, 1.0)),
     "inv": D(((0.5, 1.0),), head=I(1.0, 0.3, 1.0)),
+    # no head, and far below its supremum across a profile's head
+    "steep": D((), E(1.0, 40.0)),
 }
 
 
