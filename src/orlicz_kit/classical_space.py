@@ -14,22 +14,16 @@ witness returned is the upper (feasible) end of the final bracket, so a
 converged report always has modular_at_witness <= 1, and within 1e-8 of 1
 when the modular is continuous at the crossing.
 
-The Orlicz (dual-pairing) norm is computed through the Amemiya formula
-inf_{k>0} (1 + modular(k*f)) / k.  The objective's slope has the sign of
-Q(k) - 1, where Q(k) = integral (k|f| psi(k|f|) - Psi(k|f|)) dmu is the
-non-decreasing gap in Young's equality, so for step-only profiles the
-minimiser is the root of Q(k) = 1 (Krasnosel'skii & Rutickii, Convex
-Functions and Orlicz Spaces, sections 9-10; Hudzik & Maligranda, Indag. Math.
-2000), found by the same bracket and Illinois loop in t = 1/k, starting at
-k = 1/ess sup |f|.  Three cases are decided without a search: a Young
-function with a finiteness threshold T is minimised at the jump k = T/sup|f|
-when Q <= 1 there; a bounded density psi whose Q never exceeds 1 gives the
-k -> inf limit psi(inf) * integral |f|; and kinks of Psi at vanish_below
-(llogl) are evaluated with the final bracket ends.  Profiles with analytic
-parts keep a log grid refined by golden-section search, since certified
-quadrature of Q would need growth envelopes for x psi(x) - Psi(x).  The
-defining supremum over the dual ball is deliberately left to test oracles on
-tiny atom spaces.
+The Orlicz (dual-pairing) norm is the Amemiya formula
+inf_{k>0} (1 + modular(k*f)) / k, minimised as a level crossing on the same
+loop, in t = 1/k (Krasnosel'skii & Rutickii, Convex Functions and Orlicz
+Spaces, sections 9-10; Hudzik & Maligranda, Indag. Math. 2000): the root of
+Young's equality for step-only profiles, and for profiles with analytic
+parts the point past which g(t/s) > g(t s) fails, g being the objective in
+t, which is convex, so that the search certifiably brackets the minimiser.
+Limits, jumps and kinks the searches cannot reach are decided in closed form
+or evaluated directly.  The defining supremum over the dual ball is left to
+test oracles on tiny atom spaces.
 
 For step-only profiles both norms use an exact step modular: the levels are
 checked and the weight masses computed once per norm, and every evaluation
@@ -97,6 +91,8 @@ _MAX_ITER = 200
 #: Luxemburg search steps allowed without halving the bracket before a
 #: geometric bisection step is forced.
 _STALL_STEPS = 3
+#: The factor s by which the analytic Amemiya search spreads its two points.
+_AMEMIYA_SPREAD = 1.0 + 1e-3
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def _log_modular(m: float) -> float:
 
 
 def _level_crossing(fn, start: float, tol: float):
-    """Bracket and solve fn(t) = 1 for a non-increasing fn of t > 0.
+    """Bracket and solve fn(t) = 1 for fn > 1 left of a point, <= 1 right of it.
 
     The bracket grows from `start` by factors of 4 until fn(lo) > 1 >= fn(hi);
     a rung passed on the way up serves as lo.  Safeguarded Illinois regula
@@ -346,19 +342,12 @@ def luxemburg_norm(
         return NormReport(0.0, None, 0, True, None, 0.0)
 
     fast = _step_modular_fn(young, p, w)
-    if fast is None:
-        pre = membership(young, p, w)
-        if not pre.member:
-            return NormReport(math.inf, None, 0, True, None, math.inf)
+    pre = membership(young, p, w) if fast is None else MembershipReport(True, None)
+    if not pre.member:
+        return NormReport(math.inf, None, 0, True, None, math.inf)
 
-        def mod_at(lam: float) -> float:
-            return modular(young, p.scale(1.0 / lam), w)
-
-    else:
-        pre = MembershipReport(True, None)
-
-        def mod_at(lam: float) -> float:
-            return float(fast(1.0 / lam))
+    def mod_at(lam: float) -> float:
+        return modular(young, p.scale(1.0 / lam), w) if fast is None else float(fast(1.0 / lam))
 
     start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
     lo, hi, m_lo, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
@@ -370,17 +359,24 @@ def luxemburg_norm(
     return NormReport(hi, hi, iters, converged, (lo, hi), m_hi)
 
 
+def _limit_slope(young: YoungFunction, mass: float) -> float | None:
+    """psi(inf) if psi is bounded and Q, rising to gap(inf) * (the weight mass
+    of {f > 0}), stays <= 1, so the objective falls to psi(inf) * ||f||_1."""
+    if young.linear_from == math.inf:
+        return None
+    x = np.asarray(2.0 * young.linear_from + 1.0)
+    gap = float(young._equality_gap_arr(x))
+    return float(young._density_arr(x)) if gap == 0.0 or gap * mass <= 1.0 else None
+
+
 def _amemiya_steps(
     young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float
 ) -> NormReport:
-    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i).
-
-    The objective's slope has the sign of Q(k) - 1, where
-    Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i)) is non-decreasing, so the
-    minimiser is the root of Young's equality Q(k) = 1.  By homogeneity it is
-    solved for f / max a_i, on (log k, log Q) by _level_crossing in t = 1/k
-    from k = 1, and the value is the objective at the better end of the
-    final bracket, scaled back."""
+    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i):
+    the root of Young's equality Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i))
+    = 1, solved for f / max a_i (homogeneity) by _level_crossing in t = 1/k
+    from k = 1; the value is the objective at the better end of the final
+    bracket, scaled back."""
     top = float(levels.max(initial=0.0))
     if top == 0.0:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -390,14 +386,9 @@ def _amemiya_steps(
     levels, masses = levels[keep], masses[keep]
     mod = _step_sum(young._eval_arr, levels, masses)
     gap = _step_sum(young._equality_gap_arr, levels, masses)
-    x1 = young.linear_from
-    if x1 < math.inf:
-        # psi is constant past x1, so Q rises to gap(x1) * mass and stays;
-        # when that is at most 1 the objective falls to its k -> inf limit
-        x = np.asarray(2.0 * x1 + 1.0)
-        if float(young._equality_gap_arr(x)) * float(np.sum(masses)) <= 1.0:
-            value = float(young._density_arr(x)) * float(np.sum(levels * masses)) * top
-            return NormReport(value, None, 0, True, None, None)
+    slope = _limit_slope(young, float(np.sum(masses)))
+    if slope is not None:
+        return NormReport(slope * float(np.sum(levels * masses)) * top, None, 0, True, None, None)
     k0, evals = 1.0, 0
     thr = young.finite_threshold
     if thr < math.inf:
@@ -429,12 +420,16 @@ def orlicz_norm(
 ) -> NormReport:
     """Orlicz norm via the Amemiya formula inf_k (1 + modular(k f)) / k.
 
-    Step-only profiles solve Young's equality Q(k) = 1 for the minimiser
-    (see _amemiya_steps) and stop when the bracket's relative width is at
-    most tol; the value error near the flat minimum is second order in it.
-    Profiles with analytic parts scan a coarse log grid that brackets the
-    minimum and refine it by golden-section search to a bracket of width tol
-    in log(k)."""
+    The objective's slope has the sign of Q(k) - 1, Q(k) = integral (k|f|
+    psi(k|f|) - Psi(k|f|)) dmu, so step-only profiles solve Young's equality
+    Q(k) = 1 (see _amemiya_steps).  Q has no certified quadrature for other
+    profiles, but in t = 1/k the objective g(t) = t + t modular(f/t) is
+    convex (a perspective), and secant slopes of a convex g grow with both
+    ends: g(t/s) > g(t s) holds exactly left of one point, and a minimiser
+    lies in [lo/s, hi s] for the final bracket [lo, hi] of that point, the
+    bracket reported.  g is evaluated at its centre, off its minimum to
+    fourth order in s - 1.  Both searches stop when their bracket has
+    relative width at most tol; the value error is second order in it."""
     p, w = _as_profile_weight(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -443,42 +438,43 @@ def orlicz_norm(
         return _amemiya_steps(young, *steps, tol)
     if not membership(young, p, w).member:
         return NormReport(math.inf, None, 0, True, None, math.inf)
+    # the weight of {f > 0}: the support, less a closing zero step
+    zero_step = p.tail is None and p.steps and p.steps[-1][0] == 0.0
+    end = (p.head_width, *p.step_edges)[-2] if zero_step else p.support_end
+    slope = _limit_slope(young, _WeightView(w).mass(0.0, end))
+    if slope is not None:
+        l1 = hl_partial(p, math.inf) if w is None else modular(identity(), p, w)
+        return NormReport(slope * l1, None, 0, True, None, None)
+    seen = []  # (objective, k) of every modular evaluation
 
     def h(k: float) -> float:
-        m = modular(young, p.scale(k), w)
-        return math.inf if math.isinf(m) else (1.0 + m) / k
+        seen.append(((1.0 + modular(young, p.scale(k), w)) / k, k))
+        return seen[-1][0]
 
-    grid = np.geomspace(1e-8, 1e8, 33)
-    vals = np.asarray([h(float(k)) for k in grid])
-    iters = len(grid)
-    if not np.any(np.isfinite(vals)):
-        return NormReport(math.inf, None, iters, True, None, None)
-    i = int(np.nanargmin(np.where(np.isfinite(vals), vals, math.inf)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    r = p.sup_value if p.head is None else p.head.coeff
+    s, thr, start = _AMEMIYA_SPREAD, young.finite_threshold, 1.0
+    if thr < math.inf:
+        # M = inf past k = thr / sup f: unless g falls past it, a minimiser
+        # lies within a factor s of it
+        k = thr / p.sup_value
+        k = k if k * p.sup_value <= thr else math.nextafter(k, 0.0)
+        if h(k) <= h(k / s):
+            return NormReport(seen[0][0], k, 2, True, (k / s, k), None)
+        start = 1.0 / (r * k)
 
-    # golden-section on log k
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = h(math.exp(c)), h(math.exp(d))
-    golden = 0
-    while golden < _MAX_ITER and (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = h(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = h(math.exp(d))
-        golden += 1
-        iters += 1
-    kstar = math.exp(0.5 * (a + b))
-    value = h(kstar)
-    converged = (b - a) <= tol
-    return NormReport(value, kstar, iters, converged, (math.exp(a), math.exp(b)), None)
+    def ratio(t: float) -> float:
+        left = h(s / (r * t))
+        return left if math.isinf(left) else left / h(1.0 / (r * t * s))
+
+    lo, hi, _, _, _, converged = _level_crossing(ratio, start, tol)
+    bracket = (1.0 / (r * hi * s), s / (r * lo))
+    h(1.0 / (r * math.sqrt(lo * hi)))
+    # a minimiser on a kink of g (a step level at llogl's kink) is not flat
+    for k in (young.vanish_below / level for level, _ in p.steps if level > 0):
+        if bracket[0] < k < bracket[1]:
+            h(k)
+    value, k = min(seen)
+    return NormReport(value, k, len(seen), converged, bracket, None)
 
 
 def pairing_integral(f: SimpleFunction, g: SimpleFunction) -> float:

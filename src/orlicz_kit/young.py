@@ -562,9 +562,12 @@ class NumericConjugate(YoungFunction):
                 hi = np.where(need, np.minimum(hi * hi, self._HI_CAP), hi)
             capped = (hi >= self._HI_CAP) & (self.base._density_arr(hi) < v)
             lo = np.full_like(v, self._FLOOR)
-            # geometric bisection: relative precision across all magnitudes
-            for _ in range(self._BISECT_ITERS):
+            # geometric bisection, relative at every magnitude, until no end can
+            # move: brackets start >= ln(2 / _FLOOR) wide, so none closes in 60
+            for i in range(self._BISECT_ITERS):
                 mid = np.sqrt(lo * hi)
+                if i >= 60 and np.all((mid == lo) | (mid == hi)):
+                    break
                 ge = self.base._density_arr(mid) >= v
                 hi = np.where(ge, mid, hi)
                 lo = np.where(ge, lo, mid)
