@@ -19,11 +19,11 @@ inf_{k>0} (1 + modular(k*f)) / k, minimised as a level crossing on the same
 loop, in t = 1/k (Krasnosel'skii & Rutickii, Convex Functions and Orlicz
 Spaces, sections 9-10; Hudzik & Maligranda, Indag. Math. 2000): the root of
 Young's equality for step-only profiles, and for profiles with analytic
-parts the point past which g(t/s) > g(t s) fails, g being the objective in
-t, which is convex, so that the search certifiably brackets the minimiser.
-Limits, jumps and kinks the searches cannot reach are decided in closed form
-or evaluated directly.  The defining supremum over the dual ball is left to
-test oracles on tiny atom spaces.
+parts the point past which g(t/s) > g(t s) fails, for the objective g in t,
+which is convex, so that the minimiser is certified within a factor s.
+Limits, jumps and kinks the searches cannot reach are decided in closed
+form or evaluated directly.  The defining supremum over the dual ball is
+left to test oracles on tiny atom spaces.
 
 For step-only profiles both norms use an exact step modular: the levels are
 checked and the weight masses computed once per norm, and every evaluation
@@ -91,8 +91,6 @@ _MAX_ITER = 200
 #: Luxemburg search steps allowed without halving the bracket before a
 #: geometric bisection step is forced.
 _STALL_STEPS = 3
-#: The factor s by which the analytic Amemiya search spreads its two points.
-_AMEMIYA_SPREAD = 1.0 + 1e-3
 
 
 @dataclass(frozen=True)
@@ -400,9 +398,9 @@ def _amemiya_steps(
             return NormReport(top * (1.0 + float(mod(thr))) / thr, k, 2, True, (k, k), None)
     lo, hi, _, _, iters, converged = _level_crossing(lambda t: float(gap(1.0 / t)), 1.0 / k0, tol)
     k_lo, k_hi = 1.0 / hi, 1.0 / lo
-    # Q jumps where a level crosses a kink of Psi at vanish_below (llogl); a
-    # minimiser on such a jump is one of these points
-    kinks = young.vanish_below / levels
+    # Q jumps where a level crosses a kink of Psi (llogl's at 1, a tabulated
+    # density's jumps); a minimiser on such a jump is one of these points
+    kinks = np.concatenate([b / levels for b in sorted(set(young.kinks))])
     ks = np.concatenate(([k_lo, k_hi], kinks[(k_lo < kinks) & (kinks < k_hi)]))
     vals = (1.0 + mod(ks)) / ks
     i = int(np.argmin(vals))
@@ -420,16 +418,13 @@ def orlicz_norm(
 ) -> NormReport:
     """Orlicz norm via the Amemiya formula inf_k (1 + modular(k f)) / k.
 
-    The objective's slope has the sign of Q(k) - 1, Q(k) = integral (k|f|
-    psi(k|f|) - Psi(k|f|)) dmu, so step-only profiles solve Young's equality
-    Q(k) = 1 (see _amemiya_steps).  Q has no certified quadrature for other
-    profiles, but in t = 1/k the objective g(t) = t + t modular(f/t) is
-    convex (a perspective), and secant slopes of a convex g grow with both
-    ends: g(t/s) > g(t s) holds exactly left of one point, and a minimiser
-    lies in [lo/s, hi s] for the final bracket [lo, hi] of that point, the
-    bracket reported.  g is evaluated at its centre, off its minimum to
-    fourth order in s - 1.  Both searches stop when their bracket has
-    relative width at most tol; the value error is second order in it."""
+    Step-only profiles solve Young's equality Q(k) = 1 to relative width tol
+    (see _amemiya_steps).  For other profiles g(t) = t + t modular(f/t) is
+    convex in t = 1/k (a perspective) with slope 1 - Q <= 1, so g(t/s) >
+    g(t s) holds exactly left of one point, closed to relative width s - 1
+    for s = 1 + sqrt(tol); a minimiser lies in [lo/s, hi s], the bracket
+    reported, and g at its centre and kinks is off the minimum by order tol
+    (times t^2 g''/g)."""
     p, w = _as_profile_weight(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -452,29 +447,28 @@ def orlicz_norm(
         return seen[-1][0]
 
     r = p.sup_value if p.head is None else p.head.coeff
-    s, thr, start = _AMEMIYA_SPREAD, young.finite_threshold, 1.0
+    s, thr, start = 1.0 + math.sqrt(tol), young.finite_threshold, 1.0
     if thr < math.inf:
-        # M = inf past k = thr / sup f: unless g falls past it, a minimiser
-        # lies within a factor s of it
+        # M = inf past k = thr / sup f; as g' <= 1, g there is within tol of
+        # the minimum unless it falls within a factor 1 + tol past the jump
         k = thr / p.sup_value
         k = k if k * p.sup_value <= thr else math.nextafter(k, 0.0)
-        if h(k) <= h(k / s):
-            return NormReport(seen[0][0], k, 2, True, (k / s, k), None)
+        if h(k) <= h(k / (1.0 + tol)):
+            return NormReport(seen[0][0], k, 2, True, (k / (1.0 + tol), k), None)
         start = 1.0 / (r * k)
 
     def ratio(t: float) -> float:
         left = h(s / (r * t))
         return left if math.isinf(left) else left / h(1.0 / (r * t * s))
 
-    lo, hi, _, _, _, converged = _level_crossing(ratio, start, tol)
+    lo, hi, _, _, _, converged = _level_crossing(ratio, start, s - 1.0)
     bracket = (1.0 / (r * hi * s), s / (r * lo))
     h(1.0 / (r * math.sqrt(lo * hi)))
-    # a minimiser on a kink of g (a step level at llogl's kink) is not flat
-    for k in (young.vanish_below / level for level, _ in p.steps if level > 0):
+    # a minimiser on a kink of g (a step level at a kink of Psi) is not flat
+    for k in {b / level for b in young.kinks for level, _ in p.steps if level > 0}:
         if bracket[0] < k < bracket[1]:
             h(k)
-    value, k = min(seen)
-    return NormReport(value, k, len(seen), converged, bracket, None)
+    return NormReport(*min(seen), len(seen), converged, bracket, None)
 
 
 def pairing_integral(f: SimpleFunction, g: SimpleFunction) -> float:

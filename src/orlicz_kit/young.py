@@ -183,6 +183,11 @@ class YoungFunction:
         """Psi is affine (psi constant) beyond this argument; inf if never."""
         return math.inf
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Arguments that include every jump of psi (a kink of Psi)."""
+        return (self.vanish_below,)
+
     def _equality_gap_arr(self, s: np.ndarray) -> np.ndarray:
         """The gap in Young's equality, s*psi(s) - Psi(s) = Psi*(psi(s)):
         non-decreasing, clipped at 0, and +inf beyond the finiteness threshold
@@ -492,6 +497,10 @@ class TabulatedYoung(YoungFunction):
     def linear_from(self):
         return self.xs[-1] if math.isinf(self.limit) else math.inf
 
+    @property
+    def kinks(self):
+        return (self.vanish_below, *(x for x, x1 in zip(self.xs, self.xs[1:]) if x == x1))
+
     @cached_property
     def _vanish(self):
         ys = self._ys
@@ -562,12 +571,9 @@ class NumericConjugate(YoungFunction):
                 hi = np.where(need, np.minimum(hi * hi, self._HI_CAP), hi)
             capped = (hi >= self._HI_CAP) & (self.base._density_arr(hi) < v)
             lo = np.full_like(v, self._FLOOR)
-            # geometric bisection, relative at every magnitude, until no end can
-            # move: brackets start >= ln(2 / _FLOOR) wide, so none closes in 60
-            for i in range(self._BISECT_ITERS):
+            # geometric bisection: relative precision across all magnitudes
+            for _ in range(self._BISECT_ITERS):
                 mid = np.sqrt(lo * hi)
-                if i >= 60 and np.all((mid == lo) | (mid == hi)):
-                    break
                 ge = self.base._density_arr(mid) >= v
                 hi = np.where(ge, mid, hi)
                 lo = np.where(ge, lo, mid)

@@ -465,3 +465,65 @@ def test_threshold_jump_is_exact():
     assert rep.converged and rep.iterations <= 2
     assert rep.witness * 4.9 <= 0.7
     assert rep.value == pytest.approx(4.9 / 0.7, rel=1e-15)
+
+
+def test_minimiser_on_a_density_jump_is_exact():
+    # the density jumps from 0.5 to 2 at 1: (1 + M(k)) / k = 1/k + 0.75 for
+    # k <= 1 (the step at level 1 carries 0.5 k, the tail 0.25 k), and its
+    # slope is +0.5 just above 1, so the minimum is 1.75 at that kink
+    young = yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0])
+    rep = cs.orlicz_norm(young, D(((1.0, 1.0),), E(0.5, 1.0)))
+    assert rep.converged
+    assert rep.witness == 1.0
+    assert rep.value == pytest.approx(1.75, rel=1e-11)
+
+
+def test_step_minimiser_on_a_density_jump_is_exact():
+    # the same density on levels 1 and 0.5 with masses 0.2 and 0.8: at k = 2
+    # the lower level reaches the jump, M = 0.2 Psi(2) + 0.8 Psi(1) = 1.1,
+    # and the objective's slope, of the sign of M' - (1 + M) / k, turns up
+    # there as M' steps from 1.0 to 1.6 across 1.05, the minimum
+    young = yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0])
+    rep = cs.orlicz_norm(young, rr.simple_function([1.0, -0.5], [0.2, 0.8]))
+    assert rep.converged
+    assert rep.value == 1.05 and rep.witness == 2.0
+
+
+#: density rising to 1 at 4, then steeply to 40 at 5, and Psi = inf past 5
+STEEP = ([0.0, 4.0, 5.0], [0.0, 1.0, 40.0], 5.0)
+
+
+def mp_steep_psi(x):
+    xs, ys, _ = STEEP
+    total = mp.mpf(0)
+    for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
+        u = min(mp.mpf(x), b) - a
+        if u <= 0:
+            break
+        total += ya * u + (mp.mpf(yb) - ya) / (b - a) * u * u / 2
+    return total
+
+
+def mp_steep_tail(k, rate):
+    """(M(k), Q(k)) for STEEP and the tail e^(-rate t): M(k) = (1/rate)
+    integral_0^k Psi(x) / x dx, and Q(k) = k M'(k) - M(k)."""
+    integral = mp.quad(lambda x: mp_steep_psi(x) / x, [0, min(k, 4), k] if k > 4 else [0, k])
+    return integral / rate, (mp_steep_psi(k) - integral) / rate
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-5, 3e-5, 1e-4, 2e-4, 5e-4, 1e-3, 1e-2])
+def test_curved_density_with_a_limit_against_mpmath(gap):
+    # the minimiser k*, where Q = 1, sits a factor 1 - gap below the jump at
+    # k = 5, or on it for gap 0; t^2 g''/g is about 8 there, so a value
+    # taken a factor 1 + 1e-4 off k* would be about 4e-8 too high
+    with mp.workdps(30):
+        if gap == 0.0:
+            rate, k = 1.01 * mp_steep_tail(mp.mpf(5), 1)[1], mp.mpf(5)
+        else:
+            k = 5 * (1 - mp.mpf(gap))
+            rate = mp_steep_tail(k, 1)[1]
+        value = (1 + mp_steep_tail(k, rate)[0]) / k
+    rep = cs.orlicz_norm(yg.tabulated(*STEEP), D((), E(1.0, float(rate))))
+    assert rep.converged
+    assert rep.value == pytest.approx(float(value), rel=1e-9)
+    assert rep.bracket[0] <= k <= rep.bracket[1]
