@@ -31,10 +31,12 @@ of the modular or of Q goes straight to the Young function's array kernel.
 Profiles with analytic parts evaluate the modular by quadrature, point by
 point.
 
-Membership in L^Psi asks for some lambda > 0 with a finite modular; the
-search walks a geometric lambda grid downward from 1 and consults only the
-analytic finiteness verdicts, so a negative answer means every candidate
-scale was certified divergent.
+Membership in L^Psi asks for some lambda > 0 with a finite modular.  The
+search consults only the analytic finiteness verdicts on a geometric lambda
+grid from 1 down to 2^-60, galloping and then bisecting to the largest grid
+scale with a finite modular; the verdicts are monotone in lambda, so a
+negative answer (divergence at the floor scale 2^-60) certifies divergence at
+every grid scale.
 
 The regularity check computes the interval of parameters t for which the
 moment transform integral exp(t*u) f dmu is finite.  Profiles stand for |u|,
@@ -57,6 +59,7 @@ from .rearrange import (
     SimpleFunction,
     _WeightView,
     _check_aligned,
+    _first_holding,
     hl_partial,
     modular,
     modular_is_finite,
@@ -186,10 +189,20 @@ def _as_profile_weight(f, weight):
     raise DomainError(f"unsupported input type {type(f).__name__}")
 
 
+def _first_scale(finite) -> float | None:
+    """The largest lambda of _LAMBDA_GRID with finite(lambda), for a test
+    that stays true at every smaller lambda; None when it fails at the floor."""
+    last = len(_LAMBDA_GRID) - 1
+    k = _first_holding(lambda k: finite(_LAMBDA_GRID[k]), lambda k: min(k, last))
+    return None if k is None else _LAMBDA_GRID[k]
+
+
 def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
     """Is f in L^Psi, i.e. is the modular of lambda*f finite for some
-    lambda > 0?  Scans a geometric lambda grid downward from 1; divergence at
-    the grid floor certifies non-membership for the supported tail families."""
+    lambda > 0?  Returns the largest such lambda of a geometric grid from 1
+    to 2^-60, by a gallop and bisection over the finiteness verdicts, which
+    are monotone in lambda: divergence at 2^-60 certifies divergence at every
+    grid scale, and non-membership for the supported tail families."""
     p, w = _as_profile_weight(f, weight)
     if p.is_zero:
         return MembershipReport(True, 1.0)
@@ -198,13 +211,11 @@ def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
         # finiteness threshold
         if math.isinf(young.finite_threshold):
             return MembershipReport(True, 1.0 if math.isfinite(young.eval(p.sup_value)) else None)
-        for lam in _LAMBDA_GRID:
-            if math.isfinite(young.eval(lam * p.sup_value)):
-                return MembershipReport(True, lam)
-    for lam in _LAMBDA_GRID:
-        if modular_is_finite(young, p.scale(lam), w):
+        lam = _first_scale(lambda lam: math.isfinite(young.eval(lam * p.sup_value)))
+        if lam is not None:
             return MembershipReport(True, lam)
-    return MembershipReport(False, None)
+    lam = _first_scale(lambda lam: modular_is_finite(young, p.scale(lam), w))
+    return MembershipReport(lam is not None, lam)
 
 
 def _step_levels(p: DecreasingProfile, w):

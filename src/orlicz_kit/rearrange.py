@@ -793,9 +793,20 @@ def _decade_split(a: float, b: float, shift: float = 0.0) -> list[tuple[float, f
     return _geo_split(a, b, n, shift)
 
 
+def _cut(pieces, points) -> list[tuple[float, float]]:
+    """The pieces (a, b), each split at the points inside it."""
+    out = []
+    for a, b in pieces:
+        edges = [a, *sorted(x for x in points if a < x < b), b]
+        out.extend(zip(edges[:-1], edges[1:]))
+    return out
+
+
 def _head_value(young, head, w: _WeightView, m: float) -> float:
     """Certified value of integral_0^m Psi(head(t)) w(t) dt (already known to
-    converge); m has no weight cuts inside."""
+    converge); m has no weight cuts inside.  The pieces are split where the
+    head crosses a positive kink of Psi, whose jump in psi a Gauss-Kronrod
+    panel's error estimate can miss."""
     g = _require_growth(young)
     theta_w = w.inv_order
     w_log = w.has_log_head
@@ -827,7 +838,8 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         else:
             raise InconclusiveQuadratureError("log head truncation did not certify")
         n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
-        return _integrate(integrand, _split(y1, ymax, n))
+        kinks = [b / c for b in young.kinks if b > 0]
+        return _integrate(integrand, _cut(_split(y1, ymax, n), kinks))
 
     # inverse-power head, polynomial growth, theta*d + theta_w < 1
     c, th = head.coeff, head.exponent
@@ -849,7 +861,8 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     def integrand_t(t):
         return young._eval_arr(c * t ** (-th)) * w.value(t)
 
-    value = _integrate(integrand_t, _decade_split(eps, m))
+    kinks = [(c / b) ** (1.0 / th) for b in young.kinks if b > 0]
+    value = _integrate(integrand_t, _cut(_decade_split(eps, m), kinks))
     # a cutoff clamped at 1e-280 drops more than 0.5*_ATOL; accept it only
     # within half the relative budget
     if clamped and amp * eps ** (1.0 - beta_eff) / (1.0 - beta_eff) > 0.5 * _RTOL * value:
@@ -871,17 +884,38 @@ def _past_threshold(young, profile, w: _WeightView, start: float, end: float) ->
     return math.inf if w.mass(start, lo) > 0 else lo
 
 
+def _first_holding(holds, clamp) -> int | None:
+    """The first index k >= 0 with holds(k), for a test that, once true,
+    stays true as k grows; None when it fails at the last index.
+
+    A gallop over the indices 0, 1, 3, 7, ..., each passed through clamp,
+    which caps it at the last index, stops at the first one that holds; a
+    bisection of the gap after the last failure then finds the index a
+    linear scan would stop at, in about 2*log2(k) tests instead of k + 1."""
+    failed, k = -1, 0
+    while not holds(k):
+        failed, k = k, clamp(2 * k + 1)
+        if k == failed:
+            return None
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if holds(mid):
+            k = mid
+        else:
+            failed = mid
+    return k
+
+
 def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> float:
     """Certified truncation length u of a power tail starting at lo: the
     first rung of the ladder u0, 1.6*u0, 1.6*1.6*u0, ... (u0 = max(offset, 1)
     and past the envelope's validity) whose bound on the mass of Psi(p) w
     beyond lo + u is below half of _ATOL.
 
-    The bound falls as u grows, so a gallop over the rungs followed by a
-    bisection finds the rung a linear scan would stop at, in about
-    2*log2(rungs) bounds instead of one per rung.  The rungs are built
-    lazily by the same repeated product, so u is bit-identical to the
-    scan's.  Raises when no rung up to 1e300 certifies."""
+    The bound falls as u grows, so _first_holding finds the rung a linear
+    scan would stop at.  The rungs are built lazily by the same repeated
+    product, so u is bit-identical to the scan's.  Raises when no rung up to
+    1e300 certifies."""
     so = young.small_order()
     if so is None:
         raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
@@ -921,17 +955,9 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
             rungs.append(rungs[-1] * 1.6)
         return min(k, len(rungs) - 1)
 
-    failed, k = -1, 0
-    while not certifies(rungs[k]):
-        failed, k = k, rung(2 * k + 1)
-        if k == failed:
-            raise InconclusiveQuadratureError("power tail truncation did not certify")
-    while k - failed > 1:
-        mid = (failed + k) // 2
-        if certifies(rungs[mid]):
-            k = mid
-        else:
-            failed = mid
+    k = _first_holding(lambda k: certifies(rungs[k]), rung)
+    if k is None:
+        raise InconclusiveQuadratureError("power tail truncation did not certify")
     return rungs[k]
 
 

@@ -557,6 +557,7 @@ class NumericConjugate(YoungFunction):
     _HI_CAP = 1e300
     _FLOOR = 1e-300
     _BISECT_ITERS = 72
+    _TINY = np.finfo(float).tiny
 
     def _inverse_density(self, v: np.ndarray):
         v = np.asarray(v, dtype=float)
@@ -571,9 +572,15 @@ class NumericConjugate(YoungFunction):
                 hi = np.where(need, np.minimum(hi * hi, self._HI_CAP), hi)
             capped = (hi >= self._HI_CAP) & (self.base._density_arr(hi) < v)
             lo = np.full_like(v, self._FLOOR)
+            # lo * hi >= _FLOOR * root turns subnormal, losing its precision
+            # (or 0), only for roots below tiny / _FLOOR
+            deep = bool(np.any(self.base._density_arr(np.asarray(self._TINY / self._FLOOR)) >= v))
             # geometric bisection: relative precision across all magnitudes
             for _ in range(self._BISECT_ITERS):
-                mid = np.sqrt(lo * hi)
+                prod = lo * hi
+                mid = np.sqrt(prod)
+                if deep:
+                    mid = np.where(prod < self._TINY, np.sqrt(lo) * np.sqrt(hi), mid)
                 ge = self.base._density_arr(mid) >= v
                 hi = np.where(ge, mid, hi)
                 lo = np.where(ge, lo, mid)

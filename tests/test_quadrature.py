@@ -54,11 +54,12 @@ def mp_value(prof, t):
     return mp.mpf(0)
 
 
-def mp_integral(fn, prof, weight, end=math.inf):
+def mp_integral(fn, prof, weight, end=math.inf, kinks=()):
     """integral_0^end fn(t) over the pieces between the breakpoints of the
-    profile and the weight; the first piece in y = log(1/t)."""
+    profile and the weight, and the kinks; the first piece in y = log(1/t)."""
     end = min(end, prof.support_end, math.inf if weight is None else weight.support_end)
-    cuts = sorted({c for q in (prof, weight) if q is not None for c in q.cuts() if 0 < c < end})
+    cuts = {c for q in (prof, weight) if q is not None for c in q.cuts()}
+    cuts = sorted(c for c in cuts | set(kinks) if 0 < c < end)
     pts = [0.0, *cuts, end]
     with mp.workdps(20):
         total = mp.mpf(0)
@@ -70,9 +71,9 @@ def mp_integral(fn, prof, weight, end=math.inf):
         return float(total)
 
 
-def mp_modular(spec, prof, weight=None):
+def mp_modular(spec, prof, weight=None, kinks=()):
     psi = MP_PSI[spec]
-    return mp_integral(lambda t: psi(mp_value(prof, t)) * mp_value(weight, t), prof, weight)
+    return mp_integral(lambda t: psi(mp_value(prof, t)) * mp_value(weight, t), prof, weight, kinks=kinks)
 
 
 def certified(value, oracle):
@@ -249,6 +250,27 @@ class TestRegressions:
         assert certified(got, mp_modular(spec, p, w))
         if spec == "llogl":
             assert got == pytest.approx(6.41321022684, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "p, w",
+        [
+            (
+                D(((133.98971640540088, 0.45382227222137256),),
+                  head=I(128.31509970069015, 0.16987193794021554, 0.7751137998796229)).scale(0.006710575059),
+                D(((2.0, 0.75), (0.5, 1.5))),
+            ),
+            (D((), head=L(0.13, 1.0)), None),
+        ],
+        ids=["inv-head", "log-head"],
+    )
+    def test_head_across_the_llogl_kink(self, p, w):
+        # Psi = s log^+ s has a kink at 1, inside the head's pieces: at
+        # t = 0.4146 for the inverse-power head (its modular was 4e-6 low),
+        # at t = exp(-1/0.13) for the log head
+        h = p.head
+        kink = math.exp(-1.0 / h.coeff) if isinstance(h, L) else h.coeff ** (1.0 / h.exponent)
+        got = rr.modular(yg.zygmund_llogl(), p, w)
+        assert certified(got, mp_modular("llogl", p, w, kinks=(kink,)))
 
     def test_identity_on_a_power_tail(self):
         got = rr.modular(yg.identity(), D((), P(1.0, 2.0)))

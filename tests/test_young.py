@@ -96,6 +96,29 @@ class TestComplement:
         for b in jumps:
             assert young.density(b * (1 + 1e-9)) - young.density(b * (1 - 1e-9)) >= 0.5
 
+    @pytest.mark.parametrize("base, inverse", [
+        (yg.cosh_minus_1(), np.arcsinh),
+        (yg.power(3), lambda v: np.sqrt(v / 3.0)),
+        (yg.power(1.5), lambda v: (v / 1.5) ** 2),
+    ], ids=["cosh-1", "power:3", "power:1.5"])
+    def test_numeric_inverse_density_near_the_floor(self, base, inverse):
+        # roots from 1e-299 to 1e-8, where lo * hi of the geometric
+        # bisection, lo starting at 1e-300, can be subnormal or 0; v itself
+        # is kept normal
+        v = base.density(np.geomspace(1e-299, 1e-8, 400))
+        v = v[v >= 1e-300]
+        got = yg.NumericConjugate(base).density(v)
+        assert np.max(np.abs(got / inverse(v) - 1.0)) <= 1e-15
+
+    def test_numeric_inverse_density_unchanged_above_the_floor(self):
+        class PlainMidpoint(yg.NumericConjugate):
+            _TINY = 0.0  # never subnormal: always the midpoint np.sqrt(lo * hi)
+
+        v = np.exp(np.random.default_rng(9).uniform(math.log(1e-149), math.log(1e20), 4000))
+        for base in ALL_CATALOG:
+            got = yg.NumericConjugate(base).density(v)
+            assert np.array_equal(got, PlainMidpoint(base).density(v)), base.name
+
     def test_numeric_involution_for_strictly_increasing_density(self):
         y = yg.xlog1p()
         back = yg.complement(yg.complement(y, numeric=True), numeric=True)
