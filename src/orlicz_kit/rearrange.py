@@ -861,7 +861,9 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     def integrand_t(t):
         return young._eval_arr(c * t ** (-th)) * w.value(t)
 
-    kinks = [(c / b) ** (1.0 / th) for b in young.kinks if b > 0]
+    # only crossings t < m, tested in logs: past m the power could overflow
+    lm = th * math.log(m)
+    kinks = [(c / b) ** (1.0 / th) for b in young.kinks if b > 0 and math.log(c) - math.log(b) < lm]
     value = _integrate(integrand_t, _cut(_decade_split(eps, m), kinks))
     # a cutoff clamped at 1e-280 drops more than 0.5*_ATOL; accept it only
     # within half the relative budget

@@ -573,8 +573,11 @@ class NumericConjugate(YoungFunction):
             capped = (hi >= self._HI_CAP) & (self.base._density_arr(hi) < v)
             lo = np.full_like(v, self._FLOOR)
             # lo * hi >= _FLOOR * root turns subnormal, losing its precision
-            # (or 0), only for roots below tiny / _FLOOR
-            deep = bool(np.any(self.base._density_arr(np.asarray(self._TINY / self._FLOOR)) >= v))
+            # (or 0), only for roots below tiny / _FLOOR; the guarded midpoint
+            # runs only when such a root is bisected (run on every call, it
+            # costs about 7% of step-norms throughput)
+            bisected = v[(v > 0) & ~zero_root]
+            deep = bool(np.any(self.base._density_arr(np.asarray(self._TINY / self._FLOOR)) >= bisected))
             # geometric bisection: relative precision across all magnitudes
             for _ in range(self._BISECT_ITERS):
                 prod = lo * hi

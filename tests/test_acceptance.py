@@ -3,7 +3,7 @@
 Runs the same registry as `orlicz-kit verify --seed 42` and prints one
 pass/fail line per criterion.  Criterion 12 (determinism) re-runs criteria
 1-11 and compares canonical report bytes, so this module executes the full
-suite twice; expect a couple of minutes.
+suite twice; expect about half a minute.
 """
 
 import pytest

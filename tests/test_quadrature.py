@@ -272,6 +272,27 @@ class TestRegressions:
         got = rr.modular(yg.zygmund_llogl(), p, w)
         assert certified(got, mp_modular("llogl", p, w, kinks=(kink,)))
 
+    @pytest.mark.parametrize(
+        "p",
+        [D((), head=I(1e31, 0.1, 1.0)), D((), head=I(1.0, 0.3, 1.0)).scale(1e100)],
+        ids=["1e31-theta-0.1", "1e100-theta-0.3"],
+    )
+    def test_large_head_with_its_kink_crossing_far_past_the_head(self, p):
+        # the head meets the llogl kink at t = c^(1/theta) >= 1e310, which
+        # overflows a float power; the crossing lies outside the head anyway
+        got = rr.modular(yg.zygmund_llogl(), p)
+        assert certified(got, mp_modular("llogl", p))
+        # Psi = (s - 1)^+: a density jump at 1, the crossing at 1e333
+        got = rr.modular(yg.tabulated([0.0, 1.0, 1.0], [0.0, 0.0, 1.0]), p)
+        c, th = p.head.coeff, p.head.exponent
+        assert got == pytest.approx(c / (1.0 - th) - 1.0, rel=1e-12)
+
+    def test_luxemburg_norm_of_a_large_head_across_the_llogl_kink(self):
+        p = D((), head=I(1.0, 0.3, 1.0)).scale(1e93)
+        got = cs.luxemburg_norm(yg.zygmund_llogl(), p)
+        assert got.converged
+        assert mp_modular("llogl", p.scale(1.0 / got.value)) == pytest.approx(1.0, rel=1e-9)
+
     def test_identity_on_a_power_tail(self):
         got = rr.modular(yg.identity(), D((), P(1.0, 2.0)))
         assert certified(got, 1.0)
