@@ -30,7 +30,7 @@ from .quantum_space import (
     counting_trace,
     nc_norm,
 )
-from .rearrange import hl_partial
+from .rearrange import hl_partials
 from .young import YoungFunction
 
 __all__ = [
@@ -120,7 +120,7 @@ class KrausMap:
         acc = sum(k.conj().T @ k for k in self.operators)
         return acc
 
-    @property
+    @cached_property
     def trace_domination(self) -> float:
         return float(np.max(np.linalg.eigvalsh(self._kk)))
 
@@ -203,7 +203,11 @@ def majorization_check(
 ) -> MajorizationReport:
     """Hardy-Littlewood submajorization g << f: partial integrals of mu(g)
     never exceed those of mu(f), checked at the breakpoints of both profiles
-    plus any extra alphas, within `tol` absolute."""
+    plus any extra alphas, within `tol` absolute.
+
+    The partials at all alphas come from one searchsorted per profile into
+    its prefix table, O((n_f + n_g) log n) for n_f and n_g steps; a matrix
+    argument's spectrum is solved once per observable."""
     pf = _as_profile(f, trace)
     pg = _as_profile(g, trace)
     alphas = {a for a in (*pf.cuts(), *pg.cuts()) if a > 0}
@@ -212,7 +216,7 @@ def majorization_check(
     if not alphas:
         alphas = {1.0}
     ordered = tuple(sorted(alphas))
-    margins = tuple(hl_partial(pf, a) - hl_partial(pg, a) for a in ordered)
+    margins = tuple((hl_partials(pf, ordered) - hl_partials(pg, ordered)).tolist())
     majorized = all(m >= -tol for m in margins)
     return MajorizationReport(majorized, ordered, margins)
 

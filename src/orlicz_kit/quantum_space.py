@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,15 @@ class MatrixObservable:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Read-only eigenvalues, ascending, of the entries (hermitian) or of
+        a* a: the one eigensolve every spectral function of `a` reads."""
+        arr = self.entries if self.hermitian else self.entries.conj().T @ self.entries
+        evals = np.linalg.eigvalsh(arr)
+        evals.setflags(write=False)
+        return evals
 
     @staticmethod
     def from_array(a, hermitian: bool | None = None) -> "MatrixObservable":
@@ -166,18 +176,17 @@ def scaled_trace(c: float) -> TraceFunctional:
 
 
 def singular_values(a: MatrixObservable) -> np.ndarray:
-    """Singular values sorted decreasingly.
+    """Singular values sorted decreasingly, as a fresh array.
 
     Hermitian matrices use a direct eigensolve (|a| has eigenvalues
     |lambda_i|, with no conditioning loss); general matrices go through the
-    hermitian eigensolve of a* a followed by a square root.  Values below
-    1e-12 * s_max are zeroed."""
+    hermitian eigensolve of a* a followed by a square root.  The eigensolve
+    runs once per observable and is kept on it; each call derives its own
+    copy.  Values below 1e-12 * s_max are zeroed."""
     if a.hermitian:
-        s = np.sort(np.abs(np.linalg.eigvalsh(a.entries)))[::-1]
+        s = np.sort(np.abs(a._spectrum))[::-1]
     else:
-        gram = a.entries.conj().T @ a.entries
-        evals = np.linalg.eigvalsh(gram)
-        s = np.sqrt(np.clip(evals, 0.0, None))[::-1]
+        s = np.sqrt(np.clip(a._spectrum, 0.0, None))[::-1]
     if s.size and s[0] > 0:
         s[s <= _EIG_ZERO_TOL * s[0]] = 0.0
     return s
@@ -309,14 +318,18 @@ def nc_entropy(
     f: MatrixObservable, trace: TraceFunctional | None = None, eps: float = 0.0
 ) -> float:
     """tau(f log(f + eps)) for positive semidefinite f; eps = 0 uses the
-    0 * log(0) = 0 convention on the kernel."""
+    0 * log(0) = 0 convention on the kernel.  An observable flagged
+    hermitian reuses its kept eigenvalues."""
     trace = trace or counting_trace()
     if eps < 0:
         raise DomainError("eps must be >= 0")
     arr = f.entries
-    if not _is_hermitian(arr):
+    if f.hermitian:
+        evals = f._spectrum
+    elif _is_hermitian(arr):
+        evals = np.linalg.eigvalsh(arr)
+    else:
         raise DomainError("entropy requires a hermitian matrix")
-    evals = np.linalg.eigvalsh(arr)
     if np.min(evals) < -1e-12 * max(float(np.max(np.abs(arr))), 1.0):
         raise DomainError("entropy requires a positive semidefinite matrix")
     lam = np.clip(evals, 0.0, None)

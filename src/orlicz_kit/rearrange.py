@@ -40,8 +40,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 # Unused here (the quadrature is _integrate); kept because perfbench/tracing.py
@@ -70,6 +72,7 @@ __all__ = [
     "load_json_input",
     "rearrange",
     "hl_partial",
+    "hl_partials",
     "modular",
     "modular_is_finite",
     "cross_integral",
@@ -384,6 +387,16 @@ class DecreasingProfile:
     def _level_array(self) -> np.ndarray:
         return np.asarray([l for l, _ in self.steps])
 
+    @cached_property
+    def _hl_table(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The left end of each step, and the integral up to each left end
+        and past the last step: the head's partial, then level * length per
+        step, summed left to right."""
+        starts = (self.head_width, *self.step_edges)[: len(self.steps)]
+        head = self.head.partial(self.head_width) if self.head is not None else 0.0
+        pieces = (l * (e - t) for (l, _), e, t in zip(self.steps, self.step_edges, starts))
+        return starts, tuple(accumulate(pieces, initial=head))
+
     @property
     def steps_end(self) -> float:
         return self.step_edges[-1] if self.steps else self.head_width
@@ -528,24 +541,42 @@ def rearrange(f: SimpleFunction) -> DecreasingProfile:
 
 
 def hl_partial(p: DecreasingProfile, alpha: float) -> float:
-    """Exact integral of the profile over (0, alpha]; alpha may be inf."""
-    if alpha <= 0:
+    """Exact integral of the profile over (0, alpha]; alpha may be inf.
+
+    One bisection into the profile's prefix table and one multiply-add, so
+    O(log n) in the number of steps; a NaN or alpha <= 0 raises."""
+    if not alpha > 0:
         raise DomainError("hl_partial needs alpha > 0")
-    total = 0.0
-    hw = p.head_width
-    if p.head is not None:
-        total += p.head.partial(min(alpha, hw))
-        if alpha <= hw:
-            return total
-    t = hw
-    for (lvl, w), edge in zip(p.steps, p.step_edges):
-        if alpha <= t:
-            return total
-        total += lvl * (min(alpha, edge) - t)
-        t = edge
+    if alpha <= p.head_width:
+        return p.head.partial(alpha)
+    starts, prefix = p._hl_table
+    k = bisect_right(p.step_edges, alpha)
+    if k < len(starts):
+        return prefix[k] + p.steps[k][0] * (alpha - starts[k])
     if p.tail is not None and alpha > p.steps_end:
-        total += p.tail.partial(alpha - p.steps_end)
-    return total
+        return prefix[k] + p.tail.partial(alpha - p.steps_end)
+    return prefix[k]
+
+
+def hl_partials(p: DecreasingProfile, alphas) -> np.ndarray:
+    """hl_partial at each of an array of alphas, bit for bit the same: one
+    searchsorted into the same prefix table."""
+    a = np.asarray(alphas, dtype=float)
+    if not np.all(a > 0):
+        raise DomainError("hl_partial needs alpha > 0")
+    starts, prefix = p._hl_table
+    k = np.searchsorted(p._edge_array, a, side="right")
+    out = np.asarray(prefix)[k]
+    inner = k < len(starts)
+    ki = k[inner]
+    out[inner] += p._level_array[ki] * (a[inner] - np.asarray(starts)[ki])
+    if p.head is not None:
+        head = a <= p.head_width
+        out[head] = [p.head.partial(x) for x in a[head].tolist()]
+    if p.tail is not None:
+        tail = a > p.steps_end
+        out[tail] = [prefix[-1] + p.tail.partial(x - p.steps_end) for x in a[tail].tolist()]
+    return out
 
 
 # ----------------------------------------------------------------------------

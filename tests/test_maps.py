@@ -116,6 +116,41 @@ class TestMajorization:
             assert m == pytest.approx(rr.hl_partial(pf, a) - rr.hl_partial(pg, a), abs=1e-14)
 
 
+def step_partial(p, alpha):
+    """Reference partial integral of a step profile: the plain walk."""
+    total, t = 0.0, 0.0
+    for lvl, w in p.steps:
+        if alpha <= t:
+            break
+        total += lvl * (min(alpha, t + w) - t)
+        t += w
+    return total
+
+
+class TestMajorizationOracle:
+    @pytest.mark.parametrize("kind", ["hermitian", "general", "positive"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 33, 128])
+    def test_margins_equal_per_alpha_oracle(self, kind, n):
+        rng = np.random.default_rng(n)
+        g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+        arr = {"hermitian": (g + g.conj().T) / 2.0, "general": g, "positive": g.conj().T @ g}[kind]
+        a = qs.MatrixObservable.from_array(arr, hermitian=kind != "general")
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        images = [mps.Pinching(tuple(tuple(int(i) for i in b) for b in np.split(np.arange(n), cuts)))]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        images.append(mps.KrausMap((q / math.sqrt(2.0), np.eye(n) / math.sqrt(2.0))))
+        for T in images:
+            ta = T.apply(a)
+            grid = rng.uniform(0.0, n + 2.0, 6)
+            rep = mps.majorization_check(a, ta, alpha_grid=grid)
+            pf, pg = qs.singular_profile(a), qs.singular_profile(ta)
+            expected = sorted({*pf.cuts(), *pg.cuts(), *grid.tolist()})
+            assert rep.alphas == tuple(expected)
+            oracle = [step_partial(pf, x) - step_partial(pg, x) for x in expected]
+            assert [m.hex() for m in rep.margins] == [m.hex() for m in oracle]
+            assert rep.majorized == all(m >= -1e-12 for m in oracle)
+
+
 class TestExtensionBoundedness:
     def test_pinching_contracts(self):
         rng = np.random.default_rng(5)
@@ -143,6 +178,13 @@ class TestExtensionBoundedness:
         # norm homogeneity: ratio is exactly 1/2
         assert all(r == pytest.approx(0.5, rel=1e-12) for r in rep.ratios)
         assert rep.bounded
+
+    def test_kraus_trace_domination_solved_once(self, monkeypatch):
+        T = mps.KrausMap((np.eye(3) * 2.0, np.diag([1.0, 0.0, 0.5])))
+        solve, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or solve(x))
+        assert T.trace_domination == T.to_dict()["C"] == 5.0
+        assert len(calls) == 1
 
     def test_budget_respected(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orlicz_kit import classical_space as cs
+from orlicz_kit import maps as mps
 from orlicz_kit import quantum_space as qs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
@@ -352,6 +353,64 @@ class TestQuantumRegularity:
             for g in cases:
                 rep = qs.quantum_pistone_sempi_crosscheck(g, w)
                 assert rep.agrees
+
+
+class TestSpectrumCache:
+    """Each observable's eigensolve runs once, whatever reads its spectrum."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solve, calls = qs.np.linalg.eigvalsh, []
+        monkeypatch.setattr(qs.np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or solve(x))
+        return calls
+
+    @pytest.mark.parametrize("positive", [True, False], ids=["hermitian", "general"])
+    def test_one_solve_per_observable(self, monkeypatch, positive):
+        rng = np.random.default_rng(31)
+        a = random_matrix(rng, 6, positive=positive)
+        assert a.hermitian == positive
+        calls = self.count_solves(monkeypatch)
+        young = yg.cosh_minus_1()
+        qs.nc_norm(young, a)
+        qs.kunze_modular(young, a, lam=1.5)
+        qs.singular_profile(a)
+        if positive:
+            qs.nc_entropy(a)
+        else:
+            with pytest.raises(DomainError):
+                qs.nc_entropy(a)
+        assert len(calls) == 1
+        pin = mps.Pinching(((0, 1, 2), (3, 4, 5)))
+        ta = pin.apply(a)
+        mps.majorization_check(a, ta)
+        mps.majorization_check(a, ta)
+        qs.nc_norm(young, ta)
+        assert len(calls) == 2
+        mps.majorization_check(a, mps.Pinching(((0, 1), (2, 3, 4, 5))).apply(a))
+        assert len(calls) == 3
+
+    def test_unflagged_hermitian_entropy_solves_as_before(self, monkeypatch):
+        f = qs.MatrixObservable(np.diag([0.5, 0.25]), hermitian=False)
+        calls = self.count_solves(monkeypatch)
+        assert qs.nc_entropy(f) == 0.5 * math.log(0.5) + 0.25 * math.log(0.25)
+        assert len(calls) == 1
+
+    def test_entropy_bits_match_a_fresh_solve(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 5, 64):
+            f = random_matrix(rng, n, positive=True)
+            fresh = qs.MatrixObservable(f.entries, hermitian=False)
+            assert qs.nc_entropy(f).hex() == qs.nc_entropy(fresh).hex()
+
+    def test_mutating_the_result_leaves_the_cache_intact(self):
+        rng = np.random.default_rng(33)
+        for positive in (True, False):
+            a = random_matrix(rng, 5, positive=positive)
+            s = qs.singular_values(a)
+            original = s.copy()
+            s[:] = -1.0
+            assert np.array_equal(qs.singular_values(a), original)
+            assert qs.singular_profile(a).steps[0][0] == original[0]
 
 
 class TestNcEntropy:

@@ -191,7 +191,94 @@ class TestHeadAndTail:
             build()
 
 
+def loop_hl_partial(p, alpha):
+    """Reference partial integral: the plain O(n) walk over the steps,
+    adding level * covered length left to right."""
+    total = 0.0
+    hw = p.head_width
+    if p.head is not None:
+        total += p.head.partial(min(alpha, hw))
+        if alpha <= hw:
+            return total
+    t = hw
+    for (lvl, _), edge in zip(p.steps, p.step_edges):
+        if alpha <= t:
+            return total
+        total += lvl * (min(alpha, edge) - t)
+        t = edge
+    if p.tail is not None and alpha > p.steps_end:
+        total += p.tail.partial(alpha - p.steps_end)
+    return total
+
+
+def random_profile(rng, head_kind, tail_kind):
+    """A valid profile with the given ends and 0-8 steps; levels may end at
+    0 when there is no tail."""
+    n = int(rng.integers(0, 9))
+    levels = np.sort(rng.uniform(0.1, 10.0, n))[::-1]
+    if n and tail_kind is None and rng.random() < 0.3:
+        levels[-1] = 0.0
+    if len(set(levels.tolist())) < n:
+        return None
+    steps = tuple((float(l), float(w)) for l, w in zip(levels, rng.uniform(0.01, 3.0, n)))
+    top = levels[0] if n else 1.0
+    bottom = levels[-1] if n else top
+    tail = None
+    if tail_kind == "exponential":
+        tail = rr.ExponentialTail(bottom * rng.uniform(0.1, 1.0), rng.uniform(0.1, 3.0))
+    elif tail_kind == "power":
+        offset, expo = rng.uniform(0.5, 2.0), float(rng.choice([0.5, 1.0, 2.5]))
+        tail = rr.PowerTail(bottom * rng.uniform(0.1, 1.0) * offset**expo, expo, offset)
+    top = max(top, tail.junction if tail is not None else 0.1)
+    head = None
+    if head_kind == "log_singularity":
+        width = rng.uniform(0.05, 0.9)
+        head = rr.LogSingularity(top * rng.uniform(1.0, 3.0) / math.log(1.0 / width), width)
+    elif head_kind == "inv_power":
+        width, expo = rng.uniform(0.05, 2.0), float(rng.choice([0.3, 0.8, 1.0, 1.5]))
+        head = rr.InvPowerSingularity(top * rng.uniform(1.0, 3.0) * width**expo, expo, width)
+    return rr.DecreasingProfile(steps, tail, head)
+
+
+def probe_alphas(rng, p):
+    """Every cut, points between cuts, inside the head, past the steps, inf."""
+    cuts = [c for c in p.cuts() if c > 0]
+    pts = [0.0, *cuts, p.steps_end]
+    mids = [lo + f * (hi - lo) for lo, hi in zip(pts, pts[1:]) for f in (1e-12, 0.5, 1 - 1e-12)]
+    end = max(p.steps_end, 1e-3)
+    past = [end * (1 + 1e-15), end + 1e-9, end * 1.5, end + 7.0, end * 1e6]
+    inside = [p.head_width * f for f in (1e-300, 1e-9, 0.3)] if p.head is not None else []
+    return [a for a in (*cuts, *mids, *past, *inside, *rng.uniform(0.0, 2 * end, 5), math.inf) if a > 0]
+
+
 class TestHlPartial:
+    HEADS = (None, "log_singularity", "inv_power")
+    TAILS = (None, "exponential", "power")
+
+    @pytest.mark.parametrize("head_kind", HEADS)
+    @pytest.mark.parametrize("tail_kind", TAILS)
+    def test_table_equals_plain_loop(self, head_kind, tail_kind):
+        rng = np.random.default_rng(2024)
+        seen = 0
+        for _ in range(120):
+            p = random_profile(rng, head_kind, tail_kind)
+            if p is None:
+                continue
+            alphas = probe_alphas(rng, p)
+            expected = [loop_hl_partial(p, a).hex() for a in alphas]
+            assert [rr.hl_partial(p, a).hex() for a in alphas] == expected
+            assert [float(x).hex() for x in rr.hl_partials(p, alphas)] == expected
+            seen += len(alphas)
+        assert seen > 2000
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, -math.inf])
+    def test_rejects_alpha_not_positive(self, alpha):
+        p = rr.DecreasingProfile(((3.0, 1.0), (1.0, 1.0)), rr.ExponentialTail(0.5, 1.0))
+        with pytest.raises(DomainError):
+            rr.hl_partial(p, alpha)
+        with pytest.raises(DomainError):
+            rr.hl_partials(p, [1.0, alpha])
+
     def test_steps(self):
         p = rr.DecreasingProfile(((3.0, 1.0), (1.0, 2.0)))
         assert rr.hl_partial(p, 2.0) == 4.0
