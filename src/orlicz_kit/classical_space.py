@@ -189,14 +189,6 @@ def _as_profile_weight(f, weight):
     raise DomainError(f"unsupported input type {type(f).__name__}")
 
 
-def _first_scale(finite) -> float | None:
-    """The largest lambda of _LAMBDA_GRID with finite(lambda), for a test
-    that stays true at every smaller lambda; None when it fails at the floor."""
-    last = len(_LAMBDA_GRID) - 1
-    k = _first_holding(lambda k: finite(_LAMBDA_GRID[k]), lambda k: min(k, last))
-    return None if k is None else _LAMBDA_GRID[k]
-
-
 def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
     """Is f in L^Psi, i.e. is the modular of lambda*f finite for some
     lambda > 0?  Returns the largest such lambda of a geometric grid from 1
@@ -211,10 +203,10 @@ def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
         # finiteness threshold
         if math.isinf(young.finite_threshold):
             return MembershipReport(True, 1.0 if math.isfinite(young.eval(p.sup_value)) else None)
-        lam = _first_scale(lambda lam: math.isfinite(young.eval(lam * p.sup_value)))
+        lam = _first_holding(lambda lam: math.isfinite(young.eval(lam * p.sup_value)), _LAMBDA_GRID)
         if lam is not None:
             return MembershipReport(True, lam)
-    lam = _first_scale(lambda lam: modular_is_finite(young, p.scale(lam), w))
+    lam = _first_holding(lambda lam: modular_is_finite(young, p.scale(lam), w), _LAMBDA_GRID)
     return MembershipReport(lam is not None, lam)
 
 

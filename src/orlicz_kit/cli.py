@@ -314,12 +314,7 @@ def cmd_verify(seed, only, fmt, out, timings):
             click.echo(
                 f"[{mark}] criterion {c['cid']:2d}: {c['name']} ({c['measured']}; tol {c['tolerance']})"
             )
-        if out is not None:
-            _emit(report, out, fmt)
-        elif fmt == "csv":
-            click.echo(vf.render_csv(report), nl=False)
-        else:
-            click.echo(json.dumps(report, sort_keys=True, indent=2))
+        _emit(report, out, fmt)
         if not report["all_passed"]:
             sys.exit(EXIT_FAIL)
 

@@ -20,8 +20,9 @@ integrate exactly in closed form.  Pieces involving analytic heads or tails
 are decided first by hard-coded comparison tests per (growth class of Psi x
 tail kind); only certified-convergent pieces are then integrated numerically,
 with an analytic truncation bound pushed below half the absolute budget.
-Divergence is therefore always an analytic verdict, never a quadrature
-blow-up.
+Every cutoff is the first rung of a fixed geometric ladder where its bound
+holds, found by one gallop-and-bisect search, _first_holding.  Divergence
+is therefore always an analytic verdict, never a quadrature blow-up.
 
 The numerical part is one kernel, _integrate: adaptive Gauss-Kronrod 7/15
 in the style of QUADPACK (Piessens et al., 1983) that evaluates the
@@ -40,10 +41,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
 # Unused here (the quadrature is _integrate); kept because perfbench/tracing.py
@@ -861,12 +863,10 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
             k = g.degree + (0.5 if g.has_log else 0.0) + (1.0 if w_log else 0.0)
             amp = g.hi * max(c, 1.0) ** g.degree * 2.0 * (1.0 + abs(math.log(c))) * wA
             y_lo = y1
-        ymax = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
-        for _ in range(400):
-            if amp * _gamma_tail(k, r, ymax) < 0.5 * _ATOL:
-                break
-            ymax *= 1.5
-        else:
+        start = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
+        ymax = _first_holding(lambda y: amp * _gamma_tail(k, r, y) < 0.5 * _ATOL,
+                              islice(_ladder(start, 1.5), 400))
+        if ymax is None:
             raise InconclusiveQuadratureError("log head truncation did not certify")
         n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
         kinks = [b / c for b in young.kinks if b > 0]
@@ -917,38 +917,55 @@ def _past_threshold(young, profile, w: _WeightView, start: float, end: float) ->
     return math.inf if w.mass(start, lo) > 0 else lo
 
 
-def _first_holding(holds, clamp) -> int | None:
-    """The first index k >= 0 with holds(k), for a test that, once true,
-    stays true as k grows; None when it fails at the last index.
+def _ladder(start: float, factor: float):
+    """The rungs start, start*factor, (start*factor)*factor, ..., each the
+    product of the one before and factor, without end."""
+    return accumulate(repeat(factor), operator.mul, initial=start)
 
-    A gallop over the indices 0, 1, 3, 7, ..., each passed through clamp,
-    which caps it at the last index, stops at the first one that holds; a
-    bisection of the gap after the last failure then finds the index a
-    linear scan would stop at, in about 2*log2(k) tests instead of k + 1."""
+
+def _first_holding(holds, rungs) -> float | None:
+    """The first rung x of the ladder `rungs` with holds(x), for a test that,
+    once true, stays true along the ladder; None when it fails at the last.
+
+    Bentley and Yao's unbounded search: a gallop over the rung indices 0, 1,
+    3, 7, ..., capped at the last rung, stops at the first one that holds; a
+    bisection of the gap after the last failure then finds the rung a linear
+    scan would stop at, in about 2*log2(k) tests instead of k + 1.  The
+    ladder is read lazily, at most 2k + 2 rungs of it.  The ladders in use:
+
+      * log head, in y = log(1/t): from max(y_lo, y1 + 1, 2/max(r, 1e-3)),
+        x1.5, 400 rungs;
+      * exponential tail length: from max(10/rate, 1), x1.6, 200 rungs;
+      * power tail length: from max(offset, 1, the envelope's validity), x1.6,
+        while at most 1e300 (the first rung always);
+      * singular piece of cross_integral, eps: from b, x0.1, up to the first
+        rung below 1e-290;
+      * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving."""
+    rungs = iter(rungs)
+    seen: list[float] = []
     failed, k = -1, 0
-    while not holds(k):
-        failed, k = k, clamp(2 * k + 1)
+    while True:
+        seen.extend(islice(rungs, k + 1 - len(seen)))
+        k = min(k, len(seen) - 1)
         if k == failed:
             return None
+        if holds(seen[k]):
+            break
+        failed, k = k, 2 * k + 1
     while k - failed > 1:
         mid = (failed + k) // 2
-        if holds(mid):
+        if holds(seen[mid]):
             k = mid
         else:
             failed = mid
-    return k
+    return seen[k]
 
 
 def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> float:
     """Certified truncation length u of a power tail starting at lo: the
-    first rung of the ladder u0, 1.6*u0, 1.6*1.6*u0, ... (u0 = max(offset, 1)
-    and past the envelope's validity) whose bound on the mass of Psi(p) w
-    beyond lo + u is below half of _ATOL.
-
-    The bound falls as u grows, so _first_holding finds the rung a linear
-    scan would stop at.  The rungs are built lazily by the same repeated
-    product, so u is bit-identical to the scan's.  Raises when no rung up to
-    1e300 certifies."""
+    first rung of its _first_holding ladder whose bound on the mass of
+    Psi(p) w beyond lo + u is below half of _ATOL.  Raises when no rung up
+    to 1e300 certifies."""
     so = young.small_order()
     if so is None:
         raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
@@ -980,18 +997,11 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
             )
         return bool(cands) and min(cands) < 0.5 * _ATOL
 
-    rungs = [u]
-
-    def rung(k: int) -> int:
-        """Index k, or the last rung when the ladder stops below k."""
-        while len(rungs) <= k and rungs[-1] * 1.6 <= 1e300:
-            rungs.append(rungs[-1] * 1.6)
-        return min(k, len(rungs) - 1)
-
-    k = _first_holding(lambda k: certifies(rungs[k]), rung)
-    if k is None:
+    rungs = chain([u], takewhile(lambda x: x <= 1e300, _ladder(u * 1.6, 1.6)))
+    u = _first_holding(certifies, rungs)
+    if u is None:
         raise InconclusiveQuadratureError("power tail truncation did not certify")
-    return rungs[k]
+    return u
 
 
 def _tail_region_value(
@@ -1026,17 +1036,17 @@ def _tail_region_value(
         # Psi(x) <= (Psi(j)/j) * x below the junction value j (convexity)
         j = max(junction, 1e-300)
         slope = float(young.eval(j)) / j
-        u = max(10.0 / tail.rate, 1.0)
-        for _ in range(200):
+
+        def certifies(u: float) -> bool:
             rem_cap = slope * tail.amplitude / tail.rate * math.exp(-tail.rate * u)
             rem = rem_cap * w.value(lo + u)
             wm = w.mass(lo + u, math.inf)
             if math.isfinite(wm):
                 rem = min(rem, slope * tail.amplitude * math.exp(-tail.rate * u) * wm)
-            if rem < 0.5 * _ATOL:
-                break
-            u *= 1.6
-        else:
+            return rem < 0.5 * _ATOL
+
+        u = _first_holding(certifies, islice(_ladder(max(10.0 / tail.rate, 1.0), 1.6), 200))
+        if u is None:
             raise InconclusiveQuadratureError("exponential tail truncation did not certify")
     else:
         u = _power_tail_cutoff(young, tail, w, lo)
@@ -1214,15 +1224,19 @@ def _singular_piece(heads, other, integrand, b: float) -> float:
     r_sup = 1.0 if other is None else other.sup_value
     if r_sup == 0.0:
         return 0.0
-    eps = b
-    while True:
-        h = _heads_partial(heads, eps)
-        if math.isinf(h):
-            return math.inf
-        r_inf = r_sup if other is None or other.steps else other.value(eps)
-        if (r_sup - r_inf) * h < 0.5 * _ATOL:
-            break
-        if eps < 1e-290:
-            raise InconclusiveQuadratureError("singular piece truncation did not certify")
-        eps *= 0.1
+    h = _heads_partial(heads, b)
+    if math.isinf(h) or other is None or other.steps:
+        return r_sup * h
+    parts = {}
+
+    def certifies(eps: float) -> bool:
+        parts[eps] = r_inf, h = other.value(eps), _heads_partial(heads, eps)
+        return (r_sup - r_inf) * h < 0.5 * _ATOL
+
+    # b, b/10, ...: the ladder ends at its first rung below 1e-290
+    decades = (e * 0.1 for e in takewhile(lambda e: e >= 1e-290, _ladder(b, 0.1)))
+    eps = _first_holding(certifies, chain([b], decades))
+    if eps is None:
+        raise InconclusiveQuadratureError("singular piece truncation did not certify")
+    r_inf, h = parts[eps]
     return r_inf * h + (_integrate(integrand, _decade_split(eps, b)) if eps < b else 0.0)

@@ -35,10 +35,6 @@ class CriterionResult:
     measured: str
     tolerance: str
 
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] criterion {self.cid:2d}: {self.name} ({self.measured}; tol {self.tolerance})"
-
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.PCG64(1_000_003 * seed + salt))

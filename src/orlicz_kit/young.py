@@ -548,8 +548,9 @@ class NumericConjugate(YoungFunction):
     density(v) is the generalized inverse inf{w : psi(w) >= v} found by
     monotone bisection; eval(t) uses the conjugate identity
     Phi(t) = t*phi(t) - Psi(phi(t)).  Arguments whose inverse would exceed
-    ~1e15 evaluate to +inf.  Growth traits are not derived, so profiles with
-    analytic tails cannot be integrated against a numeric conjugate.
+    _HI_CAP = 1e300 evaluate to +inf.  Growth traits are not derived, so
+    profiles with analytic tails cannot be integrated against a numeric
+    conjugate.
     """
 
     base: YoungFunction

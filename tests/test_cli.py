@@ -198,6 +198,53 @@ class TestCheck:
         assert res.stdout == "" and res.stderr == f"domain error: {message}\n"
 
 
+# the stdout of `verify --seed 42 --only entropy`: one line per criterion,
+# then the report in the chosen format
+VERIFY_ENTROPY_LINES = (
+    "[PASS] criterion  6: entropy bounds with explicit constants (bound fails 0, tightness"
+    " ratios (1.000, 1.001); tol 0 fails; ratios within 10x)\n"
+    "[PASS] criterion  9: quantum entropy bounds and eps-monotonicity (bound fails 0,"
+    " eps-monotonicity fails 0; tol 0; 0)\n"
+)
+VERIFY_ENTROPY_REPORT = {
+    "json": """{
+  "all_passed": true,
+  "config_digest": "f76a1128e4b07543",
+  "criteria": [
+    {
+      "cid": 6,
+      "measured": "bound fails 0, tightness ratios (1.000, 1.001)",
+      "name": "entropy bounds with explicit constants",
+      "passed": true,
+      "tags": [
+        "classical"
+      ],
+      "tolerance": "0 fails; ratios within 10x"
+    },
+    {
+      "cid": 9,
+      "measured": "bound fails 0, eps-monotonicity fails 0",
+      "name": "quantum entropy bounds and eps-monotonicity",
+      "passed": true,
+      "tags": [
+        "quantum"
+      ],
+      "tolerance": "0; 0"
+    }
+  ],
+  "only": "entropy",
+  "seed": 42,
+  "tool": "orlicz-kit",
+  "version": "0.1.0"
+}
+""",
+    "csv": """cid,name,passed,measured,tolerance
+6,"entropy bounds with explicit constants",True,"bound fails 0, tightness ratios (1.000, 1.001)","0 fails; ratios within 10x"
+9,"quantum entropy bounds and eps-monotonicity",True,"bound fails 0, eps-monotonicity fails 0","0; 0"
+""",
+}
+
+
 class TestVerify:
     def test_subset_run_and_determinism_bytes(self, runner, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -216,6 +263,12 @@ class TestVerify:
         )
         assert res.exit_code == 0
         assert "cid,name,passed" in res.output
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_stdout(self, runner, fmt):
+        res = runner.invoke(main, ["verify", "--seed", "42", "--only", "entropy", "--format", fmt])
+        assert res.exit_code == 0
+        assert res.output == VERIFY_ENTROPY_LINES + VERIFY_ENTROPY_REPORT[fmt]
 
     def test_only_filter_by_id(self, runner):
         res = runner.invoke(main, ["verify", "--seed", "7", "--only", "6"])

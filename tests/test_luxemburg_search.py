@@ -1,7 +1,8 @@
 """The Luxemburg root search (safeguarded Illinois regula falsi on
 (log lambda, log modular)) against closed forms and a plain-bisection
-oracle, its report invariants, its work counts, and the power-tail
-truncation search against a linear scan."""
+oracle, its report invariants, its work counts, and the truncation
+searches (power tail, log head, exponential tail, singular piece) against
+linear scans of their ladders."""
 
 import json
 import math
@@ -281,3 +282,215 @@ def test_power_tail_cutoff_raises_without_a_bound():
         linear_scan_cutoff(yg.identity(), back, w, 0.0)
     with pytest.raises(InconclusiveQuadratureError, match="did not certify"):
         rr._power_tail_cutoff(yg.identity(), back, w, 0.0)
+
+
+# The other certified cutoffs against linear scans of their ladders.  Each
+# scan restates the truncation bound of the code; the code's cutoff is the
+# rung its ladder search returned, with the quadrature stubbed out.
+
+
+def searched_cutoff(monkeypatch, fn, *args):
+    """The rung rr._first_holding returned while fn(*args) ran, None when
+    fn did not search, or the message of the InconclusiveQuadratureError it
+    raised."""
+    found = []
+    search = rr._first_holding
+    monkeypatch.setattr(rr, "_first_holding", lambda holds, rungs: found.append(search(holds, rungs)) or found[-1])
+    monkeypatch.setattr(rr, "_integrate", lambda integrand, pieces: 0.0)
+    try:
+        fn(*args)
+    except InconclusiveQuadratureError as exc:
+        return str(exc)
+    finally:
+        monkeypatch.undo()
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def scanned(scan, *args):
+    """scan(*args), or the message of the InconclusiveQuadratureError it raised."""
+    try:
+        return scan(*args)
+    except InconclusiveQuadratureError as exc:
+        return str(exc)
+
+
+def linear_scan_log_head(young, head, w, m):
+    """The log-head truncation search as a linear scan over y *= 1.5."""
+    g = young.growth()
+    c, y1 = head.coeff, math.log(1.0 / m)
+    if g.kind == "exp":
+        r = 1.0 - c * g.rate - w.inv_order
+        k = 1.0 if w.has_log_head else 0.0
+        amp = g.hi * w.head_coeff
+        y_lo = max(y1, g.valid_from / c)
+    else:
+        r = 1.0 - w.inv_order
+        k = g.degree + (0.5 if g.has_log else 0.0) + (1.0 if w.has_log_head else 0.0)
+        amp = g.hi * max(c, 1.0) ** g.degree * 2.0 * (1.0 + abs(math.log(c))) * w.head_coeff
+        y_lo = y1
+    y = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
+    for _ in range(400):
+        if amp * rr._gamma_tail(k, r, y) < 0.5 * rr._ATOL:
+            return y
+        y *= 1.5
+    raise InconclusiveQuadratureError("log head truncation did not certify")
+
+
+def linear_scan_exp_tail(young, profile, w):
+    """The exponential-tail truncation search as a linear scan over u *= 1.6."""
+    tail, lo = profile.tail, profile.steps_end
+    j = max(min(profile.value(lo), young.finite_threshold), 1e-300)
+    slope = float(young.eval(j)) / j
+    u = max(10.0 / tail.rate, 1.0)
+    for _ in range(200):
+        rem = slope * tail.amplitude / tail.rate * math.exp(-tail.rate * u) * w.value(lo + u)
+        wm = w.mass(lo + u, math.inf)
+        if math.isfinite(wm):
+            rem = min(rem, slope * tail.amplitude * math.exp(-tail.rate * u) * wm)
+        if rem < 0.5 * rr._ATOL:
+            return u
+        u *= 1.6
+    raise InconclusiveQuadratureError("exponential tail truncation did not certify")
+
+
+def linear_scan_singular(heads, other, b):
+    """The singular-piece cutoff eps as a linear scan over eps *= 0.1; inf
+    when the heads' product diverges."""
+    r_sup = 1.0 if other is None else other.sup_value
+    eps = b
+    while True:
+        h = rr._heads_partial(heads, eps)
+        if math.isinf(h):
+            return math.inf
+        r_inf = r_sup if other is None or other.steps else other.value(eps)
+        if (r_sup - r_inf) * h < 0.5 * rr._ATOL:
+            return eps
+        if eps < 1e-290:
+            raise InconclusiveQuadratureError("singular piece truncation did not certify")
+        eps *= 0.1
+
+
+CUTOFF_YOUNGS = {
+    "power:1.5": yg.power(1.5),
+    "power:3": yg.power(3.0),
+    "cosh-1": yg.cosh_minus_1(),
+    "llog": yg.llog(),
+    "xlog1p": yg.xlog1p(),
+    "llogl": yg.zygmund_llogl(),
+    "lexp": yg.zygmund_exp(),
+    "identity": yg.identity(),
+}
+
+CUTOFF_WEIGHTS = {
+    "lebesgue": None,
+    "steps": rr.DecreasingProfile(((3.0, 0.5), (1.0, 2.0))),
+    "exponential": rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0)),
+    "power": rr.DecreasingProfile((), rr.PowerTail(1.0, 2.0)),
+    "power-slow": POWER_WEIGHT,
+    "inv-power-head": rr.DecreasingProfile(((1.0, 1.0),), head=rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+    "log-head": rr.DecreasingProfile(((0.5, 1.0),), head=rr.LogSingularity(1.0, 0.5)),
+    # a weight bound of 1e308 overflows every log-head bound: no rung certifies
+    "huge": rr.DecreasingProfile(((1e308, 1.0),)),
+}
+
+
+@pytest.mark.parametrize("wname", CUTOFF_WEIGHTS)
+@pytest.mark.parametrize("yname", CUTOFF_YOUNGS)
+def test_log_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
+    young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
+    w = rr._WeightView(weight)
+    checked = 0
+    for c in (0.05, 0.3, 0.9, 0.999, 2.0, 40.0):
+        for width in (0.2, 1.0):
+            head = rr.LogSingularity(c, width)
+            if rr._head_diverges(young, head, w):
+                continue
+            m = min([width, *(x for x in w.cuts() if x > 0)])
+            got = searched_cutoff(monkeypatch, rr._head_value, young, head, w, m)
+            assert got == scanned(linear_scan_log_head, young, head, w, m), (c, width)
+            checked += 1
+    assert checked > 0
+
+
+def test_log_head_cutoff_raises_when_no_rung_certifies():
+    w = rr._WeightView(CUTOFF_WEIGHTS["huge"])
+    head = rr.LogSingularity(0.5, 1.0)
+    with pytest.raises(InconclusiveQuadratureError):
+        linear_scan_log_head(yg.llog(), head, w, 1.0)
+    with pytest.raises(InconclusiveQuadratureError, match="^log head truncation did not certify$"):
+        rr.modular(yg.llog(), rr.DecreasingProfile((), head=head), CUTOFF_WEIGHTS["huge"])
+
+
+@pytest.mark.parametrize("wname", CUTOFF_WEIGHTS)
+@pytest.mark.parametrize("yname", [y for y in CUTOFF_YOUNGS if y != "llogl"])
+def test_exp_tail_cutoff_equals_linear_scan(monkeypatch, yname, wname):
+    # llogl vanishes below 1, so its tail region is cut where the tail
+    # crosses 1 instead of by a truncation bound
+    young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
+    w = rr._WeightView(weight)
+    for amp in (0.5, 3.0, 50.0, 700.0, 800.0):
+        for rate in (1e-3, 0.05, 0.7, 5.0):
+            for steps in ((), ((1.5 * amp, 0.7),)):
+                profile = rr.DecreasingProfile(steps, rr.ExponentialTail(amp, rate))
+                got = searched_cutoff(
+                    monkeypatch, rr._tail_region_value, young, profile, w, None, profile.steps_end, True
+                )
+                assert got == scanned(linear_scan_exp_tail, young, profile, w), (amp, rate, steps)
+
+
+def test_exp_tail_cutoff_raises_when_no_rung_certifies():
+    # cosh(800) - 1 overflows: the convexity slope of the bound is inf
+    profile = rr.DecreasingProfile((), rr.ExponentialTail(800.0, 1.0))
+    with pytest.raises(InconclusiveQuadratureError):
+        linear_scan_exp_tail(yg.cosh_minus_1(), profile, rr._WeightView(None))
+    with pytest.raises(InconclusiveQuadratureError, match="^exponential tail truncation did not certify$"):
+        rr.modular(yg.cosh_minus_1(), profile)
+
+
+SINGULAR_HEADS = {
+    "inv": (rr.InvPowerSingularity(1.0, 0.5, 1.0),),
+    "inv-steep": (rr.InvPowerSingularity(2.0, 0.999, 1.0),),
+    "inv-edge": (rr.InvPowerSingularity(1.0, 0.9999999999999999, 1.0),),
+    "log": (rr.LogSingularity(1.0, 1.0),),
+    "log-steep": (rr.LogSingularity(3.0, 0.5),),
+    "inv+log": (rr.InvPowerSingularity(1.0, 0.3, 1.0), rr.LogSingularity(1.0, 1.0)),
+    "inv+inv-divergent": (rr.InvPowerSingularity(1.0, 0.6, 1.0), rr.InvPowerSingularity(1.0, 0.5, 1.0)),
+}
+
+SINGULAR_OTHERS = {
+    "none": None,
+    "step": rr.DecreasingProfile(((2.0, 1.0),)),
+    "step+tail": rr.DecreasingProfile(((2.0, 1.0),), rr.ExponentialTail(1.0, 1.0)),
+    **{f"exp-{rate:g}": rr.DecreasingProfile((), rr.ExponentialTail(1.0, rate)) for rate in (1.0, 1e3, 1e100, 1e300)},
+    **{
+        f"power-{g:g}-{t0:g}": rr.DecreasingProfile((), rr.PowerTail(1.0, g, t0))
+        for g, t0 in ((0.5, 1.0), (2.0, 1e-3), (3.0, 1e-50))
+    },
+}
+
+
+@pytest.mark.parametrize("oname", SINGULAR_OTHERS)
+@pytest.mark.parametrize("hname", SINGULAR_HEADS)
+def test_singular_piece_cutoff_equals_linear_scan(monkeypatch, hname, oname):
+    heads, other = SINGULAR_HEADS[hname], SINGULAR_OTHERS[oname]
+    for b in (1e-300, 1e-3, 0.5):
+        res = searched_cutoff(monkeypatch, rr._singular_piece, heads, other, None, b)
+        want = scanned(linear_scan_singular, heads, other, b)
+        if want == math.inf:
+            assert math.isinf(rr._singular_piece(heads, other, None, b)), b
+            assert res is None, b
+        else:
+            # no search for a constant factor: the cutoff is b itself
+            assert (b if res is None else res) == want, b
+
+
+def test_singular_piece_cutoff_raises_when_no_rung_certifies():
+    # a steep head against a tail that drops from 1 to 0 within 1e-300:
+    # the gap stays 1 while the head's partial integral stays near 1e3
+    heads = SINGULAR_HEADS["inv-steep"]
+    other = SINGULAR_OTHERS["exp-1e+300"]
+    with pytest.raises(InconclusiveQuadratureError):
+        linear_scan_singular(heads, other, 0.5)
+    with pytest.raises(InconclusiveQuadratureError, match="^singular piece truncation did not certify$"):
+        rr.cross_integral(rr.DecreasingProfile((), head=heads[0]), other, 0.5)

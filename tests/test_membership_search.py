@@ -1,7 +1,9 @@
 """Membership in L^Psi by a gallop and bisection over the lambda grid,
 against a plain linear scan of the same grid and the same finiteness
 verdicts, and its exact work counts.  The scan here shares no search code
-with `classical_space`."""
+with `classical_space`.  Also the search itself, `rearrange._first_holding`
+over a ladder of rungs: its answer, its test count and how much of the
+ladder it reads."""
 
 import itertools
 import math
@@ -103,18 +105,57 @@ def test_simple_functions_match_the_linear_scan(yname, level):
 
 @pytest.mark.parametrize("first", range(len(GRID) + 1))
 def test_first_holding_on_every_threshold(first):
-    # holds from index `first` on; len(GRID) means nowhere
-    last = len(GRID) - 1
+    # holds from rung `first` on; len(GRID) means nowhere
     tested = []
 
-    def holds(k):
-        tested.append(k)
-        return k >= first
+    def holds(lam):
+        tested.append(lam)
+        return first < len(GRID) and lam <= GRID[first]
 
-    got = rr._first_holding(holds, lambda k: min(k, last))
-    assert got == (first if first <= last else None)
+    got = rr._first_holding(holds, GRID)
+    assert got == (GRID[first] if first < len(GRID) else None)
     assert len(tested) <= 2 * math.ceil(math.log2(first + 2)) + 1
     assert len(set(tested)) == len(tested)
+
+
+class CountingLadder:
+    """The rungs 0, 1, ..., n - 1, counting how many were read."""
+
+    def __init__(self, n):
+        self.n, self.read = n, 0
+
+    def __iter__(self):
+        for k in range(self.n):
+            self.read += 1
+            yield k
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3, 4, 6, 7, 8, 20, 100, 255, 256, 398, 399, 400])
+def test_first_holding_reads_the_ladder_lazily(first):
+    # a 400-rung ladder that holds from rung `first` on (400: nowhere)
+    ladder = CountingLadder(400)
+    got = rr._first_holding(lambda k: k >= first, ladder)
+    assert got == (first if first < 400 else None)
+    assert ladder.read <= min(2 * first + 2, 400)
+
+
+def test_first_holding_on_an_endless_ladder():
+    ladder = rr._ladder(1.0, 2.0)
+    assert rr._first_holding(lambda x: x > 1e100, ladder) == 2.0**333
+    # the gallop read 2^0 .. 2^511, 512 rungs, within 2k + 2 for k = 333
+    assert next(ladder) == 2.0**512
+
+
+def test_first_holding_on_an_empty_ladder():
+    assert rr._first_holding(lambda x: True, []) is None
+
+
+def test_ladder_is_the_repeated_product():
+    x, rungs = 0.3, []
+    for _ in range(50):
+        rungs.append(x)
+        x *= 1.6
+    assert list(itertools.islice(rr._ladder(0.3, 1.6), 50)) == rungs
 
 
 def count_verdicts(monkeypatch):
