@@ -237,6 +237,10 @@ class PowerTail:
     def __post_init__(self):
         if not (self.amplitude > 0 and self.exponent > 0 and self.offset > 0):
             raise DomainError("power tail needs amplitude, exponent, offset > 0")
+        try:
+            self.offset ** (-self.exponent)
+        except OverflowError:
+            raise DomainError("power tail offset ** -exponent overflows") from None
 
     @property
     def junction(self) -> float:
@@ -706,6 +710,15 @@ def _gamma_tail(k: float, r: float, y: float) -> float:
         return float(_sp.gammaincc(k + 1.0, r * y) * _sp.gamma(k + 1.0) / r ** (k + 1.0))
 
 
+def _power_or_inf(x: float, d: float) -> float:
+    """x ** d for a truncation bound: +inf where the float power overflows,
+    so that no cutoff certifies."""
+    try:
+        return x**d
+    except OverflowError:
+        return math.inf
+
+
 def _log_bump_sup(delta: float, q: int) -> float:
     """sup over L >= 0 of exp(-delta*L) * (1+L)**q."""
     if q == 0:
@@ -861,7 +874,7 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         else:
             r = 1.0 - theta_w
             k = g.degree + (0.5 if g.has_log else 0.0) + (1.0 if w_log else 0.0)
-            amp = g.hi * max(c, 1.0) ** g.degree * 2.0 * (1.0 + abs(math.log(c))) * wA
+            amp = g.hi * _power_or_inf(max(c, 1.0), g.degree) * 2.0 * (1.0 + abs(math.log(c))) * wA
             y_lo = y1
         start = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
         ymax = _first_holding(lambda y: amp * _gamma_tail(k, r, y) < 0.5 * _ATOL,
@@ -884,7 +897,7 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         bump = 1.0
         beta_eff = beta
     kc = ((1.0 + abs(math.log(c))) * (1.0 + th)) ** logpow
-    amp = g.hi * c**g.degree * kc * wA * bump
+    amp = g.hi * _power_or_inf(c, g.degree) * kc * wA * bump
     eps = (0.5 * _ATOL * (1.0 - beta_eff) / max(amp, 1e-300)) ** (1.0 / (1.0 - beta_eff))
     clamped = eps < 1e-280
     eps = min(max(eps, 1e-280), 0.5 * m)

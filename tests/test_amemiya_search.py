@@ -14,6 +14,8 @@ from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 
+import mp_reference as mpr
+
 # the simple function of tests/test_step_modular.py
 F = rr.simple_function([3.0, -1.0, 0.5, 2.0, -0.25], [0.3, 0.5, 1.2, 0.7, 0.4])
 
@@ -58,44 +60,6 @@ def test_threshold_norm_is_the_scaled_sup_norm(limit):
         assert rep.value == pytest.approx(float(np.max(np.abs(f.values))) / limit, rel=1e-15)
 
 
-def mp_conjugate_xlog1p(x):
-    """Phi(x) = x w - w log(1 + w) at the w solving log(1 + w) + w/(1 + w) = x,
-    which lies in [x/2, expm1(x)] since log(1 + w) <= psi(w) <= 2 w."""
-    if x <= 0:
-        return mp.mpf(0)
-    w = mp.findroot(lambda w: mp.log1p(w) + w / (1 + w) - x, (x / 2, mp.expm1(x)), solver="anderson")
-    return x * w - w * mp.log1p(w)
-
-
-def mp_tabulated(x):
-    """Psi for the density through (0, 0), (1, 1), (2, 3), constant beyond."""
-    if x <= 1:
-        return x**2 / 2
-    if x <= 2:
-        return mp.mpf(1) / 2 + (x - 1) + (x - 1) ** 2
-    return mp.mpf(5) / 2 + 3 * (x - 2)
-
-
-def mp_tabulated_limit(x):
-    """Psi for the density through (0, 1), (1, 2), constant beyond, and +inf
-    past 5."""
-    if x > 5:
-        return mp.inf
-    if x <= 1:
-        return x + x**2 / 2
-    return mp.mpf(3) / 2 + 2 * (x - 1)
-
-
-MP_PSI = {
-    "cosh-1": lambda x: mp.cosh(x) - 1,
-    "llog": lambda x: x * mp.asinh(x) - mp.sqrt(1 + x * x) + 1,
-    "xlog1p": lambda x: x * mp.log1p(x),
-    "llogl": lambda x: x * mp.log(x) if x > 1 else mp.mpf(0),
-    "lexp": lambda x: x if x <= 1 else mp.exp(x - 1),
-    "conjugate(xlog1p)": mp_conjugate_xlog1p,
-    "tabulated": mp_tabulated,
-    "tabulated-limit": mp_tabulated_limit,
-}
 YOUNGS = {
     "cosh-1": yg.cosh_minus_1(),
     "llog": yg.llog(),
@@ -108,39 +72,13 @@ YOUNGS = {
 }
 
 
-def mp_amemiya(psi, f):
-    """min over k of (1 + sum_i w_i Psi(k |v_i|)) / k by golden-section search
-    on log k; the objective is unimodal in k."""
-    levels = [mp.mpf(abs(float(v))) for v in f.values]
-    weights = [mp.mpf(float(w)) for w in f.weights]
-
-    def h(u):
-        k = mp.exp(u)
-        return (1 + sum(w * psi(k * v) for v, w in zip(levels, weights))) / k
-
-    invphi = (mp.sqrt(5) - 1) / 2
-    a, b = mp.mpf(-30), mp.mpf(30)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = h(c), h(d)
-    while b - a > mp.mpf(10) ** -20:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = h(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = h(d)
-    return min(fc, fd)
-
-
 @pytest.mark.parametrize("name", sorted(YOUNGS))
 def test_against_mpmath_minimisation(name):
     with mp.workdps(30):
         for f in [F, *random_functions(3, 6)]:
             rep = cs.orlicz_norm(YOUNGS[name], f)
             assert rep.converged
-            assert rep.value == pytest.approx(float(mp_amemiya(MP_PSI[name], f)), rel=1e-12)
+            assert rep.value == pytest.approx(float(mpr.amemiya(YOUNGS[name], f)[0]), rel=1e-12)
 
 
 SANDWICH_YOUNGS = [
@@ -231,15 +169,7 @@ def test_numeric_conjugate_inverts_once_per_evaluation(monkeypatch):
 D, E, P = rr.DecreasingProfile, rr.ExponentialTail, rr.PowerTail
 L, I = rr.LogSingularity, rr.InvPowerSingularity
 
-PROFILE_PSI = {
-    "power:2.5": lambda x: x ** mp.mpf(2.5),
-    "cosh-1": lambda x: mp.cosh(x) - 1,
-    "xlog1p": lambda x: x * mp.log1p(x),
-    "lexp": lambda x: x if x <= 1 else mp.exp(x - 1),
-}
 PROFILE_YOUNGS = {"power:2.5": yg.power(2.5), "cosh-1": yg.cosh_minus_1(), "xlog1p": yg.xlog1p(), "lexp": yg.zygmund_exp()}
-#: Psi of lexp has a kink where its argument is 1
-KINK = {"lexp": 1.0}
 PROFILES = {
     "log": D(((0.3, 0.5),), head=L(0.5, 0.5)),
     "inv_power": D(((0.9, 0.5),), head=I(0.8, 0.2, 0.5)),
@@ -252,93 +182,6 @@ WEIGHTS = {
     "power": D((), P(1.0, 2.0, 1.0)),
     "inv_power": D(((0.5, 1.0),), head=I(1.0, 0.3, 0.5)),
 }
-
-
-def mp_pieces(prof):
-    """The profile as (start, end, value function) pieces, in mpmath; a step
-    piece's function is a constant."""
-    if prof is None:
-        return [(0.0, math.inf, mp.mpf(1))]
-    out, head = [], prof.head
-    if isinstance(head, L):
-        out.append((0.0, head.width, lambda t: head.coeff * mp.log(1 / t)))
-    elif head is not None:
-        out.append((0.0, head.width, lambda t: head.coeff * t ** -mp.mpf(head.exponent)))
-    edge = prof.head_width
-    for level, length in prof.steps:
-        out.append((edge, edge + length, mp.mpf(level)))
-        edge += length
-    tail, s0 = prof.tail, edge
-    if isinstance(tail, E):
-        out.append((s0, math.inf, lambda t: tail.amplitude * mp.exp(-tail.rate * (t - s0))))
-    elif tail is not None:
-        out.append((s0, math.inf, lambda t: tail.amplitude * (tail.offset + t - s0) ** -mp.mpf(tail.exponent)))
-    return out
-
-
-def mp_crossing(fn, a, b, level):
-    """Where the decreasing piece fn falls through level inside (a, b), by
-    bisection (in log t near 0); None if it does not."""
-    lo, hi = mp.mpf(a) if a > 0 else mp.mpf(10) ** -300, mp.mpf(b) if b < math.inf else mp.mpf(10) ** 12
-    if not (fn(lo) > level > fn(hi)):
-        return None
-    for _ in range(80):
-        mid = mp.sqrt(lo * hi)
-        lo, hi = (mid, hi) if fn(mid) > level else (lo, mid)
-    return mid
-
-
-def mp_profile_modular(name, prof, weight, k):
-    """integral Psi(k p(t)) w(t) dt piece by piece: steps against steps in
-    closed form, pieces at 0 in y = log(1/t), the rest by mp.quad with the
-    kink of Psi as a breakpoint."""
-    psi, total = PROFILE_PSI[name], mp.mpf(0)
-    for a1, b1, f in mp_pieces(prof):
-        for a2, b2, w in mp_pieces(weight):
-            a, b = max(a1, a2), min(b1, b2)
-            if b <= a:
-                continue
-            if not callable(f) and not callable(w):
-                total += psi(k * f) * w * (b - a)
-                continue
-            fv = f if callable(f) else (lambda t, c=f: c)
-            wv = w if callable(w) else (lambda t, c=w: c)
-            pts = [a, b]
-            if name in KINK and callable(f):
-                c = mp_crossing(fv, a, b, KINK[name] / k)
-                pts = [a, b] if c is None else [a, c, b]
-            g = lambda t: psi(k * fv(t)) * wv(t)  # noqa: E731
-            if a == 0:
-                ys = [mp.log(1 / mp.mpf(x)) if x > 0 else mp.inf for x in reversed(pts)]
-                total += mp.quad(lambda y: g(mp.exp(-y)) * mp.exp(-y), ys)
-            else:
-                total += mp.quad(g, [mp.mpf(x) if x < math.inf else mp.inf for x in pts])
-    return total
-
-
-def mp_profile_amemiya(name, prof, weight, centre):
-    """min over k of (1 + M(k)) / k by golden-section search on log k over
-    centre +- 4, to a bracket of width 1e-5: (value, minimiser)."""
-
-    def h(u):
-        k = mp.exp(u)
-        return (1 + mp_profile_modular(name, prof, weight, k)) / k
-
-    invphi = (mp.sqrt(5) - 1) / 2
-    a, b = mp.mpf(centre - 4), mp.mpf(centre + 4)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = h(c), h(d)
-    while b - a > 1e-5:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = h(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = h(d)
-    assert centre - 3.9 < (a + b) / 2 < centre + 3.9  # an interior minimum
-    return float(min(fc, fd)), float(mp.exp((a + b) / 2))
 
 
 def representative_level(prof):
@@ -362,9 +205,12 @@ def test_analytic_profile_against_mpmath_golden_section(pname, yname, wname):
         assert rep.value == math.inf
         return
     assert rep.converged and rep.iterations <= 40
-    value, k = mp_profile_amemiya(yname, prof, weight, -math.log(representative_level(prof)))
-    # the power tail's modular under lexp is itself 1.8e-9 off mpmath, inside
-    # the quadrature's 1e-8 budget; the search adds nothing to that
+    centre = -math.log(representative_level(prof))
+    value, k = (float(x) for x in mpr.amemiya(young, prof, weight, centre, half=4, width=1e-5, dps=15))
+    assert abs(math.log(k) - centre) < 3.9  # an interior minimum
+    # under lexp the power tail's value is 1.4e-9 above the minimum, though
+    # its modular is within 6e-11 of mpmath: g at the bracket's centre is off
+    # the minimum by order tol (times t^2 g''/g)
     rel = 2e-9 if (pname, yname) == ("power", "lexp") else 1e-9
     assert rep.value == pytest.approx(value, rel=rel)
     assert rep.bracket[0] <= k <= rep.bracket[1]
@@ -493,22 +339,13 @@ def test_step_minimiser_on_a_density_jump_is_exact():
 STEEP = ([0.0, 4.0, 5.0], [0.0, 1.0, 40.0], 5.0)
 
 
-def mp_steep_psi(x):
-    xs, ys, _ = STEEP
-    total = mp.mpf(0)
-    for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
-        u = min(mp.mpf(x), b) - a
-        if u <= 0:
-            break
-        total += ya * u + (mp.mpf(yb) - ya) / (b - a) * u * u / 2
-    return total
-
-
 def mp_steep_tail(k, rate):
     """(M(k), Q(k)) for STEEP and the tail e^(-rate t): M(k) = (1/rate)
-    integral_0^k Psi(x) / x dx, and Q(k) = k M'(k) - M(k)."""
-    integral = mp.quad(lambda x: mp_steep_psi(x) / x, [0, min(k, 4), k] if k > 4 else [0, k])
-    return integral / rate, (mp_steep_psi(k) - integral) / rate
+    integral_0^k Psi(x) / x dx, the modular of the tail e^-t over rate, and
+    Q(k) = k M'(k) - M(k)."""
+    young = yg.tabulated(*STEEP)
+    integral = mpr.modular(young, D((), E(1.0, 1.0)), k=k, dps=30)
+    return integral / rate, (mpr.young(young).Psi(k) - integral) / rate
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-5, 3e-5, 1e-4, 2e-4, 5e-4, 1e-3, 1e-2])

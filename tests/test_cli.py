@@ -12,7 +12,11 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orlicz_kit import rearrange as rr
+from orlicz_kit import young as yg
 from orlicz_kit.cli import main
+
+import mp_reference as mpr
 
 
 @pytest.fixture()
@@ -69,17 +73,8 @@ class TestNorm:
         payload = json.loads(res.output)
         assert payload["op"] == "nc_norm"
         # oracle: solve (cosh(3/lam) - 1) + (cosh(1/lam) - 1) = 1
-        def mod(lam):
-            return (math.cosh(3 / lam) - 1) + (math.cosh(1 / lam) - 1)
-
-        lo, hi = 1e-6, 1e6
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if mod(mid) <= 1:
-                hi = mid
-            else:
-                lo = mid
-        assert payload["value"] == pytest.approx(hi, rel=1e-9)
+        oracle = mpr.luxemburg(yg.cosh_minus_1(), rr.simple_function([3.0, 1.0], [1.0, 1.0]))
+        assert payload["value"] == pytest.approx(float(oracle), rel=1e-9)
 
     def test_weighted_profile_norm(self, runner, fixtures):
         res = runner.invoke(
@@ -300,6 +295,8 @@ MALFORMED_PROFILES = {
     "inv-power-head-missing-exponent": '{"steps": [], "head": {"kind": "inv_power", "coeff": 1}}',
     "tail-kind-under-head": '{"steps": [], "head": {"kind": "exponential", "amplitude": 1, "rate": 1}}',
     "two-heads": '{"head": {"kind": "log_singularity"}, "tail": {"kind": "inv_power", "exponent": 0.5}}',
+    "power-tail-junction-overflows":
+        '{"steps": [[1, 1]], "tail": {"kind": "power", "amplitude": 1, "exponent": 3, "offset": 1e-200}}',
 }
 
 MALFORMED_TWO_COLUMNS = {

@@ -16,6 +16,8 @@ from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 from orlicz_kit.errors import InconclusiveQuadratureError
 
+import mp_reference as mpr
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # the simple function of tests/test_step_modular.py
@@ -35,23 +37,6 @@ ORACLE_YOUNGS = {
 def random_simple(rng):
     n = int(rng.integers(1, 9))
     return rr.simple_function(rng.uniform(-8, 8, n), rng.uniform(0.05, 2.0, n))
-
-
-def bisection_norm(young, f):
-    """Plain geometric bisection on lambda for sum_i w_i Psi(|v_i| / lambda) = 1."""
-    v, w = np.abs(f.values), f.weights
-
-    def mod(lam):
-        return float(np.sum(young.eval(v / lam) * w))
-
-    lo, hi = 1e-6, 1e6
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mod(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def assert_invariants(rep, continuous=True):
@@ -126,7 +111,7 @@ def test_against_bisection_oracle(name):
     young = ORACLE_YOUNGS[name]
     rep = cs.luxemburg_norm(young, F)
     assert_invariants(rep, continuous=name != "threshold")
-    assert rep.value == pytest.approx(bisection_norm(young, F), rel=2e-12)
+    assert rep.value == pytest.approx(float(mpr.luxemburg(young, F)), rel=2e-12)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_YOUNGS))

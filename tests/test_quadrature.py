@@ -1,8 +1,8 @@
 """The certified Gauss-Kronrod kernel of `rearrange` against mpmath.
 
-Every analytic modular and cross integral is checked against an
-independent `mpmath.quad` (tanh-sinh) oracle that evaluates the profiles
-and Young functions in multiple precision, or against a closed form.
+Every analytic modular and cross integral is checked against the
+independent multiple-precision oracle of tests/mp_reference.py, or against
+a closed form.
 """
 
 import json
@@ -19,62 +19,11 @@ from orlicz_kit import young as yg
 from orlicz_kit.cli import main
 from orlicz_kit.errors import InconclusiveQuadratureError
 
+import mp_reference as mpr
+
 D = rr.DecreasingProfile
 L, I = rr.LogSingularity, rr.InvPowerSingularity
 E, P = rr.ExponentialTail, rr.PowerTail
-
-MP_PSI = {
-    "power:2": lambda s: s**2,
-    "power:2.5": lambda s: s**2.5,
-    "cosh-1": lambda s: mp.cosh(s) - 1,
-    "xlog1p": lambda s: s * mp.log1p(s),
-    "llogl": lambda s: s * mp.log(s) if s > 1 else mp.mpf(0),
-}
-
-
-def mp_value(prof, t):
-    """The profile at t in multiple precision (1 for the Lebesgue weight)."""
-    if prof is None:
-        return mp.mpf(1)
-    head = prof.head
-    if head is not None and t < head.width:
-        if isinstance(head, L):
-            return head.coeff * mp.log(1 / t)
-        return head.coeff * t ** (-head.exponent)
-    edge = mp.mpf(prof.head_width)
-    for level, length in prof.steps:
-        edge += length
-        if t < edge:
-            return mp.mpf(level)
-    tail, u = prof.tail, t - edge
-    if isinstance(tail, E):
-        return tail.amplitude * mp.exp(-tail.rate * u)
-    if isinstance(tail, P):
-        return tail.amplitude * (tail.offset + u) ** (-tail.exponent)
-    return mp.mpf(0)
-
-
-def mp_integral(fn, prof, weight, end=math.inf, kinks=()):
-    """integral_0^end fn(t) over the pieces between the breakpoints of the
-    profile and the weight, and the kinks; the first piece in y = log(1/t)."""
-    end = min(end, prof.support_end, math.inf if weight is None else weight.support_end)
-    cuts = {c for q in (prof, weight) if q is not None for c in q.cuts()}
-    cuts = sorted(c for c in cuts | set(kinks) if 0 < c < end)
-    pts = [0.0, *cuts, end]
-    with mp.workdps(20):
-        total = mp.mpf(0)
-        for a, b in zip(pts[:-1], pts[1:]):
-            if a == 0:
-                total += mp.quad(lambda y: fn(mp.exp(-y)) * mp.exp(-y), [mp.log(1 / mp.mpf(b)), mp.inf])
-            else:
-                total += mp.quad(fn, [a, b])
-        return float(total)
-
-
-def mp_modular(spec, prof, weight=None, kinks=()):
-    psi = MP_PSI[spec]
-    return mp_integral(lambda t: psi(mp_value(prof, t)) * mp_value(weight, t), prof, weight, kinks=kinks)
-
 
 def certified(value, oracle):
     """Within the budget of a few certified integrals."""
@@ -201,7 +150,7 @@ class TestModularAgainstMpmath:
         if isinstance(p.head, I) and spec == "cosh-1":
             assert got == math.inf  # an inverse-power head under exp growth
             return
-        assert certified(got, mp_modular(spec, p, w))
+        assert certified(got, mpr.modular(yg.from_spec(spec), p, w))
 
     @pytest.mark.parametrize(
         "p, w",
@@ -213,7 +162,7 @@ class TestModularAgainstMpmath:
         ids=["unweighted", "inv-weight"],
     )
     def test_inv_power_head_near_the_boundary(self, p, w):
-        assert certified(rr.modular(yg.power(2.5), p, w), mp_modular("power:2.5", p, w))
+        assert certified(rr.modular(yg.power(2.5), p, w), mpr.modular(yg.power(2.5), p, w))
 
     @pytest.mark.parametrize(
         "p, w",
@@ -226,7 +175,7 @@ class TestModularAgainstMpmath:
         ids=["unweighted", "exp-weight", "inv-weight"],
     )
     def test_log_head_near_the_boundary(self, p, w):
-        assert certified(rr.modular(yg.cosh_minus_1(), p, w), mp_modular("cosh-1", p, w))
+        assert certified(rr.modular(yg.cosh_minus_1(), p, w), mpr.modular(yg.cosh_minus_1(), p, w))
 
     def test_log_head_overflow_on_a_certified_range_still_raises(self):
         # cosh(c*y) overflows inside the certified range of y = log(1/t)
@@ -247,7 +196,7 @@ class TestRegressions:
         p = D(((0.3, 1.0),), head=I(0.5, 0.4, 0.8)).scale(scale)
         w = D(((0.2, 1.0),), head=I(1.0, 0.3, 1.0))
         got = rr.modular(yg.from_spec(spec), p, w)
-        assert certified(got, mp_modular(spec, p, w))
+        assert certified(got, mpr.modular(yg.from_spec(spec), p, w))
         if spec == "llogl":
             assert got == pytest.approx(6.41321022684, abs=1e-10)
 
@@ -267,10 +216,8 @@ class TestRegressions:
         # Psi = s log^+ s has a kink at 1, inside the head's pieces: at
         # t = 0.4146 for the inverse-power head (its modular was 4e-6 low),
         # at t = exp(-1/0.13) for the log head
-        h = p.head
-        kink = math.exp(-1.0 / h.coeff) if isinstance(h, L) else h.coeff ** (1.0 / h.exponent)
         got = rr.modular(yg.zygmund_llogl(), p, w)
-        assert certified(got, mp_modular("llogl", p, w, kinks=(kink,)))
+        assert certified(got, mpr.modular(yg.zygmund_llogl(), p, w))
 
     @pytest.mark.parametrize(
         "p",
@@ -281,7 +228,7 @@ class TestRegressions:
         # the head meets the llogl kink at t = c^(1/theta) >= 1e310, which
         # overflows a float power; the crossing lies outside the head anyway
         got = rr.modular(yg.zygmund_llogl(), p)
-        assert certified(got, mp_modular("llogl", p))
+        assert certified(got, mpr.modular(yg.zygmund_llogl(), p))
         # Psi = (s - 1)^+: a density jump at 1, the crossing at 1e333
         got = rr.modular(yg.tabulated([0.0, 1.0, 1.0], [0.0, 0.0, 1.0]), p)
         c, th = p.head.coeff, p.head.exponent
@@ -291,7 +238,14 @@ class TestRegressions:
         p = D((), head=I(1.0, 0.3, 1.0)).scale(1e93)
         got = cs.luxemburg_norm(yg.zygmund_llogl(), p)
         assert got.converged
-        assert mp_modular("llogl", p.scale(1.0 / got.value)) == pytest.approx(1.0, rel=1e-9)
+        assert mpr.modular(yg.zygmund_llogl(), p.scale(1.0 / got.value)) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("head", [L(1e200, 1.0), I(1e200, 0.2, 1.0)], ids=["log", "inv-power"])
+    def test_head_truncation_bound_overflow_raises_inconclusive(self, head):
+        # the bound's c ** degree overflows a float power: it is +inf, so no
+        # cutoff certifies, where a bare OverflowError escaped before
+        with pytest.raises(InconclusiveQuadratureError):
+            rr.modular(yg.power(3.0), D((), head=head))
 
     def test_identity_on_a_power_tail(self):
         got = rr.modular(yg.identity(), D((), P(1.0, 2.0)))
@@ -301,7 +255,7 @@ class TestRegressions:
     def test_slow_power_tail(self, spec):
         p = D((), P(1.5, 0.7))
         got = rr.modular(yg.from_spec(spec), p)
-        assert certified(got, mp_modular(spec, p))
+        assert certified(got, mpr.modular(yg.from_spec(spec), p))
         if spec == "power:2":
             assert certified(got, 2.25 / 0.4)
 
@@ -320,9 +274,7 @@ class TestRegressions:
         p = D(((2.0, 0.5),), P(1.0, 3.0, 1.0))
         with mp.workdps(20):
             def mod(k):  # the modular of k*p and its derivative in k
-                m = 0.5 * (mp.cosh(2 * k) - 1) + mp.quad(lambda u: mp.cosh(k * (1 + u) ** -3) - 1, [0, mp.inf])
-                dm = mp.sinh(2 * k) + mp.quad(lambda u: (1 + u) ** -3 * mp.sinh(k * (1 + u) ** -3), [0, mp.inf])
-                return m, dm
+                return mpr.modular(yg.cosh_minus_1(), p, k=k), mpr.integral(lambda pv, wv: pv * mp.sinh(k * pv), p)
 
             k = mp.findroot(lambda k: k * mod(k)[1] - mod(k)[0] - 1, 0.75)
             oracle = float((1 + mod(k)[0]) / k)
@@ -364,7 +316,7 @@ class TestCrossIntegral:
              "two-inv-heads", "log-head-inv-weight"],
     )
     def test_against_mpmath(self, p, w):
-        oracle = mp_integral(lambda t: mp_value(p, t) * mp_value(w, t), p, w, end=2.0)
+        oracle = mpr.integral(lambda pv, wv: pv * wv, p, w, end=2.0)
         assert certified(rr.cross_integral(p, w, 2.0), oracle)
 
     def test_heads_with_a_non_integrable_product(self):
@@ -382,6 +334,6 @@ def test_cli_norm_of_a_profile_with_both_ends(tmp_path):
     # the mpmath root of integral cosh(p(t)/lam) - 1 dt = 1, by secant steps
     # from a bracket around it
     lo, hi = 0.8 * value, 1.25 * value
-    assert mp_modular("cosh-1", p.scale(1 / lo)) > 1 > mp_modular("cosh-1", p.scale(1 / hi))
-    root = mp.findroot(lambda lam: mp_modular("cosh-1", p.scale(1 / float(lam))) - 1, (lo, hi), tol=1e-24)
+    assert mpr.modular(yg.cosh_minus_1(), p.scale(1 / lo)) > 1 > mpr.modular(yg.cosh_minus_1(), p.scale(1 / hi))
+    root = mp.findroot(lambda lam: mpr.modular(yg.cosh_minus_1(), p.scale(1 / float(lam))) - 1, (lo, hi), tol=1e-24)
     assert value == pytest.approx(float(root), rel=1e-8)

@@ -12,6 +12,8 @@ from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 from orlicz_kit.errors import DimensionMismatchError, DomainError
 
+import mp_reference as mpr
+
 
 def mu_oracle(a, t):
     """Literal generalized singular value: inf{s >= 0 : #(sing > s) <= t}."""
@@ -244,22 +246,9 @@ class TestWeightedSpace:
         x = qs.MatrixObservable.from_array(np.diag([0.5, 0.3, 0.2]))
         sp = qs.WeightedQuantumSpace.build(yg.cosh_minus_1(), x)
         got = qs.weighted_nc_norm(sp, g).value
-
-        def mod(lam):
-            return (
-                0.5 * (math.cosh(3 / lam) - 1)
-                + 0.3 * (math.cosh(2 / lam) - 1)
-                + 0.2 * (math.cosh(1 / lam) - 1)
-            )
-
-        lo, hi = 1e-8, 1e8
-        for _ in range(220):
-            mid = math.sqrt(lo * hi)
-            if mod(mid) <= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        assert got == pytest.approx(hi, rel=1e-10)
+        # the step function with levels 3, 2, 1 on masses 0.5, 0.3, 0.2
+        oracle = mpr.luxemburg(yg.cosh_minus_1(), rr.simple_function([3.0, 2.0, 1.0], [0.5, 0.3, 0.2]))
+        assert got == pytest.approx(float(oracle), rel=1e-10)
 
     def test_bounded_profile_finite_weighted_norm(self):
         w = rr.DecreasingProfile((), rr.ExponentialTail(1.0, 1.0))
