@@ -2,11 +2,12 @@
 
 Luxemburg norms are the level-1 crossing of the modular
 lambda -> M(f/lambda) = integral Psi(|f|/lambda) dmu, which is
-non-increasing: a bracket lo < hi with M(f/lo) > 1 >= M(f/hi) is expanded
-geometrically and then shrunk by regula falsi with the Illinois modification
-(Dowell & Jarratt, 1971) on (log lambda, log M).  For power Young functions
-log M is exactly linear in log lambda, and for the catalog functions nearly
-so, so a few steps suffice where bisection takes about forty.  A geometric
+non-increasing: a bracket lo < hi with M(f/lo) > 1 >= M(f/hi), found by a
+gallop over the x4 ladder to the ends of the doubles, is shrunk by regula
+falsi with the Illinois modification (Dowell & Jarratt, 1971) on
+(log lambda, log M).  For power Young functions log M is exactly linear in
+log lambda, and for the catalog functions nearly so, so a few steps
+suffice where bisection takes about forty.  A geometric
 bisection step is taken instead when an end has M = 0 or M = inf (flat
 stretches and threshold jumps), when the interpolant is not strictly inside
 the bracket, and when the bracket has not halved within a few steps.  The
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .rearrange import (
     _WeightView,
     _check_aligned,
     _first_holding,
+    _ladder,
     hl_partial,
     modular,
     modular_is_finite,
@@ -89,7 +92,7 @@ __all__ = [
 ]
 
 _LAMBDA_GRID = tuple(2.0**-k for k in range(0, 61))
-#: Step budget of each search phase of the Luxemburg and Amemiya norms.
+#: Step budget of the Illinois phase of the Luxemburg and Amemiya norms.
 _MAX_ITER = 200
 #: Luxemburg search steps allowed without halving the bracket before a
 #: geometric bisection step is forced.
@@ -262,54 +265,53 @@ def _log_modular(m: float) -> float:
 def _level_crossing(fn, start: float, tol: float):
     """Bracket and solve fn(t) = 1 for fn > 1 left of a point, <= 1 right of it.
 
-    The bracket grows from `start` by factors of 4 until fn(lo) > 1 >= fn(hi);
-    a rung passed on the way up serves as lo.  Safeguarded Illinois regula
-    falsi on (log t, log fn) then shrinks it to relative width tol.  Returns
-    (lo, hi, fn(lo), fn(hi), evaluations, converged).  When no bracket forms
-    within _MAX_ITER rungs, converged is False and either fn(hi) > 1 (fn
-    never falls to 1; lo = hi/4) or fn(lo) <= 1 (fn never exceeds 1)."""
-    evals = 1
-    hi, f_hi = start, fn(start)
-    lo, f_lo = hi, f_hi
-    while f_hi > 1.0 and evals < _MAX_ITER:
-        lo, f_lo = hi, f_hi
-        hi *= 4.0
-        f_hi = fn(hi)
-        evals += 1
-    if f_hi > 1.0:
-        return lo, hi, f_lo, f_hi, evals, False
-    while f_lo <= 1.0 and evals < _MAX_ITER:
-        lo /= 4.0
-        f_lo = fn(lo)
-        evals += 1
-    if f_lo <= 1.0:
-        return lo, hi, f_lo, f_hi, evals, False
+    fn is memoised; the bracket is its tightest evaluated pair after one
+    _first_holding search over the x4 ladder from `start`, up if fn(start)
+    > 1 and down otherwise, to the ends of the positive finite doubles.
+    Safeguarded Illinois regula falsi on (log t, log fn) then shrinks it to
+    relative width tol.  Returns (lo, hi, fn(lo), fn(hi), evaluations,
+    converged).  Without a crossing, converged is False and lo = hi is the
+    ladder's last rung, where fn > 1 (fn never falls to 1) or fn <= 1."""
+    seen: dict[float, float] = {}
+
+    def above(t: float) -> bool:
+        if t not in seen:
+            seen[t] = fn(t)
+        return seen[t] > 1.0
+
+    up = above(start)
+    rungs = takewhile(lambda t: 0.0 < t < math.inf, _ladder(start, 4.0 if up else 0.25))
+    if _first_holding(lambda t: above(t) != up, rungs) is None:
+        end = max(seen) if up else min(seen)
+        return end, end, seen[end], seen[end], len(seen), False
+    lo = max(t for t, m in seen.items() if m > 1.0)
+    hi = min(t for t in seen if t > lo)
 
     # The interpolant's log-scale offset from lo is kept a tenth of the
     # tolerance inside each end, so a root next to an end closes the bracket
     # in one more step, with hi within about tol/10 of a root the interpolant
     # hit.
-    g_lo, g_hi = _log_modular(f_lo), _log_modular(f_hi)
+    g_lo, g_hi = _log_modular(seen[lo]), _log_modular(seen[hi])
     kept = 0  # +1 after a step that kept lo, -1 after one that kept hi
     width, stalled = math.log(hi / lo), 0
     steps = 0
     while steps < _MAX_ITER and (hi - lo) > tol * hi:
         span = math.log(hi / lo)
-        t = math.sqrt(lo * hi)
+        t = math.sqrt(lo) * math.sqrt(hi)
         forced = stalled >= _STALL_STEPS
         if not forced and math.isfinite(g_lo) and math.isfinite(g_hi):
             gap = min(0.1 * tol, 0.5 * span)
             cand = lo * math.exp(min(max(span * g_lo / (g_lo - g_hi), gap), span - gap))
             if lo < cand < hi:
                 t = cand
-        m = fn(t)
+        m = seen[t] = fn(t)
         if m <= 1.0:
-            hi, f_hi, g_hi = t, m, _log_modular(m)
+            hi, g_hi = t, _log_modular(m)
             if kept == 1:
                 g_lo *= 0.5
             kept = 1
         else:
-            lo, f_lo, g_lo = t, m, _log_modular(m)
+            lo, g_lo = t, _log_modular(m)
             if kept == -1:
                 g_hi *= 0.5
             kept = -1
@@ -319,7 +321,7 @@ def _level_crossing(fn, start: float, tol: float):
         else:
             stalled += 1
         steps += 1
-    return lo, hi, f_lo, f_hi, evals + steps, (hi - lo) <= tol * hi
+    return lo, hi, seen[lo], seen[hi], len(seen), (hi - lo) <= tol * hi
 
 
 def luxemburg_norm(
@@ -351,12 +353,9 @@ def luxemburg_norm(
         return modular(young, p.scale(1.0 / lam), w) if fast is None else float(fast(1.0 / lam))
 
     start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
-    lo, hi, m_lo, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
+    lo, hi, _, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
     if m_hi > 1.0:
         return NormReport(math.inf, None, iters, False, (lo, hi), m_hi)
-    if m_lo <= 1.0:
-        # modular never exceeds 1: the infimum is 0 in the limit
-        return NormReport(0.0, lo, iters, True, (0.0, lo), m_lo)
     return NormReport(hi, hi, iters, converged, (lo, hi), m_hi)
 
 

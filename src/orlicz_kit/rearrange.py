@@ -953,7 +953,8 @@ def _first_holding(holds, rungs) -> float | None:
         while at most 1e300 (the first rung always);
       * singular piece of cross_integral, eps: from b, x0.1, up to the first
         rung below 1e-290;
-      * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving."""
+      * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving;
+      * norm brackets (_level_crossing): x4 or x0.25, to the doubles' ends."""
     rungs = iter(rungs)
     seen: list[float] = []
     failed, k = -1, 0

@@ -67,6 +67,16 @@ class TestNorm:
         assert payload["op"] == "luxemburg_norm"
         assert payload["value"] == pytest.approx(1.5, rel=1e-10)
 
+    @pytest.mark.parametrize("level", [1e-300, 1e300])
+    def test_function_norm_at_an_extreme_level(self, runner, tmp_path, level):
+        # one atom of mass 1: the power:2 norm is the level itself
+        f = tmp_path / "f.txt"
+        f.write_text(f"{level!r} 1.0\n")
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--function", str(f)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["converged"] and payload["value"] == level
+
     def test_matrix_norm(self, runner, fixtures):
         res = runner.invoke(main, ["norm", "--young", "cosh-1", "--matrix", fixtures["matrix"]])
         assert res.exit_code == 0, res.output

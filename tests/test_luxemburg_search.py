@@ -69,23 +69,23 @@ def recorded_search(monkeypatch, young, f):
     return cs.luxemburg_norm(young, f), seen
 
 
+def is_rung(t, start=1.0):
+    """Is t on the x4 ladder from start (exact in the normal range)?"""
+    return t == start * 4.0 ** round(math.log(t / start, 4.0))
+
+
 def bracket_steps(seen):
-    """Replay the bracket: for each root-search evaluation, the (lo, m_lo,
-    hi, m_hi) it started from and the lambda it evaluated.  The bracketing
-    phase is skipped."""
-    i = 0
-    while seen[i][1] > 1.0:  # grow hi
-        i += 1
-    hi, m_hi = seen[i]
-    if i > 0:  # the last rung passed on the way up is lo
-        lo, m_lo = seen[i - 1]
-    else:  # shrink lo from the start, where hi stays
-        i += 1
-        while seen[i][1] <= 1.0:
-            i += 1
-        lo, m_lo = seen[i]
+    """Replay the Illinois phase: for each of its evaluations, the (lo, m_lo,
+    hi, m_hi) it started from and the lambda it evaluated.  The bracket
+    phase reads only rungs of the x4 ladder from the first lambda, and the
+    Illinois phase only points strictly between two adjacent rungs; the
+    replay starts from the tightest pair of rungs with m_lo > 1 >= m_hi."""
+    rungs = [is_rung(lam, seen[0][0]) for lam, _ in seen]
+    n = rungs.index(False) if False in rungs else len(seen)
+    lo, m_lo = max((lam, m) for lam, m in seen[:n] if m > 1.0)
+    hi, m_hi = min((lam, m) for lam, m in seen[:n] if lam > lo)
     steps = []
-    for lam, m in seen[i + 1 :]:
+    for lam, m in seen[n:]:
         steps.append((lo, m_lo, hi, m_hi, lam))
         if m <= 1.0:
             hi, m_hi = lam, m
@@ -156,6 +156,52 @@ def test_lopsided_jump_halves_bracket_every_few_steps(monkeypatch, jump):
         if span <= 0.5 * ref:
             ref, since = span, 0
         assert since <= cs._STALL_STEPS
+
+
+def recorded_crossing(fn):
+    """_level_crossing from 1 to tol 1e-12, and the points t it evaluated, in order."""
+    ts = []
+    return cs._level_crossing(lambda t: ts.append(t) or fn(t), 1.0, 1e-12), ts
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_level_crossing_reaches_the_ends_of_the_double_range(a):
+    # fn = (a/t)^2 crosses 1 at t = a, k rungs of 4 from the start 1; the
+    # product overflows to inf near t = 1 for a = 1e300
+    (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(lambda t: (a / t) * (a / t))
+    # the bracket encloses a, up to the rounding of a/t
+    assert converged and lo < a <= hi * (1.0 + 1e-15) and hi - lo <= 1e-12 * hi
+    assert f_lo > 1.0 >= f_hi
+    # no t is evaluated twice, and every evaluation is counted
+    assert len(set(ts)) == len(ts) == evals
+    k = math.ceil(abs(math.log(a, 4.0))) or 1
+    rungs = [t for t in ts if is_rung(t)]
+    assert ts[: len(rungs)] == rungs
+    assert len(rungs) <= 2 * math.ceil(math.log2(k + 1)) + 2
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+def test_level_crossing_without_a_crossing_does_not_converge(m):
+    # fn never crosses 1: the ladder runs to the end of the doubles
+    (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(lambda t: m)
+    assert not converged and lo == hi and f_lo == f_hi == m
+    assert hi == (max(ts) if m > 1.0 else min(ts)) and 0.0 < hi < math.inf
+    assert (hi * 4.0 == math.inf) if m > 1.0 else (hi * 0.25 == 0.0)
+    assert len(set(ts)) == len(ts) == evals <= 25
+
+
+@pytest.mark.parametrize("c", [1e-200, 3.7e5, 1e200])
+def test_level_crossing_bisects_a_jump_from_inf_to_0(c):
+    # the midpoint stays inside the bracket where lo * hi under- or overflows
+    (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(lambda t: math.inf if t < c else 0.0)
+    assert converged and lo < c <= hi and (f_lo, f_hi) == (math.inf, 0.0)
+    # past the bracket's rungs every step is the geometric midpoint
+    a = max(t for t in ts if t < c and is_rung(t))
+    b, n = 4.0 * a, ts.index(2.0 * a)
+    for t in ts[n:]:
+        assert a < t < b and t == pytest.approx(math.sqrt(a) * math.sqrt(b), rel=1e-14)
+        a, b = (a, t) if t >= c else (t, b)
+    assert len(ts) - n > 30
 
 
 def test_illinois_work_count():
