@@ -3,17 +3,17 @@
 Luxemburg norms are the level-1 crossing of the modular
 lambda -> M(f/lambda) = integral Psi(|f|/lambda) dmu, which is
 non-increasing: a bracket lo < hi with M(f/lo) > 1 >= M(f/hi), found by a
-gallop over the x4 ladder to the ends of the doubles, is shrunk by regula
-falsi with the Illinois modification (Dowell & Jarratt, 1971) on
-(log lambda, log M).  For power Young functions log M is exactly linear in
-log lambda, and for the catalog functions nearly so, so a few steps
-suffice where bisection takes about forty.  A geometric
-bisection step is taken instead when an end has M = 0 or M = inf (flat
-stretches and threshold jumps), when the interpolant is not strictly inside
-the bracket, and when the bracket has not halved within a few steps.  The
-witness returned is the upper (feasible) end of the final bracket, so a
-converged report always has modular_at_witness <= 1, and within 1e-8 of 1
-when the modular is continuous at the crossing.
+gallop over the x4 ladder while lambda and 1/lambda are finite doubles, is
+shrunk by regula falsi with the Illinois modification (Dowell & Jarratt,
+1971) on (log lambda, log M).  For power Young functions log M is exactly
+linear in log lambda, and for the catalog functions nearly so, so a few
+steps suffice where bisection takes about forty.  A geometric bisection
+step is taken instead when an end has M = 0 or M = inf (flat stretches and
+threshold jumps), when the interpolant is not strictly inside the bracket,
+and when the bracket has not halved within a few steps.  The witness
+returned is the upper (feasible) end of the final bracket, so a converged
+report always has modular_at_witness <= 1, and within 1e-8 of 1 when the
+modular is continuous at the crossing.
 
 The Orlicz (dual-pairing) norm is the Amemiya formula
 inf_{k>0} (1 + modular(k*f)) / k, minimised as a level crossing on the same
@@ -54,7 +54,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InconclusiveQuadratureError
 from .rearrange import (
     DecreasingProfile,
     LogSingularity,
@@ -267,21 +267,30 @@ def _level_crossing(fn, start: float, tol: float):
 
     fn is memoised; the bracket is its tightest evaluated pair after one
     _first_holding search over the x4 ladder from `start`, up if fn(start)
-    > 1 and down otherwise, to the ends of the positive finite doubles.
-    Safeguarded Illinois regula falsi on (log t, log fn) then shrinks it to
-    relative width tol.  Returns (lo, hi, fn(lo), fn(hi), evaluations,
-    converged).  Without a crossing, converged is False and lo = hi is the
-    ladder's last rung, where fn > 1 (fn never falls to 1) or fn <= 1."""
-    seen: dict[float, float] = {}
+    > 1 and down otherwise, while t and 1/t (where callers evaluate) are
+    positive finite doubles.  A rung whose fn raises
+    InconclusiveQuadratureError counts as past the crossing, and its error
+    is raised only if it is the crossing rung, which a rung-by-rung walk
+    from start evaluates too.  Safeguarded Illinois regula falsi on
+    (log t, log fn) then shrinks the bracket to relative width tol.
+    Returns (lo, hi, fn(lo), fn(hi), evaluations, converged).  Without a
+    crossing, converged is False and lo = hi is the ladder's last rung."""
+    seen, failed = {start: fn(start)}, {}
 
-    def above(t: float) -> bool:
-        if t not in seen:
-            seen[t] = fn(t)
-        return seen[t] > 1.0
+    def past(t: float) -> bool:
+        if t not in seen:  # _first_holding reads each rung once, start first
+            try:
+                seen[t] = fn(t)
+            except InconclusiveQuadratureError as err:
+                failed[t] = err
+        return t in failed or (seen[t] > 1.0) != up
 
-    up = above(start)
-    rungs = takewhile(lambda t: 0.0 < t < math.inf, _ladder(start, 4.0 if up else 0.25))
-    if _first_holding(lambda t: above(t) != up, rungs) is None:
+    up = seen[start] > 1.0
+    rungs = takewhile(lambda t: 0.0 < t < math.inf and 1.0 / t < math.inf, _ladder(start, 4.0 if up else 0.25))
+    cross = _first_holding(past, rungs)
+    if cross in failed:
+        raise failed[cross]
+    if cross is None:
         end = max(seen) if up else min(seen)
         return end, end, seen[end], seen[end], len(seen), False
     lo = max(t for t, m in seen.items() if m > 1.0)
@@ -321,7 +330,7 @@ def _level_crossing(fn, start: float, tol: float):
         else:
             stalled += 1
         steps += 1
-    return lo, hi, seen[lo], seen[hi], len(seen), (hi - lo) <= tol * hi
+    return lo, hi, seen[lo], seen[hi], len(seen) + len(failed), (hi - lo) <= tol * hi
 
 
 def luxemburg_norm(
@@ -465,7 +474,7 @@ def orlicz_norm(
 
     lo, hi, _, _, _, converged = _level_crossing(ratio, start, s - 1.0)
     bracket = (1.0 / (r * hi * s), s / (r * lo))
-    h(1.0 / (r * math.sqrt(lo * hi)))
+    h(1.0 / (r * math.sqrt(lo) * math.sqrt(hi)))
     # a minimiser on a kink of g (a step level at a kink of Psi) is not flat
     for k in {b / level for b in young.kinks for level, _ in p.steps if level > 0}:
         if bracket[0] < k < bracket[1]:

@@ -711,8 +711,8 @@ def _gamma_tail(k: float, r: float, y: float) -> float:
 
 
 def _power_or_inf(x: float, d: float) -> float:
-    """x ** d for a truncation bound: +inf where the float power overflows,
-    so that no cutoff certifies."""
+    """x ** d, +inf where the float power overflows: a truncation bound that
+    certifies no cutoff, or a cutoff past every bound."""
     try:
         return x**d
     except OverflowError:
@@ -898,7 +898,7 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         beta_eff = beta
     kc = ((1.0 + abs(math.log(c))) * (1.0 + th)) ** logpow
     amp = g.hi * _power_or_inf(c, g.degree) * kc * wA * bump
-    eps = (0.5 * _ATOL * (1.0 - beta_eff) / max(amp, 1e-300)) ** (1.0 / (1.0 - beta_eff))
+    eps = _power_or_inf(0.5 * _ATOL * (1.0 - beta_eff) / max(amp, 1e-300), 1.0 / (1.0 - beta_eff))
     clamped = eps < 1e-280
     eps = min(max(eps, 1e-280), 0.5 * m)
 
@@ -954,7 +954,7 @@ def _first_holding(holds, rungs) -> float | None:
       * singular piece of cross_integral, eps: from b, x0.1, up to the first
         rung below 1e-290;
       * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving;
-      * norm brackets (_level_crossing): x4 or x0.25, to the doubles' ends."""
+      * norm brackets (_level_crossing): x4 or x0.25, while t and 1/t are finite."""
     rungs = iter(rungs)
     seen: list[float] = []
     failed, k = -1, 0

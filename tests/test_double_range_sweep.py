@@ -88,8 +88,8 @@ XFAIL = {
         "identity-log-steps-1e-50", "identity-inv-exp-1", "identity-exp-none-1e+50", "power:2-inv-steps-1e-50",
         "power:2-power-power-1e+50", "power:3-power-none-1", "cosh-1-power-exp-1e-50", "llog-log-power-1",
         "lexp-exp-none-1e-50", "lexp-power-inv-1", "llog-power-exp-1e-300", "llogl-log-inv-1e-300",
+        "power:3-inv-steps-1e-300",
     },
-    5: {"power:3-inv-steps-1e-300"},
 }
 
 
@@ -133,6 +133,39 @@ def test_one_atom_at_an_extreme_level(spec, level):
     assert rep.converged
     unit = float(mpr.luxemburg(young, rr.simple_function([1.0], [1.0])))
     assert rep.value == pytest.approx(level * unit, rel=1e-12, abs=0.0)
+
+
+def test_subnormal_atom_does_not_converge():
+    # the norm 1e-320 / sqrt(2) is subnormal: the search stops at the last
+    # rung whose reciprocal is finite and reports an upper bound there
+    rep = cs.luxemburg_norm(yg.power(2.0), rr.simple_function([1e-320], [0.5]))
+    assert not rep.converged and rep.value >= 1e-320 / math.sqrt(2.0)
+    assert rep.modular_at_witness <= 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-300])
+def test_tiny_inv_power_head_against_its_closed_form(scale):
+    # the power:3 modular of c t^-0.3 is 10 c^3, so the norm is 10^(1/3) c;
+    # the head cutoff's float power overflowed at the gallop's rungs
+    rep = cs.luxemburg_norm(yg.power(3.0), D((), head=I(1.0, 0.3, 1.0)).scale(scale))
+    assert rep.converged and rep.value == pytest.approx(10.0 ** (1.0 / 3.0) * scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", ["xlog1p", "llogl"])
+def test_large_inv_power_head_is_homogeneous(spec):
+    # the gallop reads rungs near 1e308, far past the norm, where the head
+    # cutoff's float power overflowed
+    young, prof = yg.from_spec(spec), D((), head=I(1.0, 0.3, 1.0))
+    rep, unit = cs.luxemburg_norm(young, prof.scale(1e160)), cs.luxemburg_norm(young, prof)
+    assert rep.converged and rep.value == pytest.approx(1e160 * unit.value, rel=1e-9)
+
+
+@pytest.mark.xfail(reason=KNOWN[5], strict=True)
+@pytest.mark.parametrize("scale", [1e20, 1e60])
+def test_large_inv_power_head_against_its_closed_form(scale):
+    # at the start rung the integrand overflows at the 1e-280 clamp
+    rep = cs.luxemburg_norm(yg.power(3.0), D((), head=I(1.0, 0.3, 1.0)).scale(scale))
+    assert rep.converged and rep.value == pytest.approx(10.0 ** (1.0 / 3.0) * scale, rel=1e-9)
 
 
 def test_large_head_takes_few_evaluations():

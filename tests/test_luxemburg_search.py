@@ -182,12 +182,46 @@ def test_level_crossing_reaches_the_ends_of_the_double_range(a):
 
 @pytest.mark.parametrize("m", [0.5, 2.0])
 def test_level_crossing_without_a_crossing_does_not_converge(m):
-    # fn never crosses 1: the ladder runs to the end of the doubles
+    # fn never crosses 1: the ladder runs to the end of the doubles, or down
+    # to the last rung whose reciprocal is finite
     (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(lambda t: m)
     assert not converged and lo == hi and f_lo == f_hi == m
     assert hi == (max(ts) if m > 1.0 else min(ts)) and 0.0 < hi < math.inf
-    assert (hi * 4.0 == math.inf) if m > 1.0 else (hi * 0.25 == 0.0)
+    assert (hi * 4.0 == math.inf) if m > 1.0 else (1.0 / (hi * 0.25) == math.inf)
     assert len(set(ts)) == len(ts) == evals <= 25
+
+
+def test_level_crossing_stops_where_the_reciprocal_overflows():
+    # fn = (a/t)^2 for a subnormal a crosses 1 below 1/DBL_MAX, where the
+    # modular of f/t, taken at 1/t = inf, would fake a crossing
+    (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(lambda t: (1e-320 / t) ** 2)
+    assert not converged and lo == hi == min(ts) and f_hi <= 1.0
+    assert all(1.0 / t < math.inf for t in ts)
+
+
+def test_level_crossing_reads_past_rungs_that_do_not_certify():
+    # below 1e-150 fn cannot be certified: the gallop's rung 4^-255 counts
+    # as past the crossing at 1e-100, and the bracket still closes
+    def fn(t):
+        if t < 1e-150:
+            raise InconclusiveQuadratureError("no certified value")
+        return (1e-100 / t) ** 2
+
+    (lo, hi, f_lo, f_hi, evals, converged), ts = recorded_crossing(fn)
+    assert converged and lo < 1e-100 <= hi * (1.0 + 1e-15) and hi - lo <= 1e-12 * hi
+    assert min(ts) < 1e-150 and len(set(ts)) == len(ts) == evals
+
+
+def test_level_crossing_raises_where_the_crossing_rung_does_not_certify():
+    # the first rung past the crossing at 1e-100 is below 1e-90, so a
+    # rung-by-rung walk from the start raises there too
+    def fn(t):
+        if t < 1e-90:
+            raise InconclusiveQuadratureError("no certified value")
+        return (1e-100 / t) ** 2
+
+    with pytest.raises(InconclusiveQuadratureError, match="no certified value"):
+        cs._level_crossing(fn, 1.0, 1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-200, 3.7e5, 1e200])
