@@ -23,8 +23,11 @@ Young's equality for step-only profiles, and for profiles with analytic
 parts the point past which g(t/s) > g(t s) fails, for the objective g in t,
 which is convex, so that the minimiser is certified within a factor s.
 Limits, jumps and kinks the searches cannot reach are decided in closed
-form or evaluated directly.  The defining supremum over the dual ball is
-left to test oracles on tiny atom spaces.
+form or evaluated directly: for step-only profiles Q jumps where a level
+reaches a kink of Psi, and one batched evaluation of Q at every such jump
+and just past it decides a minimiser on a jump before any search, or bounds
+the continuous piece of Q the search runs in.  The defining supremum over
+the dual ball is left to test oracles on tiny atom spaces.
 
 For step-only profiles both norms use an exact step modular: the levels are
 checked and the weight masses computed once per norm, and every evaluation
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -262,20 +265,26 @@ def _log_modular(m: float) -> float:
     return math.log(m) if m > 0.0 else -math.inf
 
 
-def _level_crossing(fn, start: float, tol: float):
+def _level_crossing(fn, start: float, tol: float, known=None):
     """Bracket and solve fn(t) = 1 for fn > 1 left of a point, <= 1 right of it.
 
-    fn is memoised; the bracket is its tightest evaluated pair after one
+    fn is memoised, seeded with `known` (points t -> fn(t) the caller has
+    already evaluated); the bracket is its tightest evaluated pair after one
     _first_holding search over the x4 ladder from `start`, up if fn(start)
     > 1 and down otherwise, while t and 1/t (where callers evaluate) are
-    positive finite doubles.  A rung whose fn raises
+    positive finite doubles and short of the nearest known point past the
+    crossing, which ends the ladder.  A rung whose fn raises
     InconclusiveQuadratureError counts as past the crossing, and its error
     is raised only if it is the crossing rung, which a rung-by-rung walk
     from start evaluates too.  Safeguarded Illinois regula falsi on
     (log t, log fn) then shrinks the bracket to relative width tol.
-    Returns (lo, hi, fn(lo), fn(hi), evaluations, converged).  Without a
-    crossing, converged is False and lo = hi is the ladder's last rung."""
-    seen, failed = {start: fn(start)}, {}
+    Returns (lo, hi, fn(lo), fn(hi), evaluations, converged), counting the
+    known points out.  Without a crossing, converged is False and lo = hi is
+    the ladder's last rung."""
+    known = known or {}
+    seen, failed = dict(known), {}
+    if start not in seen:
+        seen[start] = fn(start)
 
     def past(t: float) -> bool:
         if t not in seen:  # _first_holding reads each rung once, start first
@@ -287,12 +296,16 @@ def _level_crossing(fn, start: float, tol: float):
 
     up = seen[start] > 1.0
     rungs = takewhile(lambda t: 0.0 < t < math.inf and 1.0 / t < math.inf, _ladder(start, 4.0 if up else 0.25))
+    ends = [t for t, m in known.items() if (t > start) == up and (m > 1.0) != up]
+    if ends:
+        end = min(ends) if up else max(ends)
+        rungs = chain(takewhile(lambda t: t < end if up else t > end, rungs), [end])
     cross = _first_holding(past, rungs)
     if cross in failed:
         raise failed[cross]
     if cross is None:
         end = max(seen) if up else min(seen)
-        return end, end, seen[end], seen[end], len(seen), False
+        return end, end, seen[end], seen[end], len(seen) - len(known), False
     lo = max(t for t, m in seen.items() if m > 1.0)
     hi = min(t for t in seen if t > lo)
 
@@ -330,7 +343,7 @@ def _level_crossing(fn, start: float, tol: float):
         else:
             stalled += 1
         steps += 1
-    return lo, hi, seen[lo], seen[hi], len(seen) + len(failed), (hi - lo) <= tol * hi
+    return lo, hi, seen[lo], seen[hi], len(seen) + len(failed) - len(known), (hi - lo) <= tol * hi
 
 
 def luxemburg_norm(
@@ -381,11 +394,20 @@ def _limit_slope(young: YoungFunction, mass: float) -> float | None:
 def _amemiya_steps(
     young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float
 ) -> NormReport:
-    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i):
-    the root of Young's equality Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i))
-    = 1, solved for f / max a_i (homogeneity) by _level_crossing in t = 1/k
-    from k = 1; the value is the objective at the better end of the final
-    bracket, scaled back."""
+    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i),
+    solved for f / max a_i (homogeneity).  The objective's slope is
+    (Q(k) - 1) / k^2 for Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i)),
+    which is non-decreasing and jumps up at each k = b / a_i where a level
+    reaches a kink b of Psi (llogl's at 1, a tabulated density's jumps).
+
+    One batched call evaluates Q at the start k = 1 (k = thr when Psi = inf
+    past thr), just below each such jump K and at K (1 + tol).  Q(K-) <= 1 <
+    Q(K (1 + tol)) puts the minimiser on the jump: the slope changes sign
+    there.  Otherwise these values bound the continuous piece of Q that holds
+    Q = 1, and _level_crossing finds its root in t = 1/k from the piece's
+    end nearest the start.  The value is the objective at the better end of the
+    final bracket, scaled back; witness and bracket are None where k / top
+    is not a finite double (a subnormal top)."""
     top = float(levels.max(initial=0.0))
     if top == 0.0:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -398,26 +420,57 @@ def _amemiya_steps(
     slope = _limit_slope(young, float(np.sum(masses)))
     if slope is not None:
         return NormReport(slope * float(np.sum(levels * masses)) * top, None, 0, True, None, None)
-    k0, evals = 1.0, 0
+
+    def report(ks, lo: float, hi: float, evals: int, converged: bool = True) -> NormReport:
+        ks = np.asarray(ks)
+        vals = (1.0 + mod(ks)) / ks
+        i = int(np.argmin(vals))
+        if hi / top == math.inf:
+            return NormReport(top * float(vals[i]), None, evals + 1, converged, None, None)
+        return NormReport(top * float(vals[i]), float(ks[i]) / top, evals + 1, converged, (lo / top, hi / top), None)
+
     thr = young.finite_threshold
-    if thr < math.inf:
+    k0 = 1.0 if thr == math.inf else thr
+    below, jumps = _step_jumps(young, levels, tol)
+    past = jumps * (1.0 + tol)
+    q = gap(np.concatenate(([k0], below, past)))
+    if thr < math.inf and q[0] <= 1.0:
         # M(k) = inf beyond k = thr: with Q <= 1 there, the objective falls
         # all the way to that jump
-        k0, evals = thr, 1
-        if float(gap(thr)) <= 1.0:
-            k = thr / top
-            return NormReport(top * (1.0 + float(mod(thr))) / thr, k, 2, True, (k, k), None)
-    lo, hi, _, _, iters, converged = _level_crossing(lambda t: float(gap(1.0 / t)), 1.0 / k0, tol)
-    k_lo, k_hi = 1.0 / hi, 1.0 / lo
-    # Q jumps where a level crosses a kink of Psi (llogl's at 1, a tabulated
-    # density's jumps); a minimiser on such a jump is one of these points
-    kinks = np.concatenate([b / levels for b in sorted(set(young.kinks))])
-    ks = np.concatenate(([k_lo, k_hi], kinks[(k_lo < kinks) & (kinks < k_hi)]))
-    vals = (1.0 + mod(ks)) / ks
-    i = int(np.argmin(vals))
-    return NormReport(
-        top * float(vals[i]), float(ks[i]) / top, evals + iters + 1, converged, (k_lo / top, k_hi / top), None
-    )
+        return report([thr], thr, thr, 1)
+    start = 1.0 / k0
+    known = {start: float(q[0])}
+    if jumps.size:
+        q_below, q_past = q[1 : jumps.size + 1], q[jumps.size + 1 :]
+        on = np.flatnonzero((q_below <= 1.0) & (q_past > 1.0))
+        if on.size:
+            j = on[np.argmax(jumps[on])]  # Q <= 1 up to the last such jump
+            return report([jumps[j]], float(below[j]), float(past[j]), 1)
+        known.update(zip((1.0 / below).tolist(), q_below.tolist()))
+        known.update(zip((1.0 / past).tolist(), q_past.tolist()))
+        # start from the end of Q's continuous piece nearest k0
+        t_a = max((t for t, m in known.items() if m > 1.0), default=0.0)
+        t_b = min((t for t in known if t > t_a), default=math.inf)
+        start = t_a if q[0] > 1.0 else t_b
+    lo, hi, _, _, iters, converged = _level_crossing(lambda t: float(gap(1.0 / t)), start, tol, known)
+    return report([1.0 / hi, 1.0 / lo], 1.0 / hi, 1.0 / lo, 1 + iters, converged)
+
+
+def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float):
+    """The points k = b / a_i where a level a_i reaches a positive kink b of
+    Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (a density may
+    take its right limit at the kink itself).  Only points where 1 / k- and
+    k (1 + tol) are finite are kept."""
+    kinks = [b for b in young.kinks if b > 0.0]
+    if not kinks:
+        return np.empty(0), np.empty(0)
+    kinks = np.asarray(kinks)[:, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        at = kinks / levels
+        at = np.where(at * levels > kinks, np.nextafter(at, 0.0), at)
+        below = np.where(at * levels < kinks, at, np.nextafter(at, 0.0))
+        ok = (1.0 / below < math.inf) & (at * (1.0 + tol) < math.inf)
+    return below[ok], at[ok]
 
 
 def orlicz_norm(

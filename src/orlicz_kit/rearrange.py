@@ -173,7 +173,7 @@ def load_simple_function(path, space: MeasureSpaceDesc | None = None) -> SimpleF
 def _check_aligned(f: SimpleFunction, g: SimpleFunction) -> None:
     if len(f.atoms) != len(g.atoms):
         raise DomainError("atom lists must have equal length to pair by index")
-    if not np.allclose(f.weights, g.weights, rtol=1e-12, atol=0.0):
+    if not np.all(np.abs(f.weights - g.weights) <= 1e-12 * g.weights):
         raise DomainError("paired simple functions must share atom weights")
 
 
@@ -954,7 +954,8 @@ def _first_holding(holds, rungs) -> float | None:
       * singular piece of cross_integral, eps: from b, x0.1, up to the first
         rung below 1e-290;
       * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving;
-      * norm brackets (_level_crossing): x4 or x0.25, while t and 1/t are finite."""
+      * norm brackets (_level_crossing): x4 or x0.25, while t and 1/t are
+        finite, up to the nearest point already known past the crossing."""
     rungs = iter(rungs)
     seen: list[float] = []
     failed, k = -1, 0

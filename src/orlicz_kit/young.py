@@ -545,52 +545,86 @@ class TabulatedYoung(YoungFunction):
 class NumericConjugate(YoungFunction):
     """Complement built on demand from the base density.
 
-    density(v) is the generalized inverse inf{w : psi(w) >= v} found by
-    monotone bisection; eval(t) uses the conjugate identity
-    Phi(t) = t*phi(t) - Psi(phi(t)).  Arguments whose inverse would exceed
-    _HI_CAP = 1e300 evaluate to +inf.  Growth traits are not derived, so
-    profiles with analytic tails cannot be integrated against a numeric
-    conjugate.
+    density(v) is the generalized inverse inf{w : psi(w) >= v}, found by
+    safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 1971) on
+    (log w, log psi(w) - log v) from a bracket one rung of a squaring ladder
+    wide; eval(t) uses the conjugate identity Phi(t) = t*phi(t) -
+    Psi(phi(t)).  Arguments whose inverse would exceed _HI_CAP = 1e300
+    evaluate to +inf.  Growth traits are not derived, so profiles with
+    analytic tails cannot be integrated against a numeric conjugate.
     """
 
     base: YoungFunction
 
     _HI_CAP = 1e300
     _FLOOR = 1e-300
-    _BISECT_ITERS = 72
-    _TINY = np.finfo(float).tiny
+    #: the squaring ladder 2, 4, 16, ..., 2^512 up to the cap and 1/2, 1/4,
+    #: ..., 2^-512 down to the floor
+    _LADDER = np.array(
+        [_FLOOR, *(2.0 ** -(2**j) for j in range(9, -1, -1)), *(2.0 ** (2**j) for j in range(10)), _HI_CAP]
+    )
+    #: an inverse has converged once log(hi / lo) <= 2^-52: hi is then at
+    #: most two doubles above lo
+    _WIDTH = 2.0**-52
+    #: a guard only: geometric bisection closes the widest rung, from the
+    #: floor to 2^-512, in 61 steps
+    _MAX_STEPS = 200
+    #: steps moving the same end, in a row, after which a geometric
+    #: bisection step is forced (psi flat in float, or nearly)
+    _STALL_STEPS = 3
+
+    @cached_property
+    def _ladder_density(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.base._density_arr(self._LADDER)
 
     def _inverse_density(self, v: np.ndarray):
+        """inf{w : psi(w) >= v} elementwise: 0 where psi(_FLOOR) >= v (a
+        zero root), +inf where psi(_HI_CAP) < v, and otherwise the upper end
+        of a bracket of relative width at most 2^-52, so psi(root) >= v."""
         v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # roots at (essentially) zero: density already >= v at the floor
-            zero_root = self.base._density_arr(np.full_like(v, self._FLOOR)) >= v
-            hi = np.full_like(v, 2.0)
-            for _ in range(12):
-                need = self.base._density_arr(hi) < v
-                if not np.any(need):
+        flat = v.reshape(-1)
+        psi = self._ladder_density
+        rung = np.searchsorted(psi, flat)  # the first rung with psi >= v
+        out = np.where(rung == 0, 0.0, math.inf)
+        inside = np.flatnonzero((rung > 0) & (rung < psi.size))
+        if inside.size:
+            out[inside] = self._illinois(flat[inside], rung[inside])
+        return out.reshape(v.shape)
+
+    def _illinois(self, v: np.ndarray, rung: np.ndarray) -> np.ndarray:
+        """The roots of psi(w) = v inside the ladder brackets (rung - 1,
+        rung], in lockstep.  Each step takes the Illinois interpolant in
+        (log w, g = log psi(w) - log v), kept a double inside the bracket,
+        or the geometric midpoint when an end has psi = 0 or inf or after
+        _STALL_STEPS steps that moved the same end.  A closed bracket is
+        frozen (its step evaluates its upper end), so an element's root does
+        not depend on the others in the call."""
+        psi, width = self._ladder_density, self._WIDTH
+        lo, hi = self._LADDER[rung - 1], self._LADDER[rung]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # g as the log of the ratio keeps its relative precision near 0
+            g_lo, g_hi = np.log(psi[rung - 1] / v), np.log(psi[rung] / v)
+            # the end each element's last step moved, and how often in a row
+            prev, run = None, 0
+            for _ in range(self._MAX_STEPS):
+                span = np.log(hi / lo)
+                open_ = span > width
+                if not np.count_nonzero(open_):
                     break
-                hi = np.where(need, np.minimum(hi * hi, self._HI_CAP), hi)
-            capped = (hi >= self._HI_CAP) & (self.base._density_arr(hi) < v)
-            lo = np.full_like(v, self._FLOOR)
-            # lo * hi >= _FLOOR * root turns subnormal, losing its precision
-            # (or 0), only for roots below tiny / _FLOOR; the guarded midpoint
-            # runs only when such a root is bisected (run on every call, it
-            # costs about 7% of step-norms throughput)
-            bisected = v[(v > 0) & ~zero_root]
-            deep = bool(np.any(self.base._density_arr(np.asarray(self._TINY / self._FLOOR)) >= bisected))
-            # geometric bisection: relative precision across all magnitudes
-            for _ in range(self._BISECT_ITERS):
-                prod = lo * hi
-                mid = np.sqrt(prod)
-                if deep:
-                    mid = np.where(prod < self._TINY, np.sqrt(lo) * np.sqrt(hi), mid)
-                ge = self.base._density_arr(mid) >= v
-                hi = np.where(ge, mid, hi)
-                lo = np.where(ge, lo, mid)
-        root = np.where(zero_root, 0.0, 0.5 * (lo + hi))
-        root = np.where(v <= 0, 0.0, root)
-        return np.where(capped & ~zero_root, math.inf, root)
+                den = g_lo - g_hi
+                frac = np.where(np.isfinite(den) & (run < self._STALL_STEPS), g_lo / den, 0.5)
+                t = np.minimum(np.maximum(lo * np.exp(span * frac), np.nextafter(lo, math.inf)), np.nextafter(hi, 0.0))
+                t = np.where(open_, t, hi)
+                p = self.base._density_arr(t)
+                g = np.log(p / v)
+                up = p >= v
+                # Illinois: an end kept twice in a row has its g halved
+                same = False if prev is None else up == prev
+                kept, run = np.where(same, 0.5, 1.0), np.where(same, run + 1, 0)
+                lo, hi, prev = np.where(up, lo, t), np.where(up, t, hi), up
+                g_lo, g_hi = np.where(up, kept * g_lo, g), np.where(up, g, kept * g_hi)
+        return hi
 
     def _density_arr(self, s):
         return self._inverse_density(s)
@@ -613,8 +647,8 @@ class NumericConjugate(YoungFunction):
 
     @cached_property
     def _vanish(self):
-        # conjugate vanishes on [0, psi(0+)]
-        probe = float(self.base._density_arr(np.asarray(1e-300)))
+        # conjugate vanishes on [0, psi(0+)], read at the ladder's floor
+        probe = float(self._ladder_density[0])
         return probe if math.isfinite(probe) else 0.0
 
     @property
@@ -753,7 +787,8 @@ def complement(y: YoungFunction, numeric: bool = False) -> YoungFunction:
 
     Closed-form partners are returned for catalog kinds; tabulated densities
     invert exactly segment by segment; anything else (or any kind when
-    numeric=True) is wrapped in a NumericConjugate evaluated by bisection.
+    numeric=True) is wrapped in a NumericConjugate, which inverts the base
+    density by Illinois regula falsi.
     """
     if numeric:
         return NumericConjugate(y)

@@ -111,18 +111,6 @@ def test_sandwich_with_density_states(young):
         assert_sandwich(young, f, state)
 
 
-def count_calls(monkeypatch, cls, attr):
-    calls = []
-    original = getattr(cls, attr)
-
-    def counted(self, *args):
-        calls.append(1)
-        return original(self, *args)
-
-    monkeypatch.setattr(cls, attr, counted)
-    return calls
-
-
 def test_power_work_count():
     for p in (1.2, 1.5, 2.0, 3.0, 3.5):
         for f in [F, *random_functions(7, 20)]:
@@ -137,26 +125,48 @@ def test_catalog_work_count(name):
         assert rep.converged and rep.iterations <= 16
 
 
-def test_llogl_jumps_cost_bisections():
-    # Q jumps where a level crosses 1; a jump across Q = 1 is closed by
-    # geometric bisection, about 30 steps at tol = 1e-9
-    fs = [F, *random_functions(8, 20)]
-    total = sum(cs.orlicz_norm(yg.zygmund_llogl(), f).iterations for f in fs)
-    assert total <= 40 * len(fs)
+def test_llogl_jumps_are_decided_at_their_kinks():
+    # Q jumps where a level crosses 1; Q at each jump and just past it, in
+    # one call, either returns a minimiser on the jump or leaves the search
+    # inside a continuous piece of Q
+    for f in [F, *random_functions(8, 20)]:
+        rep = cs.orlicz_norm(yg.zygmund_llogl(), f)
+        assert rep.converged and rep.iterations <= 12
 
 
-def test_one_evaluation_per_iteration(monkeypatch):
+@pytest.mark.parametrize("young, f, k", [
+    # llogl: Q = 0.9 k on (1/3, 1], as only the level 3 exceeds 1, and 2.9 k
+    # past 1, where the level 1 reaches llogl's kink
+    (yg.zygmund_llogl(), rr.simple_function([3.0, -1.0], [0.3, 2.0]), 1.0),
+    # a density jump from 0.5 to 2 at 1: Q = 0 up to k = 1 on the level 1
+    # and 1.2 * 1.5 past it
+    (yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0]), rr.simple_function([1.0], [1.2]), 1.0),
+    # the same jump at k = 4 on the level 0.25, where Q rises from 0.1 * 4.5
+    # (the level 1, past the density's last breakpoint) by 0.9 * 1.5
+    (yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0]), rr.simple_function([1.0, 0.25], [0.1, 0.9]), 4.0),
+], ids=["llogl", "tabulated", "tabulated-lower-level"])
+def test_jump_minimiser_in_two_evaluations(young, f, k):
+    rep = cs.orlicz_norm(young, f)
+    assert rep.converged and rep.iterations <= 2
+    assert rep.witness == k and rep.bracket[0] <= k <= rep.bracket[1]
+    with mp.workdps(30):
+        value, witness = mpr.amemiya(young, f)
+    assert rep.value == pytest.approx(float(value), rel=1e-12)
+    assert float(witness) == pytest.approx(k, rel=1e-9)
+
+
+def test_one_evaluation_per_iteration(count_calls):
     # each Q evaluation is one _equality_gap_arr call and the final modular
     # at the bracket ends is one batched _eval_arr call
-    gaps = count_calls(monkeypatch, yg.YoungFunction, "_equality_gap_arr")
-    evals = count_calls(monkeypatch, yg.PowerYoung, "_eval_arr")
+    gaps = count_calls(yg.YoungFunction, "_equality_gap_arr")
+    evals = count_calls(yg.PowerYoung, "_eval_arr")
     rep = cs.orlicz_norm(yg.power(3.0), F)
     assert len(gaps) == rep.iterations - 1
     assert len(evals) == rep.iterations
 
 
-def test_numeric_conjugate_inverts_once_per_evaluation(monkeypatch):
-    calls = count_calls(monkeypatch, yg.NumericConjugate, "_inverse_density")
+def test_numeric_conjugate_inverts_once_per_evaluation(count_calls):
+    calls = count_calls(yg.NumericConjugate, "_inverse_density")
     rep = cs.orlicz_norm(yg.NumericConjugate(yg.xlog1p()), F)
     assert rep.converged
     assert len(calls) == rep.iterations

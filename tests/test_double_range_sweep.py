@@ -143,6 +143,15 @@ def test_subnormal_atom_does_not_converge():
     assert rep.modular_at_witness <= 1.0
 
 
+def test_subnormal_atom_orlicz_norm_has_no_witness():
+    # the norm 2 ||f||_2 = 1e-320 sqrt(2) is found for f / 1e-320, but its
+    # minimiser k / 1e-320 overflows: no witness and no bracket
+    rep = cs.orlicz_norm(yg.power(2.0), rr.simple_function([1e-320], [0.5]))
+    assert rep.converged
+    assert rep.value == pytest.approx(1e-320 * math.sqrt(2.0), rel=1e-3)
+    assert rep.witness is None and rep.bracket is None
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e-300])
 def test_tiny_inv_power_head_against_its_closed_form(scale):
     # the power:3 modular of c t^-0.3 is 10 c^3, so the norm is 10^(1/3) c;

@@ -41,6 +41,14 @@ class TestSimpleFunction:
         with pytest.raises(DomainError):
             rr.MeasureSpaceDesc("probability", 2.0)
 
+    def test_aligned_weights_agree_to_1e_12_relative(self):
+        f = rr.simple_function([1.0, 2.0], [0.5, 3.0])
+        near = rr.simple_function([4.0, 5.0], [0.5, 3.0 * (1 + 5e-13)])
+        assert rr.add_aligned(near, f).values.tolist() == [5.0, 7.0]
+        far = rr.simple_function([4.0, 5.0], [0.5, 3.0 * (1 + 2e-12)])
+        with pytest.raises(DomainError, match="share atom weights"):
+            rr.add_aligned(far, f)
+
 
 class TestRearrange:
     def test_constant_function(self):

@@ -69,24 +69,12 @@ def test_batched_grid_equals_per_point(young_name, weight_name):
     assert batched_h == [amemiya(m, float(k)) for m, k in zip(reference, GRID)]
 
 
-def count_calls(monkeypatch, cls, attr):
-    calls = []
-    original = getattr(cls, attr)
-
-    def counted(self, *args):
-        calls.append(1)
-        return original(self, *args)
-
-    monkeypatch.setattr(cls, attr, counted)
-    return calls
-
-
 F = rr.simple_function([3.0, -1.0, 0.5, 2.0, -0.25], [0.3, 0.5, 1.2, 0.7, 0.4])
 
 
-def test_luxemburg_norm_evaluation_count(monkeypatch):
+def test_luxemburg_norm_evaluation_count(count_calls):
     # one evaluation per iteration; modular_at_witness reuses the last one
-    calls = count_calls(monkeypatch, yg.CoshMinusOne, "_eval_arr")
+    calls = count_calls(yg.CoshMinusOne, "_eval_arr")
     rep = cs.luxemburg_norm(yg.cosh_minus_1(), F)
     assert rep.converged
     assert len(calls) == rep.iterations

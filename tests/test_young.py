@@ -110,14 +110,54 @@ class TestComplement:
         got = yg.NumericConjugate(base).density(v)
         assert np.max(np.abs(got / inverse(v) - 1.0)) <= 1e-15
 
-    def test_numeric_inverse_density_unchanged_above_the_floor(self):
-        class PlainMidpoint(yg.NumericConjugate):
-            _TINY = 0.0  # never subnormal: always the midpoint np.sqrt(lo * hi)
+    @pytest.mark.parametrize("base, inverse", [
+        (yg.cosh_minus_1(), np.arcsinh),
+        (yg.power(3), lambda v: np.sqrt(v / 3.0)),
+        (yg.power(1.5), lambda v: (v / 1.5) ** 2),
+    ], ids=["cosh-1", "power:3", "power:1.5"])
+    def test_numeric_inverse_density_up_to_the_cap(self, base, inverse):
+        # roots up to 1e299 (up to the largest double's for cosh-1), past
+        # 1.34e154, where a bracket's product lo * hi would overflow
+        top = min(float(base.density(1e299)), np.finfo(float).max)
+        v = np.exp(np.random.default_rng(10).uniform(math.log(base.density(1e-8)), math.log(top), 400))
+        got = yg.NumericConjugate(base).density(v)
+        assert np.max(np.abs(got / inverse(v) - 1.0)) <= 1e-15
 
+    def test_numeric_conjugate_of_xlog1p_at_400(self):
+        # the root, about 1.9e173, is past 1.34e154
+        conj = yg.NumericConjugate(yg.xlog1p())
+        w = conj.density(400.0)
+        assert math.isfinite(w) and math.isfinite(conj.eval(400.0))
+        assert yg.xlog1p().density(w) == pytest.approx(400.0, rel=1e-15)
+
+    def test_numeric_inverse_density_is_the_least_double(self):
+        # a bisection over the bit patterns of the positive doubles finds the
+        # least w in [1e-300, 1e300] with psi(w) >= v; the numeric inverse
+        # is 0 where psi(1e-300) >= v and inf where psi(1e300) < v
         v = np.exp(np.random.default_rng(9).uniform(math.log(1e-149), math.log(1e20), 4000))
+        bits = np.array([1e-300, 1e300]).view(np.int64)
         for base in ALL_CATALOG:
+            lo, hi = np.full(v.shape, bits[0]), np.full(v.shape, bits[1])
+            while np.any(hi - lo > 1):
+                mid = lo + (hi - lo) // 2
+                ge = base.density(mid.view(float)) >= v
+                lo, hi = np.where(ge, lo, mid), np.where(ge, mid, hi)
+            least = hi.view(float)
             got = yg.NumericConjugate(base).density(v)
-            assert np.array_equal(got, PlainMidpoint(base).density(v)), base.name
+            zero, cap = base.density(1e-300) >= v, base.density(1e300) < v
+            assert np.all(got[zero] == 0.0) and np.all(got[cap] == math.inf), base.name
+            inner = ~zero & ~cap
+            assert np.all(base.density(got[inner]) >= v[inner]), base.name
+            assert np.all(got[inner] - least[inner] <= 2.0**-50 * least[inner]), base.name
+
+    def test_numeric_inverse_density_work_count(self, count_calls):
+        # a one-rung bracket and Illinois steps: at most 24 base density
+        # calls per inversion (the geometric bisection took 76)
+        calls = count_calls(yg.XLog1p, "_density_arr")
+        for v in np.geomspace(5e-4, 4.0, 25):
+            calls.clear()
+            yg.NumericConjugate(yg.xlog1p())._inverse_density(np.full(3, v))
+            assert len(calls) <= 24
 
     def test_numeric_involution_for_strictly_increasing_density(self):
         y = yg.xlog1p()
