@@ -44,7 +44,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
@@ -428,21 +428,41 @@ class DecreasingProfile:
         return self.head is None and self.tail is None and not any(l > 0 for l, _ in self.steps)
 
     def value(self, t):
-        """mu_t, right-continuous, vectorized; defined for t > 0."""
+        """mu_t, right-continuous, vectorized; defined for t > 0.
+
+        Points all in the head (t < head_width) or all on the tail (t >=
+        steps_end) take only that piece's expression; other points, NaN and
+        an empty array take the full chain.  Both compute each point with
+        the same ufuncs on operands of the same type (0-d array, np.float64
+        or array), and a change must keep it so: numpy's vectorised exp and
+        pow round differently from libm and from its own scalar loops."""
         arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
         hw = self.head_width
-        if self.head is not None:
+        if arr.ndim == 0:
+            lo = hi = float(arr)
+        elif arr.size:
+            lo, hi = arr.min(), arr.max()
+        else:
+            lo = hi = math.nan
+        if self.head is not None and hi < hw:
             with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(arr < hw, self.head.value(np.maximum(arr, 1e-320)), out)
-        if self.steps:
-            idx = np.searchsorted(self._edge_array, arr, side="right")
-            in_steps = (arr >= hw) & (idx < len(self.steps))
-            out = np.where(in_steps, self._level_array[np.minimum(idx, len(self.steps) - 1)], out)
-        if self.tail is not None:
-            u = arr - self.steps_end
+                out = self.head.value(np.maximum(arr, 1e-320))
+        elif self.tail is not None and lo >= self.steps_end:
             with np.errstate(over="ignore"):
-                out = np.where(u >= 0, self.tail.value(np.maximum(u, 0.0)), out)
+                out = self.tail.value(np.maximum(arr - self.steps_end, 0.0))
+        else:
+            out = np.zeros_like(arr)
+            if self.head is not None:
+                with np.errstate(divide="ignore", over="ignore"):
+                    out = np.where(arr < hw, self.head.value(np.maximum(arr, 1e-320)), out)
+            if self.steps:
+                idx = np.searchsorted(self._edge_array, arr, side="right")
+                in_steps = (arr >= hw) & (idx < len(self.steps))
+                out = np.where(in_steps, self._level_array[np.minimum(idx, len(self.steps) - 1)], out)
+            if self.tail is not None:
+                u = arr - self.steps_end
+                with np.errstate(over="ignore"):
+                    out = np.where(u >= 0, self.tail.value(np.maximum(u, 0.0)), out)
         return float(out) if np.ndim(t) == 0 else out
 
     def cuts(self) -> tuple[float, ...]:
@@ -765,7 +785,8 @@ def _gk15(fn, lo, hi):
     resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_KRONROD
     e = np.abs(resk - f @ _GK_GAUSS)
     scaled = resasc * np.minimum(1.0, (200.0 * e / resasc) ** 1.5)
-    e = np.where((resasc != 0.0) & (e != 0.0), scaled, e)
+    # where e is 0 and resasc is not, scaled is 0 too
+    e = np.where(resasc != 0.0, scaled, e)
     return resk * half, np.maximum(_EPS50 * (np.abs(f) @ _GK_KRONROD), e) * half
 
 
@@ -778,7 +799,11 @@ def _integrate(fn, pieces) -> float:
     share of the budget max(_ATOL, _RTOL*|total|).  Returns once the summed
     estimate meets the budget; raises InconclusiveQuadratureError on a
     non-finite integrand value or total, or when the panels reach
-    _PANELS_PER_PIECE per piece."""
+    _PANELS_PER_PIECE per piece.
+
+    Kept panels come first and new ones after them, in a fixed order, since
+    numpy's pairwise sum depends on it.  A change must keep that order and
+    each ufunc and operand type: the reported bits depend on them."""
     pieces = [(a, b) for a, b in pieces if b > a]
     if not pieces:
         return 0.0
@@ -786,12 +811,11 @@ def _integrate(fn, pieces) -> float:
     cap = _PANELS_PER_PIECE * len(pieces)
     a = b = res = err = np.empty(0)
     budget = _ATOL
-    while True:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        while True:
             r, e = _gk15(fn, lo, hi)
-            bad = ~np.isfinite(r + e)  # also where fn is not finite
-            if bad.any():
-                i = int(np.argmax(bad))
+            if not np.isfinite(r + e).all():  # also where fn is not finite
+                i = int(np.argmax(~np.isfinite(r + e)))
                 raise InconclusiveQuadratureError(
                     "non-finite integrand", interval=(float(lo[i]), float(hi[i])),
                     budget=budget, estimate=math.inf, panels=a.size + lo.size,
@@ -799,26 +823,27 @@ def _integrate(fn, pieces) -> float:
             a, b = np.concatenate((a, lo)), np.concatenate((b, hi))
             res, err = np.concatenate((res, r)), np.concatenate((err, e))
             total, estimate = float(res.sum()), float(err.sum())
-        budget = max(_ATOL, _RTOL * abs(total))
-        if not math.isfinite(total + estimate):
-            raise InconclusiveQuadratureError(
-                "integral overflows", interval=(float(a.min()), float(b.max())),
-                budget=budget, estimate=estimate, panels=a.size,
-            )
-        if estimate <= budget:
-            return total
-        if a.size >= cap:
-            raise InconclusiveQuadratureError(
-                "panel limit reached", interval=(float(a.min()), float(b.max())),
-                budget=budget, estimate=estimate, panels=a.size,
-            )
-        # the largest panel is always split, in case rounding leaves every
-        # estimate at or under its share
-        split = err >= min(budget / a.size, err.max())
-        mid = 0.5 * (a[split] + b[split])
-        lo, hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-        keep = ~split
-        a, b, res, err = a[keep], b[keep], res[keep], err[keep]
+            budget = max(_ATOL, _RTOL * abs(total))
+            if not math.isfinite(total + estimate):
+                raise InconclusiveQuadratureError(
+                    "integral overflows", interval=(float(a.min()), float(b.max())),
+                    budget=budget, estimate=estimate, panels=a.size,
+                )
+            if estimate <= budget:
+                return total
+            if a.size >= cap:
+                raise InconclusiveQuadratureError(
+                    "panel limit reached", interval=(float(a.min()), float(b.max())),
+                    budget=budget, estimate=estimate, panels=a.size,
+                )
+            # the largest panel is always split, in case rounding leaves every
+            # estimate at or under its share
+            split = err >= min(budget / a.size, err.max())
+            sa, sb = a[split], b[split]
+            mid = 0.5 * (sa + sb)
+            lo, hi = np.concatenate((sa, mid)), np.concatenate((mid, sb))
+            keep = ~split
+            a, b, res, err = a[keep], b[keep], res[keep], err[keep]
 
 
 def _split(a: float, b: float, n: int) -> list[tuple[float, float]]:
@@ -827,8 +852,10 @@ def _split(a: float, b: float, n: int) -> list[tuple[float, float]]:
 
 
 def _geo_split(a: float, b: float, n: int, shift: float = 0.0) -> list[tuple[float, float]]:
-    """n pieces of (a, b) whose ends are in geometric progression in t + shift."""
-    xs = np.geomspace(a + shift, b + shift, n + 1) - shift
+    """n pieces of (a, b) whose ends are in geometric progression in t + shift:
+    the points of np.geomspace, by its own steps (log10, linspace, power)
+    without its input checks and sign handling, which cost twice the rest."""
+    xs = np.power(10.0, np.linspace(np.log10(a + shift), np.log10(b + shift), n + 1)) - shift
     xs[0], xs[-1] = a, b
     return list(zip(xs[:-1], xs[1:]))
 
@@ -1012,7 +1039,7 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
             )
         return bool(cands) and min(cands) < 0.5 * _ATOL
 
-    rungs = chain([u], takewhile(lambda x: x <= 1e300, _ladder(u * 1.6, 1.6)))
+    rungs = chain([u], takewhile(partial(operator.ge, 1e300), _ladder(u * 1.6, 1.6)))
     u = _first_holding(certifies, rungs)
     if u is None:
         raise InconclusiveQuadratureError("power tail truncation did not certify")

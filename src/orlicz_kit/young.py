@@ -104,8 +104,14 @@ _VALIDATE_REL_TOL = 1e-12
 
 
 def _as_nonneg_array(s):
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    """s as a float array (0-d for a scalar), checked to be >= 0.  A Python
+    float takes a shorter path to the same 0-d array."""
+    if type(s) is float:
+        arr, negative = np.asarray(s), s < 0
+    else:
+        arr = np.asarray(s, dtype=float)
+        negative = np.any(arr < 0)
+    if negative:
         raise DomainError("Young functions are defined for s >= 0")
     return arr
 

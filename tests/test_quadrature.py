@@ -100,6 +100,34 @@ class TestKernel:
         assert exc.interval == (0.0, 1.0)
         assert exc.estimate == math.inf and exc.budget == rr._ATOL and exc.panels == 1
 
+    def test_non_finite_value_in_a_later_round_raises_with_its_panel(self, monkeypatch):
+        rounds = []
+        gk15 = rr._gk15
+
+        def recorded(fn, lo, hi):
+            rounds.append(lo.size)
+            return gk15(fn, lo, hi)
+
+        monkeypatch.setattr(rr, "_gk15", recorded)
+        # only the nodes of (0.5, 1], the second new panel of round two,
+        # come within 1e-3 of 0.75; the piece (1, 2) is kept after round one
+        fn = lambda x: np.where(np.abs(x - 0.75) < 1e-3, np.inf, x**-0.5)  # noqa: E731
+        with pytest.raises(InconclusiveQuadratureError) as info:
+            rr._integrate(fn, [(0.0, 1.0), (1.0, 2.0)])
+        exc = info.value
+        assert rounds == [2, 2]
+        assert exc.interval == (0.5, 1.0)
+        assert exc.panels == 3  # (1, 2) kept, (0, 0.5) and (0.5, 1) new
+        assert exc.estimate == math.inf and exc.budget > rr._ATOL
+
+    def test_integral_overflow_raises(self):
+        # each panel's value, 1.6e308, is finite; their sum is not
+        with pytest.raises(InconclusiveQuadratureError, match="integral overflows") as info:
+            rr._integrate(lambda x: np.full_like(x, 8e307), [(0.0, 2.0), (2.0, 4.0)])
+        exc = info.value
+        assert exc.interval == (0.0, 4.0) and exc.panels == 2
+        assert exc.budget == math.inf and math.isfinite(exc.estimate)
+
     def test_panel_limit_raises_on_a_divergent_integral(self):
         with pytest.raises(InconclusiveQuadratureError) as info:
             rr._integrate(lambda x: 1.0 / x, [(0.0, 1.0), (1.0, 2.0)])

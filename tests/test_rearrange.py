@@ -259,6 +259,74 @@ def probe_alphas(rng, p):
     return [a for a in (*cuts, *mids, *past, *inside, *rng.uniform(0.0, 2 * end, 5), math.inf) if a > 0]
 
 
+def chain_value(p, t):
+    """Reference profile value: every piece's expression on every point,
+    each kept where its region holds, with the same ufuncs and operand
+    types as DecreasingProfile.value."""
+    arr = np.asarray(t, dtype=float)
+    out = np.zeros_like(arr)
+    hw = p.head_width
+    if p.head is not None:
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(arr < hw, p.head.value(np.maximum(arr, 1e-320)), out)
+    if p.steps:
+        idx = np.searchsorted(np.asarray(p.step_edges), arr, side="right")
+        in_steps = (arr >= hw) & (idx < len(p.steps))
+        levels = np.asarray([l for l, _ in p.steps])
+        out = np.where(in_steps, levels[np.minimum(idx, len(p.steps) - 1)], out)
+    if p.tail is not None:
+        u = arr - p.steps_end
+        with np.errstate(over="ignore"):
+            out = np.where(u >= 0, p.tail.value(np.maximum(u, 0.0)), out)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def value_probes(p):
+    """Points by region: in the head (0, below the 1e-320 clamp, up to just
+    under head_width), on the steps (head_width, each edge, between edges),
+    and on the tail (steps_end and past it)."""
+    hw, end = p.head_width, p.steps_end
+    head = [0.0, 5e-324, 1e-322, *(hw * f for f in (1e-300, 1e-9, 0.3, 1 - 1e-12))]
+    head = head if p.head is not None else []
+    bounds = [hw, *p.step_edges]
+    steps = [x for a, b in zip(bounds, bounds[1:]) for x in (a, 0.5 * (a + b), b * (1 - 1e-15))]
+    tail = [end, end * (1 + 1e-15), end + 1e-9, end + 0.7, end * 1.5 + 3.0, end + 1e6, math.inf]
+    return [x for x in head if x < hw], [x for x in steps if hw <= x < end], tail
+
+
+class TestValueRegions:
+    HEADS = (None, "log_singularity", "inv_power")
+    TAILS = (None, "exponential", "power")
+
+    @staticmethod
+    def same(got, expected):
+        if isinstance(expected, float):
+            return type(got) is float and got.hex() == expected.hex()
+        return (isinstance(got, np.ndarray) and got.dtype == expected.dtype
+                and got.shape == expected.shape and got.tobytes() == expected.tobytes())
+
+    @pytest.mark.parametrize("head_kind", HEADS)
+    @pytest.mark.parametrize("tail_kind", TAILS)
+    def test_bits_equal_the_full_chain(self, head_kind, tail_kind):
+        rng = np.random.default_rng(16)
+        seen = 0
+        for _ in range(40):
+            p = random_profile(rng, head_kind, tail_kind)
+            if p is None:
+                continue
+            head, steps, tail = value_probes(p)
+            everything = head + steps + tail
+            inputs = [*everything, *map(np.float64, everything), math.nan]
+            inputs += [np.asarray(x) for x in (head + tail)[:3]]
+            inputs += [np.array(region) for region in (head, steps, tail, head[:1], tail[:1], everything)]
+            inputs += [np.array([*tail, math.nan]), np.array([math.nan]), np.array([]),
+                       np.array(everything[: len(everything) // 2 * 2]).reshape(2, -1)]
+            for t in inputs:
+                assert self.same(p.value(t), chain_value(p, t)), (p, t)
+            seen += len(inputs)
+        assert seen > 1000
+
+
 class TestHlPartial:
     HEADS = (None, "log_singularity", "inv_power")
     TAILS = (None, "exponential", "power")

@@ -57,6 +57,48 @@ class TestEval:
                 assert vec[i] == y(float(x))
 
 
+class TestCoercion:
+    """eval and density take a Python float, np.float64, int, 0-d array or
+    list alike."""
+
+    YOUNG = [*ALL_CATALOG, yg.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], limit=3.0),
+             yg.complement(yg.identity())]
+    POINTS = (0.0, -0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 7.0, 700.0, math.inf, math.nan)
+
+    @pytest.mark.parametrize("y", YOUNG, ids=lambda y: y.name)
+    def test_scalar_forms_give_identical_values(self, y):
+        for x in self.POINTS:
+            whole = math.isfinite(x) and x == int(x) and math.copysign(1.0, x) > 0
+            forms = [x, np.float64(x)] + ([int(x)] if whole else [])
+            for method in (y.eval, y.density):
+                want = method(np.asarray(x))
+                assert type(want) is float
+                for s in forms:
+                    got = method(s)
+                    assert type(got) is float and got.hex() == want.hex(), (method, s)
+                got = method([x, x])
+                assert isinstance(got, np.ndarray) and [v.hex() for v in got.tolist()] == [want.hex()] * 2
+
+    @pytest.mark.parametrize("s", [-1.0, -1e-300, -math.inf, np.float64(-1.0), -1, np.asarray(-1.0),
+                                   [-1.0], [0.5, -1.0]], ids=repr)
+    def test_negative_input_raises(self, s):
+        for method in (yg.power(2).eval, yg.power(2).density, yg.cosh_minus_1().eval):
+            with pytest.raises(DomainError, match="defined for s >= 0"):
+                method(s)
+
+    def test_a_python_float_reaches_the_rule_as_a_0d_array(self, monkeypatch):
+        seen = []
+        rule = yg.PowerYoung._eval_arr
+
+        def spy(self, s):
+            seen.append((type(s), np.ndim(s)))
+            return rule(self, s)
+
+        monkeypatch.setattr(yg.PowerYoung, "_eval_arr", spy)
+        yg.power(2.5).eval(0.3)
+        assert seen == [(np.ndarray, 0)]
+
+
 class TestComplement:
     def test_cosh_complement_is_llog_closed_form(self):
         comp = yg.complement(yg.cosh_minus_1())
