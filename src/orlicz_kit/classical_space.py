@@ -35,12 +35,12 @@ of the modular or of Q goes straight to the Young function's array kernel.
 Profiles with analytic parts evaluate the modular by quadrature, point by
 point.
 
-Membership in L^Psi asks for some lambda > 0 with a finite modular.  The
-search consults only the analytic finiteness verdicts on a geometric lambda
-grid from 1 down to 2^-60, galloping and then bisecting to the largest grid
-scale with a finite modular; the verdicts are monotone in lambda, so a
-negative answer (divergence at the floor scale 2^-60) certifies divergence at
-every grid scale.
+Membership in L^Psi asks for some lambda > 0 with a finite modular (Rao &
+Ren, Theory of Orlicz Spaces, 1991, ch. III).  The modular's comparison
+tests decide it as lambda -> 0 without quadrature: the witness is the
+largest lambda = 2^-k passing c*lambda*rate + theta_w < 1 for a log head
+under exp growth and lambda*sup <= thr under a finiteness threshold, the
+two that depend on lambda.  An overflowing finite Psi is no divergence.
 
 The regularity check computes the interval of parameters t for which the
 moment transform integral exp(t*u) f dmu is finite.  Profiles stand for |u|,
@@ -64,11 +64,11 @@ from .rearrange import (
     SimpleFunction,
     _WeightView,
     _check_aligned,
+    _finite_scale,
     _first_holding,
     _ladder,
     hl_partial,
     modular,
-    modular_is_finite,
     rearrange,
     simple_function,
 )
@@ -94,7 +94,6 @@ __all__ = [
     "classical_regular_check",
 ]
 
-_LAMBDA_GRID = tuple(2.0**-k for k in range(0, 61))
 #: Step budget of the Illinois phase of the Luxemburg and Amemiya norms.
 _MAX_ITER = 200
 #: Luxemburg search steps allowed without halving the bracket before a
@@ -197,22 +196,11 @@ def _as_profile_weight(f, weight):
 
 def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
     """Is f in L^Psi, i.e. is the modular of lambda*f finite for some
-    lambda > 0?  Returns the largest such lambda of a geometric grid from 1
-    to 2^-60, by a gallop and bisection over the finiteness verdicts, which
-    are monotone in lambda: divergence at 2^-60 certifies divergence at every
-    grid scale, and non-membership for the supported tail families."""
+    lambda > 0?  The comparison tests of rearrange._finite_scale decide it
+    without quadrature: the witness is the largest lambda = 2^-k passing
+    them, None when the modular diverges at every scale."""
     p, w = _as_profile_weight(f, weight)
-    if p.is_zero:
-        return MembershipReport(True, 1.0)
-    if p.is_bounded and p.support_end < math.inf:
-        # bounded support: some scale always pushes every level below the
-        # finiteness threshold
-        if math.isinf(young.finite_threshold):
-            return MembershipReport(True, 1.0 if math.isfinite(young.eval(p.sup_value)) else None)
-        lam = _first_holding(lambda lam: math.isfinite(young.eval(lam * p.sup_value)), _LAMBDA_GRID)
-        if lam is not None:
-            return MembershipReport(True, lam)
-    lam = _first_holding(lambda lam: modular_is_finite(young, p.scale(lam), w), _LAMBDA_GRID)
+    lam = _finite_scale(young, p, _WeightView(w))
     return MembershipReport(lam is not None, lam)
 
 
@@ -374,7 +362,8 @@ def luxemburg_norm(
     def mod_at(lam: float) -> float:
         return modular(young, p.scale(1.0 / lam), w) if fast is None else float(fast(1.0 / lam))
 
-    start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / pre.lambda_witness)
+    # a witness below 2^-1022 would put the start past the largest double
+    start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / max(pre.lambda_witness, 2.0**-1022))
     lo, hi, _, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
     if m_hi > 1.0:
         return NormReport(math.inf, None, iters, False, (lo, hi), m_hi)

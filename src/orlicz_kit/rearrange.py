@@ -17,9 +17,9 @@ level crossing); the profile composes them.
 modular(Y, p, w) evaluates integral_0^inf Psi(p(t)) * w(t) dt against an
 optional weight profile (Lebesgue when omitted).  Step-by-step pieces
 integrate exactly in closed form.  Pieces involving analytic heads or tails
-are decided first by hard-coded comparison tests per (growth class of Psi x
-tail kind); only certified-convergent pieces are then integrated numerically,
-with an analytic truncation bound pushed below half the absolute budget.
+are decided first by the comparison tests of _finite_scale, which also
+decide membership; only certified-convergent pieces are then integrated
+numerically, with an analytic truncation bound below half the budget.
 Every cutoff is the first rung of a fixed geometric ladder where its bound
 holds, found by one gallop-and-bisect search, _first_holding.  Divergence
 is therefore always an analytic verdict, never a quadrature blow-up.
@@ -48,13 +48,23 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
-# Unused here (the quadrature is _integrate); kept because perfbench/tracing.py
-# patches rearrange._si.quad, whose rearrange.quad counters therefore read 0.
-from scipy import integrate as _si  # noqa: F401
 from scipy import special as _sp
 
 from .errors import DomainError, InconclusiveQuadratureError, OrliczKitError
 from .young import Growth, YoungFunction, _load_two_columns
+
+
+class _LazyIntegrate:
+    """scipy.integrate, imported at the first attribute read (half the package's
+    import time): unused here, but perfbench/tracing.py patches _si.quad."""
+
+    def __getattr__(self, attr: str):
+        from scipy import integrate
+
+        return getattr(integrate, attr)
+
+
+_si = _LazyIntegrate()
 
 __all__ = [
     "MeasureSpaceDesc",
@@ -264,8 +274,9 @@ class PowerTail:
         return PowerTail(a * self.amplitude, self.exponent, self.offset)
 
     def crossing(self, level: float) -> float:
-        """u* with value(u*) = level (level below the junction)."""
-        return (self.amplitude / level) ** (1.0 / self.exponent) - self.offset
+        """u* with value(u*) = level (level below the junction); inf where
+        the float power overflows."""
+        return _power_or_inf(self.amplitude / level, 1.0 / self.exponent) - self.offset
 
 
 @dataclass(frozen=True)
@@ -683,22 +694,6 @@ def _require_growth(young: YoungFunction) -> Growth:
     return g
 
 
-def _head_diverges(young: YoungFunction, head, w: _WeightView) -> bool:
-    """Does integral_0 Psi(head(t)) w(t) dt diverge near t = 0?"""
-    g = _require_growth(young)
-    if g.kind == "threshold":
-        return True  # unbounded head crosses the finiteness threshold
-    theta_w = w.inv_order
-    if isinstance(head, LogSingularity):
-        if g.kind == "exp":
-            return head.coeff * g.rate + theta_w >= 1.0
-        return theta_w >= 1.0
-    # inverse-power head
-    if g.kind == "exp":
-        return True
-    return head.exponent * g.degree + theta_w >= 1.0
-
-
 def _tail_diverges(young: YoungFunction, tail, w: _WeightView) -> bool:
     """Does the unbounded tail region diverge?  (exp tails never do)."""
     if isinstance(tail, ExponentialTail):
@@ -715,6 +710,61 @@ def _tail_diverges(young: YoungFunction, tail, w: _WeightView) -> bool:
         )
     gamma_w = wtail.exponent if kind == "power" else 0.0
     return tail.exponent * so.alpha + gamma_w <= 1.0
+
+
+def _charged_top(p: DecreasingProfile, w: _WeightView, end: float) -> float:
+    """p's value where the weight first charges it before `end`: the first
+    step level of positive weight mass, else the tail's start value, else 0."""
+    for (level, _), a, b in zip(p.steps, (p.head_width, *p.step_edges), p.step_edges):
+        if min(b, end) > a and w.mass(a, min(b, end)) > 0:
+            return level
+    start = p.steps_end
+    if p.tail is not None and end > start and w.mass(start, end) > 0:
+        return p.value(start)
+    return 0.0
+
+
+def _finite_scale(young: YoungFunction, p: DecreasingProfile, w: _WeightView) -> float | None:
+    """The comparison tests of integral Psi(lam p) w, in the order head, steps,
+    tail: the largest lam = 2^-k (k >= 0) that passes them all, or None when
+    the integral diverges at every lam.  Every lam fails for a head under
+    threshold growth or against a weight head t**-theta_w with theta_w >= 1,
+    an inverse-power head under exp growth or with theta*d + theta_w >= 1,
+    and a tail that _tail_diverges.  Small lam pass lam*c*rate + theta_w < 1
+    (a log head under exp growth) and lam*top <= thr (top = _charged_top; v0,
+    where Psi vanishes, in place of thr when theta_w >= 1 makes the weight's
+    mass there infinite), each in the float expression of the test on
+    p.scale(lam).  A finite Psi that overflows a double is no divergence."""
+    eff_end = min(p.support_end, w.support_end)
+    theta_w = w.inv_order
+    lam = 1.0
+
+    def below(holds) -> float:
+        # the first of lam, lam/2, lam/4, ... (exact powers of 2) that holds
+        x = _first_holding(holds, takewhile(partial(operator.lt, 0.0), _ladder(lam, 0.5)))
+        if x is None:
+            raise InconclusiveQuadratureError("no double scale passes the comparison tests")
+        return x
+
+    head = p.head
+    if head is not None and min(p.head_width, eff_end) > 0:
+        g = _require_growth(young)
+        if g.kind == "threshold" or theta_w >= 1.0:
+            return None
+        if isinstance(head, InvPowerSingularity):
+            if g.kind == "exp" or head.exponent * g.degree + theta_w >= 1.0:
+                return None
+        elif g.kind == "exp":
+            lam = below(lambda x: x * head.coeff * g.rate + theta_w < 1.0)
+    bound = young.vanish_below if theta_w >= 1.0 else young.finite_threshold
+    top = _charged_top(p, w, eff_end) if bound < math.inf else 0.0
+    if top > 0.0:
+        if bound <= 0.0:
+            return None
+        lam = below(lambda x: x * top <= bound)
+    if p.tail is not None and math.isinf(eff_end) and _tail_diverges(young, p.tail, w):
+        return None
+    return lam
 
 
 # ----------------------------------------------------------------------------
@@ -943,20 +993,6 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     return value
 
 
-def _past_threshold(young, profile, w: _WeightView, start: float, end: float) -> float:
-    """Where Psi(p) turns finite on the tail region (start, end).
-
-    A tail starting above Psi's finiteness threshold makes Psi(p) = inf on
-    the slab up to the crossing: inf when the weight charges that slab,
-    otherwise the slab's end (capped at end).  Without a crossing, start."""
-    thr = young.finite_threshold
-    if not (math.isfinite(thr) and profile.value(start) > thr):
-        return start
-    cross = start + profile.tail.crossing(thr)
-    lo = min(max(cross, start), end)
-    return math.inf if w.mass(start, lo) > 0 else lo
-
-
 def _ladder(start: float, factor: float):
     """The rungs start, start*factor, (start*factor)*factor, ..., each the
     product of the one before and factor, without end."""
@@ -980,7 +1016,8 @@ def _first_holding(holds, rungs) -> float | None:
         while at most 1e300 (the first rung always);
       * singular piece of cross_integral, eps: from b, x0.1, up to the first
         rung below 1e-290;
-      * membership's lambda: _LAMBDA_GRID, 1 down to 2^-60 by halving;
+      * the scale of the comparison tests (_finite_scale): 1, 1/2, 1/4,
+        ..., while positive;
       * norm brackets (_level_crossing): x4 or x0.25, while t and 1/t are
         finite, up to the nearest point already known past the crossing."""
     rungs = iter(rungs)
@@ -1046,33 +1083,22 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
     return u
 
 
-def _tail_region_value(
-    young, profile, w: _WeightView, integrand, start: float, want_value: bool
-) -> float:
-    """The unbounded region (start, inf) where the profile follows its
-    tail.  Returns the contribution or inf; raises on inconclusive."""
+def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
+    """The part of the modular on (steps_end, inf), where the profile follows
+    its tail, found convergent by _finite_scale; raises on inconclusive."""
     tail = profile.tail
-    s0 = profile.steps_end
-    lo = _past_threshold(young, profile, w, start, math.inf)
-    if math.isinf(lo):
-        return math.inf
-    junction = min(profile.value(start), young.finite_threshold)
+    lo = profile.steps_end
+    junction = profile.value(lo)
 
     v0 = young.vanish_below
     if v0 > 0:
         if junction <= v0:
             return 0.0
-        u0 = tail.crossing(v0)
-        hi = s0 + u0
-        if not want_value:
-            return 0.0
+        hi = lo + tail.crossing(v0)
+        if not math.isfinite(hi):
+            raise InconclusiveQuadratureError(f"the tail falls to {v0:g}, where {young.name} is 0, past 1.8e308")
         pieces = _geo_split(max(lo, 1e-300), hi, 8) if lo > 0 else _split(lo, hi, 8)
         return _integrate(integrand, pieces)
-
-    if _tail_diverges(young, tail, w):
-        return math.inf
-    if not want_value:
-        return 0.0
 
     if isinstance(tail, ExponentialTail):
         # Psi(x) <= (Psi(j)/j) * x below the junction value j (convexity)
@@ -1103,18 +1129,22 @@ def _tail_region_value(
         else:
             # a slow power tail keeps its mass near the start: split geometrically
             # in offset + u, the coordinate in which it decays as a power
-            pieces.extend(_decade_split(prev, c, tail.offset - s0))
+            pieces.extend(_decade_split(prev, c, tail.offset - lo))
         prev = c
     return _integrate(integrand, pieces)
 
 
-def _modular_impl(
+def modular(
     young: YoungFunction,
     profile: DecreasingProfile,
-    weight: DecreasingProfile | None,
-    want_value: bool,
+    weight: DecreasingProfile | None = None,
 ) -> float:
+    """integral_0^inf Psi(p(t)) w(t) dt; +inf when a comparison test of
+    _finite_scale fails, and where Psi of a step level overflows a double.
+    Raises InconclusiveQuadratureError when the value cannot be certified."""
     w = _WeightView(weight)
+    if _finite_scale(young, profile, w) != 1.0:
+        return math.inf
     total = 0.0
 
     def integrand(t):
@@ -1125,20 +1155,16 @@ def _modular_impl(
 
     # 1. singular head
     hw = profile.head_width
-    if profile.head is not None:
-        head_end = min(hw, eff_end)
-        if head_end > 0:
-            if _head_diverges(young, profile.head, w):
-                return math.inf
-            if want_value:
-                inner = sorted({c for c in w.cuts() if 0.0 < c < head_end})
-                m = inner[0] if inner else head_end
-                total += _head_value(young, profile.head, w, m)
-                prev = m
-                for c in inner[1:] + [head_end]:
-                    if c > prev:
-                        total += _integrate(integrand, _split(prev, c, 4))
-                        prev = c
+    head_end = min(hw, eff_end)
+    if profile.head is not None and head_end > 0:
+        inner = sorted({c for c in w.cuts() if 0.0 < c < head_end})
+        m = inner[0] if inner else head_end
+        total += _head_value(young, profile.head, w, m)
+        prev = m
+        for c in inner[1:] + [head_end]:
+            if c > prev:
+                total += _integrate(integrand, _split(prev, c, 4))
+                prev = c
 
     # 2. steps (exact)
     t = hw
@@ -1159,33 +1185,15 @@ def _modular_impl(
         if t >= eff_end:
             break
 
-    # 3. tail
+    # 3. tail; left out where the weight charges none of it (Psi(p) may be inf)
     if profile.tail is not None:
         start = profile.steps_end
         if math.isinf(eff_end):
-            res = _tail_region_value(young, profile, w, integrand, start, want_value)
-            if math.isinf(res):
-                return math.inf
-            total += res
-        elif eff_end > start:
-            lo = _past_threshold(young, profile, w, start, eff_end)
-            if math.isinf(lo):
-                return math.inf
-            if want_value and eff_end > lo:
-                total += _integrate(integrand, _split(lo, eff_end, 8))
+            total += _tail_region_value(young, profile, w, integrand)
+        elif eff_end > start and w.mass(start, eff_end) > 0:
+            total += _integrate(integrand, _split(start, eff_end, 8))
 
     return total
-
-
-def modular(
-    young: YoungFunction,
-    profile: DecreasingProfile,
-    weight: DecreasingProfile | None = None,
-) -> float:
-    """integral_0^inf Psi(p(t)) w(t) dt; +inf exactly when a comparison test
-    certifies divergence.  Raises InconclusiveQuadratureError when the value
-    cannot be certified within the budget."""
-    return _modular_impl(young, profile, weight, True)
 
 
 def modular_is_finite(
@@ -1193,9 +1201,10 @@ def modular_is_finite(
     profile: DecreasingProfile,
     weight: DecreasingProfile | None = None,
 ) -> bool:
-    """Finiteness verdict of the modular by comparison tests alone (no
-    quadrature is performed)."""
-    return not math.isinf(_modular_impl(young, profile, weight, False))
+    """Do the comparison tests of _finite_scale pass at lam = 1 (no
+    quadrature)?  A finite Psi whose value overflows a double is no
+    divergence: modular may still return inf where this is True."""
+    return _finite_scale(young, profile, _WeightView(weight)) == 1.0
 
 
 def cross_integral(

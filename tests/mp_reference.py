@@ -22,7 +22,9 @@ Young = namedtuple("Young", "Psi psi kinks growth degree alpha", defaults=((), N
 
 def _tabulated(y):
     """Psi of the piecewise-linear density through (xs, ys), constant past the
-    last breakpoint and inf past the limit; a repeated x is a jump."""
+    last breakpoint and inf past the limit; a repeated x is a jump.  Near 0
+    Psi(s) ~ s where the density starts positive, ~ s**2 where it starts
+    rising from 0, and vanishes where it starts flat at 0."""
     xs, ys = [mp.mpf(x) for x in y.xs], [mp.mpf(v) for v in y.ys]
     ends = zip(xs, xs[1:] + [INF], ys, ys[1:] + ys[-1:])
     segments = [(a, b, ya, (yb - ya) / (b - a)) for a, b, ya, yb in ends if b > a]
@@ -31,7 +33,9 @@ def _tabulated(y):
         us = [(min(s, b) - a, ya, slope) for a, b, ya, slope in segments]
         return INF if s > y.limit else mp.fsum(ya * u + slope * u * u / 2 for u, ya, slope in us if u > 0)
 
-    return Young(Psi, None, (*y.xs, y.limit), "threshold" if y.limit < math.inf else "poly")
+    _, _, y0, slope0 = segments[0]
+    alpha = 1 if y0 > 0 else 2 if slope0 > 0 else INF
+    return Young(Psi, None, (*y.xs, y.limit), "threshold" if y.limit < math.inf else "poly", alpha=alpha)
 
 
 def _conjugate(y):
@@ -199,7 +203,9 @@ def amemiya(y, f, weight=None, centre=0.0, half=30.0, width=1e-20, dps=30):
 
 #: Psi(lambda p) w is integrable at 0 for small lambda iff the order theta_w
 #: of an inverse-power weight head, plus what a head adds under Psi's growth
-#: class, is below 1 (lambda c rate -> 0 under exp growth); other pairs diverge.
+#: class, is below 1 (lambda c rate -> 0 under exp growth); other pairs
+#: diverge.  Or iff Psi(lambda p) is 0 near 0 for small lambda: p bounded and
+#: Psi vanishing near 0.
 HEAD_ORDER = {
     ("log_singularity", "poly"): lambda head, degree: 0.0,
     ("log_singularity", "exp"): lambda head, degree: 0.0,
@@ -222,4 +228,5 @@ def member(y, prof, weight=None) -> bool:
         order += HEAD_ORDER.get((prof.head.kind, ref.growth), lambda *_: INF)(prof.head, ref.degree)
     far = "lebesgue" if weight is None else "zero" if weight.tail is None else weight.tail.kind
     tail_order = TAIL_ORDER.get((getattr(prof.tail, "kind", None), far))
-    return order < 1 and (tail_order is None or tail_order(prof.tail.exponent, ref.alpha, weight) > 1)
+    vanishes = prof.head is None and ref.alpha == INF
+    return (order < 1 or vanishes) and (tail_order is None or tail_order(prof.tail.exponent, ref.alpha, weight) > 1)

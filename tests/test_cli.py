@@ -394,6 +394,17 @@ class TestInconclusiveQuadrature:
         for part in ("error estimate inf", "against budget", "panels"):
             assert part in lines[0]
 
+    def test_exits_4_where_a_tail_vanishes_past_the_largest_double(self, runner, tmp_path):
+        # 1e300 (1 + u)**-0.4 falls to 1, below which llogl vanishes, at
+        # u = 1e750; membership needs no such point
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({"steps": [], "tail": {"kind": "power", "amplitude": 1e300, "exponent": 0.4}}))
+        res = runner.invoke(main, ["norm", "--young", "llogl", "--profile", str(profile)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == "inconclusive quadrature: the tail falls to 1, where llogl is 0, past 1.8e308\n"
+        res = runner.invoke(main, ["check", "membership", "--young", "llogl", "--profile", str(profile)])
+        assert res.exit_code == 0 and json.loads(res.stdout)["member"] is True
+
 
 # mostly well-formed values, so that parsing succeeds often enough for the
 # norms and checks behind it to run on odd but valid input

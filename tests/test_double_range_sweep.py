@@ -19,6 +19,7 @@ import pytest
 from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
+from orlicz_kit.errors import InconclusiveQuadratureError
 
 import mp_reference as mpr
 
@@ -76,14 +77,14 @@ def sweep_cases():
 
 
 KNOWN = {
-    1: "ROADMAP item 1: the membership grid and the log-head truncation bound are not scale-free",
+    2: "ROADMAP item 2: the norm search must decide a point where the modular cannot be evaluated",
     3: "ROADMAP item 3: the Luxemburg bracket ignores the quadrature error",
     4: "ROADMAP item 4: growth verdicts are judged on a grid",
     5: "ROADMAP item 5: a convergent head raises for want of a closed-form remainder",
 }
 #: The sweep cases that fail today, by the ROADMAP item that mends them.
 XFAIL = {
-    1: {"power:3-log-exp-1e+300", "cosh-1-log-exp-1e+50", "lexp-log-inv-1e+300", "power:3-bare-log-none-1e+120"},
+    2: {"power:3-log-exp-1e+300", "lexp-log-inv-1e+300", "power:3-bare-log-none-1e+120"},
     3: {
         "identity-log-steps-1e-50", "identity-inv-exp-1", "identity-exp-none-1e+50", "power:2-inv-steps-1e-50",
         "power:2-power-power-1e+50", "power:3-power-none-1", "cosh-1-power-exp-1e-50", "llog-log-power-1",
@@ -124,6 +125,32 @@ def test_sweep(young, prof, weight):
 # The defects of the re-anchor baseline, by name.
 
 
+def test_a_member_that_needs_a_tiny_scale():
+    # c lam rate < 1 needs lam < 1e-20: the witness is 2^-67
+    rep = cs.membership(yg.cosh_minus_1(), D((), head=L(1e20, 1.0)))
+    assert rep.member and rep.lambda_witness == 2.0**-67
+
+
+@pytest.mark.xfail(reason=KNOWN[2], strict=True, raises=InconclusiveQuadratureError)
+def test_a_member_that_needs_a_tiny_scale_against_mpmath():
+    # the norm is homogeneous: 1e20 times that of L(1, 1), which is sqrt(2)
+    rep = cs.luxemburg_norm(yg.cosh_minus_1(), D((), head=L(1e20, 1.0)))
+    unit = float(mpr.luxemburg(yg.cosh_minus_1(), D((), head=L(1.0, 1.0))))
+    assert rep.converged and rep.value == pytest.approx(1e20 * unit, rel=1e-9)
+
+
+def test_an_overflowing_step_against_mpmath():
+    # cosh(1e300 / lam) - 1 overflows a double for lam below about 1.4e297,
+    # which is no divergence; the 20-digit modular brackets the root
+    # 1e300 / arccosh(2) = 7.5932571750020696e+299 (the tail adds about 1e-600)
+    young, prof = yg.cosh_minus_1(), D(((1e300, 1.0),), E(1.0, 1.0))
+    rep = cs.luxemburg_norm(young, prof)
+    assert rep.converged
+    lo, hi = rep.bracket
+    assert mp_modular(young, prof, None, hi) <= 1 + ROUNDOFF
+    assert mp_modular(young, prof, None, lo) >= 1 - ROUNDOFF
+
+
 @pytest.mark.parametrize("level", [1e-300, 1e-150, 1e150, 1e300])
 @pytest.mark.parametrize("spec", ["power:2", "cosh-1", "xlog1p"])
 def test_one_atom_at_an_extreme_level(spec, level):
@@ -141,6 +168,13 @@ def test_subnormal_atom_does_not_converge():
     rep = cs.luxemburg_norm(yg.power(2.0), rr.simple_function([1e-320], [0.5]))
     assert not rep.converged and rep.value >= 1e-320 / math.sqrt(2.0)
     assert rep.modular_at_witness <= 1.0
+
+
+def test_a_witness_near_the_least_double_keeps_the_start_finite():
+    # the witness is 2^-1024, so 2 / witness overflows; the norm, about
+    # 1.4e308, lies past the last x4 rung below the largest double
+    rep = cs.luxemburg_norm(yg.cosh_minus_1(), D((), head=L(1e308, 1.0)))
+    assert not rep.converged and rep.value == math.inf
 
 
 def test_subnormal_atom_orlicz_norm_has_no_witness():

@@ -469,7 +469,7 @@ def test_log_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
     for c in (0.05, 0.3, 0.9, 0.999, 2.0, 40.0):
         for width in (0.2, 1.0):
             head = rr.LogSingularity(c, width)
-            if rr._head_diverges(young, head, w):
+            if rr._finite_scale(young, rr.DecreasingProfile((), head=head), w) != 1.0:
                 continue
             m = min([width, *(x for x in w.cuts() if x > 0)])
             got = searched_cutoff(monkeypatch, rr._head_value, young, head, w, m)
@@ -498,9 +498,7 @@ def test_exp_tail_cutoff_equals_linear_scan(monkeypatch, yname, wname):
         for rate in (1e-3, 0.05, 0.7, 5.0):
             for steps in ((), ((1.5 * amp, 0.7),)):
                 profile = rr.DecreasingProfile(steps, rr.ExponentialTail(amp, rate))
-                got = searched_cutoff(
-                    monkeypatch, rr._tail_region_value, young, profile, w, None, profile.steps_end, True
-                )
+                got = searched_cutoff(monkeypatch, rr._tail_region_value, young, profile, w, None)
                 assert got == scanned(linear_scan_exp_tail, young, profile, w), (amp, rate, steps)
 
 

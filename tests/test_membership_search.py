@@ -1,9 +1,10 @@
-"""Membership in L^Psi by a gallop and bisection over the lambda grid,
-against a plain linear scan of the same grid and the same finiteness
-verdicts, and its exact work counts.  The scan here shares no search code
-with `classical_space`.  Also the search itself, `rearrange._first_holding`
-over a ladder of rungs: its answer, its test count and how much of the
-ladder it reads."""
+"""Membership in L^Psi by the comparison tests as lambda -> 0: the verdict
+against the multiple-precision reference's rule, the witness against a
+linear walk of lambda = 2^-k over the closed-form conditions, and no modular
+or quadrature call on the way.  The walk and the reference share no code
+with `classical_space` or `rearrange`.  Also the search the witness gallops
+with, `rearrange._first_holding` over a ladder of rungs: its answer, its
+test count and how much of the ladder it reads."""
 
 import itertools
 import math
@@ -14,6 +15,8 @@ from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 
+import mp_reference as mpr
+
 D = rr.DecreasingProfile
 L, I = rr.LogSingularity, rr.InvPowerSingularity
 E, P = rr.ExponentialTail, rr.PowerTail
@@ -21,30 +24,43 @@ E, P = rr.ExponentialTail, rr.PowerTail
 GRID = [2.0**-k for k in range(61)]
 
 
-def scan_membership(young, f, weight=None):
-    """(member, lambda_witness) by walking the grid from 1 downward."""
+def walk_witness(young, prof, weight=None):
+    """The first lambda of 1, 1/2, 1/4, ... at which lambda c rate + theta_w
+    < 1 for a log head under exp growth, and lambda sup <= thr under a
+    finiteness threshold (<= v0, where Psi vanishes, against a weight head
+    with theta_w >= 1); the closed-form conditions of a member."""
+    growth, head = young.growth(), prof.head
+    wh = None if weight is None else weight.head
+    theta_w = wh.exponent if isinstance(wh, I) else 0.0
+    bound = young.vanish_below if theta_w >= 1.0 else young.finite_threshold
+    lam = 1.0
+    while lam > 0.0:
+        head_ok = not (isinstance(head, L) and growth.kind == "exp") or lam * head.coeff * growth.rate + theta_w < 1.0
+        if head_ok and (math.isinf(bound) or lam * prof.sup_value <= bound):
+            return lam
+        lam *= 0.5
+    raise AssertionError("no positive double lambda")
+
+
+def walk_membership(young, f, weight=None):
+    """(member, lambda_witness): the reference's verdict, and the walked
+    witness of a member."""
     p, w = cs._as_profile_weight(f, weight)
-    if p.is_zero:
-        return True, 1.0
-    if p.is_bounded and p.support_end < math.inf:
-        if math.isinf(young.finite_threshold):
-            return True, (1.0 if math.isfinite(young.eval(p.sup_value)) else None)
-        for lam in GRID:
-            if math.isfinite(young.eval(lam * p.sup_value)):
-                return True, lam
-    for lam in GRID:
-        if rr.modular_is_finite(young, p.scale(lam), w):
-            return True, lam
-    return False, None
+    if not mpr.member(young, p, w):
+        return False, None
+    return True, walk_witness(young, p, w)
 
 
-def outcome(fn, *args):
-    """fn's (member, lambda_witness), or the type of what it raised."""
-    try:
-        res = fn(*args)
-    except Exception as exc:  # the type is compared, whatever it is
-        return type(exc)
-    return (res.member, res.lambda_witness) if isinstance(res, cs.MembershipReport) else res
+def forbid_modular(monkeypatch):
+    """Make every modular evaluation and every quadrature fail the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("membership evaluated a modular")
+
+    for name in ("modular", "modular_is_finite", "_integrate"):
+        monkeypatch.setattr(rr, name, forbidden)
+        if hasattr(cs, name):
+            monkeypatch.setattr(cs, name, forbidden)
 
 
 YOUNGS = {
@@ -81,18 +97,33 @@ WEIGHTS = {
     "power": D((), P(1.0, 2.0)),
     "inv-power-head": D(((1.0, 1.0),), head=I(1.0, 0.5, 1.0)),
     "log-head": D(((0.5, 1.0),), head=L(1.0, 0.5)),
+    # infinite mass at 0: only a Psi that vanishes there keeps a member
+    "inv-power-head-wild": D(((1.0, 1.0),), head=I(1.0, 1.5, 1.0)),
 }
 
-SCALES = [1e-100, 1e-3, 1.0, 40.0, 1e100]
+SCALES = [1e-300, 1e-100, 1e-3, 1.0, 40.0, 1e100, 1e300]
+
+
+def matrix():
+    return itertools.product(PROFILES.items(), WEIGHTS.items(), SCALES)
+
+
+@pytest.mark.parametrize("yname", YOUNGS)
+def test_verdict_matches_the_mp_reference(monkeypatch, yname):
+    young = YOUNGS[yname]
+    forbid_modular(monkeypatch)
+    for (pname, p), (wname, w), s in matrix():
+        prof = p.scale(s)
+        assert cs.membership(young, prof, w).member == mpr.member(young, prof, w), (pname, wname, s)
 
 
 @pytest.mark.parametrize("yname", YOUNGS)
 def test_gallop_matches_the_linear_scan(yname):
     young = YOUNGS[yname]
-    for (pname, p), (wname, w), s in itertools.product(PROFILES.items(), WEIGHTS.items(), SCALES):
+    for (pname, p), (wname, w), s in matrix():
         prof = p.scale(s)
-        got = outcome(cs.membership, young, prof, w)
-        assert got == outcome(scan_membership, young, prof, w), (pname, wname, s)
+        rep = cs.membership(young, prof, w)
+        assert (rep.member, rep.lambda_witness) == walk_membership(young, prof, w), (pname, wname, s)
 
 
 @pytest.mark.parametrize("level", [1e-300, 1e-100, 1.0, 7.0, 1e100, 1e300])
@@ -100,7 +131,8 @@ def test_gallop_matches_the_linear_scan(yname):
 def test_simple_functions_match_the_linear_scan(yname, level):
     young = YOUNGS[yname]
     f = rr.simple_function([level, -0.5 * level], [0.5, 1.5])
-    assert outcome(cs.membership, young, f) == outcome(scan_membership, young, f)
+    rep = cs.membership(young, f)
+    assert (rep.member, rep.lambda_witness) == walk_membership(young, f)
 
 
 @pytest.mark.parametrize("first", range(len(GRID) + 1))
@@ -158,18 +190,6 @@ def test_ladder_is_the_repeated_product():
     assert list(itertools.islice(rr._ladder(0.3, 1.6), 50)) == rungs
 
 
-def count_verdicts(monkeypatch):
-    calls = []
-    real = cs.modular_is_finite
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cs, "modular_is_finite", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "young, prof",
     [
@@ -179,11 +199,10 @@ def count_verdicts(monkeypatch):
     ],
     ids=["slow-tail-in-l1", "inv-head-in-l2", "inv-head-in-cosh"],
 )
-def test_a_certified_non_member_takes_seven_verdicts(monkeypatch, young, prof):
-    calls = count_verdicts(monkeypatch)
+def test_a_certified_non_member_takes_no_modular(monkeypatch, young, prof):
+    forbid_modular(monkeypatch)
     rep = cs.membership(young, prof)
     assert not rep.member and rep.lambda_witness is None
-    assert len(calls) == 7  # lambda = 2^-k for k = 0, 1, 3, 7, 15, 31, 60
 
 
 @pytest.mark.parametrize(
@@ -196,8 +215,15 @@ def test_a_certified_non_member_takes_seven_verdicts(monkeypatch, young, prof):
     ],
     ids=["exp-tail-in-cosh", "inv-head-in-l2", "log-head-in-cosh"],
 )
-def test_a_member_takes_one_verdict_per_halving(monkeypatch, young, prof, witness):
-    calls = count_verdicts(monkeypatch)
+def test_a_member_takes_no_modular(monkeypatch, young, prof, witness):
+    forbid_modular(monkeypatch)
     rep = cs.membership(young, prof)
     assert rep.member and rep.lambda_witness == witness
-    assert len(calls) == (1 if witness == 1.0 else 2)
+
+
+def test_an_overflowing_psi_is_no_divergence():
+    # cosh(1e300 lam) - 1 overflows a double at every lam >= 2^-60, yet the
+    # modular is finite for every lam
+    rep = cs.membership(yg.cosh_minus_1(), D(((1e300, 1.0),), E(1.0, 1.0)))
+    assert rep.member and rep.lambda_witness == 1.0
+    assert rr.modular_is_finite(yg.cosh_minus_1(), D(((1e300, 1.0),), E(1.0, 1.0)))

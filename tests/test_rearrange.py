@@ -484,6 +484,21 @@ class TestModular:
         assert rr.modular(thr, p, w) == float(thr.eval(level)) * mass
         assert rr.modular_is_finite(thr, p, w)
 
+    @pytest.mark.parametrize("tail", [None, rr.ExponentialTail(1.0, 1.0)], ids=["steps", "steps+tail"])
+    def test_weight_of_infinite_mass_at_zero(self, tail):
+        # w(t) = t**-1.5 near 0 has infinite mass there: Psi(lam p) w is
+        # integrable only where Psi(lam p) vanishes near 0
+        p = rr.DecreasingProfile(((2.0, 0.5), (1.0, 0.5)), tail)
+        w = rr.DecreasingProfile(((1.0, 1.0),), head=rr.InvPowerSingularity(1.0, 1.5, 1.0))
+        assert rr.modular(yg.power(2), p, w) == math.inf
+        assert rr.modular(yg.zygmund_llogl(), p, w) == math.inf
+        assert rr.modular(yg.zygmund_llogl(), p.scale(0.5), w) == 0.0
+
+    def test_zero_weight_leaves_a_tail_above_the_threshold_out(self):
+        thr, w = yg.complement(yg.identity()), rr.DecreasingProfile(((0.0, 5.0),))
+        for p in self.TAILS_ABOVE.values():
+            assert rr.modular(thr, p, w) == 0.0 and rr.modular_is_finite(thr, p, w)
+
     def test_weighted_step_exact(self):
         p = rr.DecreasingProfile(((2.0, 1.0),))
         w = rr.DecreasingProfile(((0.5, 3.0),))

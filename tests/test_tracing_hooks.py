@@ -6,6 +6,8 @@ A refactor that removes a traced function, method or module alias (say
 a traced benchmark run does.  Nothing under perfbench/ is changed."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,18 @@ def test_install_then_uninstall_restores_every_hook():
         assert now.keys() == names.keys(), owner
         changed = [key for key, value in names.items() if now[key] is not value]
         assert not changed, (owner, changed)
+
+
+def test_the_quad_alias_imports_scipy_integrate_on_first_use():
+    # importing scipy.integrate takes about half of the command line's import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, orlicz_kit.cli\n"
+        "from orlicz_kit import rearrange\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "import scipy.integrate\n"
+        "assert rearrange._si.quad is scipy.integrate.quad\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
