@@ -29,11 +29,14 @@ and just past it decides a minimiser on a jump before any search, or bounds
 the continuous piece of Q the search runs in.  The defining supremum over
 the dual ball is left to test oracles on tiny atom spaces.
 
-For step-only profiles both norms use an exact step modular: the levels are
-checked and the weight masses computed once per norm, and every evaluation
-of the modular or of Q goes straight to the Young function's array kernel.
-Profiles with analytic parts evaluate the modular by quadrature, point by
-point.
+For step-only inputs both norms use an exact step modular: the levels and
+their weight masses are computed once per norm (_step_levels), straight
+from the atoms for a simple function and from the steps for a profile, and
+every evaluation of the modular or of Q goes straight to the Young
+function's array kernel.  The kernels overflow by design, so each norm
+holds one np.errstate for its whole search (luxemburg_norm's step branch,
+_amemiya_steps) instead of one per evaluation.  Profiles with analytic
+parts evaluate the modular by quadrature, point by point.
 
 Membership in L^Psi asks for some lambda > 0 with a finite modular (Rao &
 Ren, Theory of Orlicz Spaces, 1991, ch. III).  The modular's comparison
@@ -67,6 +70,7 @@ from .rearrange import (
     _finite_scale,
     _first_holding,
     _ladder,
+    _merged_steps,
     hl_partial,
     modular,
     rearrange,
@@ -177,21 +181,29 @@ def _merge_density(f: SimpleFunction, density: SimpleFunction) -> SimpleFunction
     return SimpleFunction(tuple(atoms), f.space) if atoms else simple_function([], [])
 
 
-def _as_profile_weight(f, weight):
-    """Normalize (f, weight) to (DecreasingProfile, profile weight or None)."""
+def _as_input(f, weight):
+    """Normalize (f, weight) to (SimpleFunction, None), an aligned density
+    merged into its weights, or to (DecreasingProfile, profile weight or
+    None)."""
     if isinstance(f, SimpleFunction):
         if weight is None:
-            return rearrange(f), None
+            return f, None
         if isinstance(weight, WeightedDensityState):
             weight = weight.f
         if isinstance(weight, SimpleFunction):
-            return rearrange(_merge_density(f, weight)), None
+            return _merge_density(f, weight), None
         raise DomainError("a simple function takes an aligned simple-function density")
     if isinstance(f, DecreasingProfile):
         if weight is None or isinstance(weight, DecreasingProfile):
             return f, weight
         raise DomainError("a profile takes a profile weight")
     raise DomainError(f"unsupported input type {type(f).__name__}")
+
+
+def _as_profile_weight(f, weight):
+    """Normalize (f, weight) to (DecreasingProfile, profile weight or None)."""
+    f, w = _as_input(f, weight)
+    return (rearrange(f) if isinstance(f, SimpleFunction) else f), w
 
 
 def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
@@ -204,23 +216,31 @@ def membership(young: YoungFunction, f, weight=None) -> MembershipReport:
     return MembershipReport(lam is not None, lam)
 
 
-def _step_levels(p: DecreasingProfile, w):
-    """For a step-only profile, its levels and the weight masses of their
-    steps, restricted to positive masses; None when it has analytic parts."""
-    if p.head is not None or p.support_end == math.inf:
+def _step_levels(f, w):
+    """The levels of a step-only input and the weight masses of their steps,
+    restricted to positive masses.  A simple function (its density already
+    merged, w None) goes straight to them: its |values| merged as rearrange
+    merges them, no profile built, and a merged length that overflows
+    raises the profile's DomainError.  None for a profile with analytic
+    parts or a weight with an inverse-power head of theta_w >= 1 (infinite
+    mass at 0): membership decides those."""
+    if isinstance(f, SimpleFunction):
+        steps = _merged_steps((abs(v), m) for v, m in f.atoms)
+        lengths = [m for _, m in steps]
+        if math.inf in lengths:
+            raise DomainError("step lengths must be positive and finite")
+        return np.asarray([l for l, _ in steps]), np.asarray(lengths)
+    wv = _WeightView(w)
+    if f.head is not None or f.support_end == math.inf or wv.inv_order >= 1.0:
         return None
-    levels = np.asarray([l for l, _ in p.steps])
+    levels = np.asarray([l for l, _ in f.steps])
     if w is None:
-        masses = np.asarray([length for _, length in p.steps])
+        masses = np.asarray([length for _, length in f.steps])
     else:
-        wv = _WeightView(w)
-        edges = (0.0, *p.step_edges)
+        edges = (0.0, *f.step_edges)
         masses = np.asarray([wv.mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
     keep = masses > 0
-    levels, masses = levels[keep], masses[keep]
-    if np.any(levels < 0):
-        raise DomainError("Young functions are defined for s >= 0")
-    return levels, masses
+    return levels[keep], masses[keep]
 
 
 def _step_sum(kernel, levels: np.ndarray, masses: np.ndarray):
@@ -228,23 +248,24 @@ def _step_sum(kernel, levels: np.ndarray, masses: np.ndarray):
 
     Each call evaluates every (scale, level) pair in one kernel call and sums
     along the levels with np.add.reduce, the routine np.sum uses, so a single
-    scale gives exactly the value of the one-dimensional sum.  A scalar scale
-    gives a 0-d result, an array of scales an array of sums."""
+    scale gives exactly the value of the one-dimensional sum.  A float scale
+    gives a scalar, an array of scales an array of sums.  The caller holds
+    the np.errstate that silences the kernel's overflow (one per norm
+    search, not one per call)."""
 
     def total(scales):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = kernel(np.asarray(scales)[..., None] * levels)
-            return np.add.reduce(vals * masses, axis=-1)
+        s = scales * levels if isinstance(scales, float) else np.asarray(scales)[..., None] * levels
+        return np.add.reduce(kernel(s) * masses, axis=-1)
 
     return total
 
 
-def _step_modular_fn(young: YoungFunction, p: DecreasingProfile, w):
-    """For a step-only profile, a fast scales -> modular(scale * p) map: the
-    levels are checked and the weight masses computed once, here, and each
-    call goes straight to the Young function's array kernel.  Returns None
-    when the profile has analytic parts."""
-    steps = _step_levels(p, w)
+def _step_modular_fn(young: YoungFunction, f, w):
+    """For a step-only input, a fast scales -> modular(scale * f) map: the
+    levels and weight masses are computed once, here (_step_levels), and
+    each call goes straight to the Young function's array kernel.  Returns
+    None where _step_levels does."""
+    steps = _step_levels(f, w)
     return None if steps is None else _step_sum(young._eval_arr, *steps)
 
 
@@ -350,21 +371,22 @@ def luxemburg_norm(
     When the modular jumps across level 1 (threshold kinds), every step is a
     geometric bisection, the returned witness is the boundary infimum and
     modular_at_witness records the sub-unit value."""
-    p, w = _as_profile_weight(f, weight)
+    p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
 
     fast = _step_modular_fn(young, p, w)
-    pre = membership(young, p, w) if fast is None else MembershipReport(True, None)
-    if not pre.member:
-        return NormReport(math.inf, None, 0, True, None, math.inf)
-
-    def mod_at(lam: float) -> float:
-        return modular(young, p.scale(1.0 / lam), w) if fast is None else float(fast(1.0 / lam))
-
-    # a witness below 2^-1022 would put the start past the largest double
-    start = 1.0 if pre.lambda_witness is None else max(1.0, 2.0 / max(pre.lambda_witness, 2.0**-1022))
-    lo, hi, _, m_hi, iters, converged = _level_crossing(mod_at, start, tol)
+    if fast is not None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            crossing = _level_crossing(lambda lam: float(fast(1.0 / lam)), 1.0, tol)
+    else:
+        pre = membership(young, p, w)
+        if not pre.member:
+            return NormReport(math.inf, None, 0, True, None, math.inf)
+        # a witness below 2^-1022 would put the start past the largest double
+        start = max(1.0, 2.0 / max(pre.lambda_witness, 2.0**-1022))
+        crossing = _level_crossing(lambda lam: modular(young, p.scale(1.0 / lam), w), start, tol)
+    lo, hi, _, m_hi, iters, converged = crossing
     if m_hi > 1.0:
         return NormReport(math.inf, None, iters, False, (lo, hi), m_hi)
     return NormReport(hi, hi, iters, converged, (lo, hi), m_hi)
@@ -380,6 +402,7 @@ def _limit_slope(young: YoungFunction, mass: float) -> float | None:
     return float(young._density_arr(x)) if gap == 0.0 or gap * mass <= 1.0 else None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _amemiya_steps(
     young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float
 ) -> NormReport:
@@ -396,7 +419,8 @@ def _amemiya_steps(
     Q = 1, and _level_crossing finds its root in t = 1/k from the piece's
     end nearest the start.  The value is the objective at the better end of the
     final bracket, scaled back; witness and bracket are None where k / top
-    is not a finite double (a subnormal top)."""
+    is not a finite double (a subnormal top).  The whole search runs under
+    one np.errstate (the decorator): its kernels overflow by design."""
     top = float(levels.max(initial=0.0))
     if top == 0.0:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -449,16 +473,15 @@ def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float):
     """The points k = b / a_i where a level a_i reaches a positive kink b of
     Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (a density may
     take its right limit at the kink itself).  Only points where 1 / k- and
-    k (1 + tol) are finite are kept."""
+    k (1 + tol) are finite are kept.  Runs under _amemiya_steps' errstate."""
     kinks = [b for b in young.kinks if b > 0.0]
     if not kinks:
         return np.empty(0), np.empty(0)
     kinks = np.asarray(kinks)[:, None]
-    with np.errstate(over="ignore", divide="ignore"):
-        at = kinks / levels
-        at = np.where(at * levels > kinks, np.nextafter(at, 0.0), at)
-        below = np.where(at * levels < kinks, at, np.nextafter(at, 0.0))
-        ok = (1.0 / below < math.inf) & (at * (1.0 + tol) < math.inf)
+    at = kinks / levels
+    at = np.where(at * levels > kinks, np.nextafter(at, 0.0), at)
+    below = np.where(at * levels < kinks, at, np.nextafter(at, 0.0))
+    ok = (1.0 / below < math.inf) & (at * (1.0 + tol) < math.inf)
     return below[ok], at[ok]
 
 
@@ -478,7 +501,7 @@ def orlicz_norm(
     for s = 1 + sqrt(tol); a minimiser lies in [lo/s, hi s], the bracket
     reported, and g at its centre and kinks is off the minimum by order tol
     (times t^2 g''/g)."""
-    p, w = _as_profile_weight(f, weight)
+    p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
     steps = _step_levels(p, w)

@@ -555,15 +555,19 @@ def load_json_input(path, parse):
         raise DomainError(f"{path}: malformed input: {exc}") from exc
 
 
-def _step_profile(pairs) -> DecreasingProfile:
-    """Step profile of (level, length) pairs: equal levels merged exactly by
-    adding their lengths in input order, zero levels dropped, levels sorted
-    decreasingly."""
+def _merged_steps(pairs) -> list[tuple[float, float]]:
+    """(level, length) pairs with equal levels merged exactly by adding their
+    lengths in input order, zero levels dropped, levels sorted decreasingly."""
     acc: dict[float, float] = {}
     for lvl, w in pairs:
         if lvl != 0.0:
             acc[lvl] = acc.get(lvl, 0.0) + w
-    return DecreasingProfile(tuple(sorted(acc.items(), key=lambda kv: -kv[0])))
+    return sorted(acc.items(), key=lambda kv: -kv[0])
+
+
+def _step_profile(pairs) -> DecreasingProfile:
+    """Step profile of (level, length) pairs, merged by _merged_steps."""
+    return DecreasingProfile(tuple(_merged_steps(pairs)))
 
 
 def rearrange(f: SimpleFunction) -> DecreasingProfile:

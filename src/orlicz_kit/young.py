@@ -199,7 +199,9 @@ class YoungFunction:
         non-decreasing, clipped at 0, and +inf beyond the finiteness threshold
         or where both terms overflow."""
         gap = s * self._density_arr(s) - self._eval_arr(s)
-        return np.where((s > self.finite_threshold) | np.isnan(gap), math.inf, np.maximum(gap, 0.0))
+        thr = self.finite_threshold
+        over = np.isnan(gap) if thr == math.inf else (s > thr) | np.isnan(gap)
+        return np.where(over, math.inf, np.maximum(gap, 0.0))
 
     @property
     def name(self) -> str:
@@ -296,7 +298,8 @@ class LlogYoung(YoungFunction):
         sq = np.sqrt(1.0 + s * s)
         main = s * np.arcsinh(s) - s * s / (1.0 + sq)
         # Beyond ~1e150, sqrt(1+s^2) == s in doubles.
-        return np.where(s > 1e150, s * (np.arcsinh(s) - 1.0) + 1.0, main)
+        big = s > 1e150
+        return np.where(big, s * (np.arcsinh(s) - 1.0) + 1.0, main) if big.any() else main
 
     def _density_arr(self, s):
         return np.arcsinh(s)
@@ -653,7 +656,12 @@ class NumericConjugate(YoungFunction):
 
     @cached_property
     def _vanish(self):
-        # conjugate vanishes on [0, psi(0+)], read at the ladder's floor
+        # the conjugate vanishes on [0, psi(0+)]: psi(0+) = lim Psi(s)/s is 0
+        # when Psi(s) <= c s^alpha near 0 with alpha > 1, and is otherwise
+        # read at the ladder's floor
+        order = self.base.small_order()
+        if order is not None and order.alpha > 1.0:
+            return 0.0
         probe = float(self._ladder_density[0])
         return probe if math.isfinite(probe) else 0.0
 

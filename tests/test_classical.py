@@ -108,6 +108,29 @@ class TestLuxemburgNorm:
         assert got == pytest.approx(float(mpr.luxemburg(yg.cosh_minus_1(), g, w)), rel=1e-10)
 
 
+class TestInfiniteWeightHead:
+    """A weight whose inverse-power head has theta_w >= 1 has infinite mass
+    at 0: a step profile's norm is inf unless Psi vanishes on its top
+    level's reach, which membership decides."""
+
+    P = rr.DecreasingProfile(((2.0, 0.5), (1.0, 0.5)))
+    W = rr.DecreasingProfile(((1.0, 1.0),), head=rr.InvPowerSingularity(1.0, 1.5, 1.0))
+
+    @pytest.mark.parametrize("young", [yg.power(2.0), yg.cosh_minus_1()], ids=["power:2", "cosh-1"])
+    def test_norms_are_infinite(self, young):
+        for norm in (cs.luxemburg_norm, cs.orlicz_norm):
+            assert norm(young, self.P, self.W) == cs.NormReport(math.inf, None, 0, True, None, math.inf)
+
+    def test_llogl_norms_are_exact(self):
+        # modular(llogl, P/lam) is 0 for lam >= 2 (P/lam <= 1) and inf below
+        lux = cs.luxemburg_norm(yg.zygmund_llogl(), self.P, self.W)
+        assert lux.converged and lux.value == 2.0 and lux.modular_at_witness == 0.0
+        # (1 + M(k P)) / k is 1 / k up to k = 1/2 and inf past it
+        orl = cs.orlicz_norm(yg.zygmund_llogl(), self.P, self.W)
+        assert orl.converged and orl.value == 2.0
+        assert orl.bracket[0] <= 0.5 <= orl.bracket[1]
+
+
 class TestOrliczNorm:
     def test_two_atom_brute_force_example(self):
         f = rr.simple_function([1.0, 1.0], [1.0, 1.0])

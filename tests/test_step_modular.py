@@ -60,9 +60,11 @@ def amemiya(m, k):
 def test_batched_grid_equals_per_point(young_name, weight_name):
     young, weight = YOUNGS[young_name], WEIGHTS[weight_name]
     fast = cs._step_modular_fn(young, PROFILE, weight)
-    batched = fast(GRID)
+    # the norm searches hold this errstate around their evaluations
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        batched = fast(GRID)
+        one_scale = [float(fast(float(k))) for k in GRID]
     assert batched.shape == GRID.shape
-    one_scale = [float(fast(float(k))) for k in GRID]
     reference = [reference_modular(young, PROFILE, weight, float(k)) for k in GRID]
     assert one_scale == reference
     batched_h = np.where(np.isinf(batched), math.inf, (1.0 + batched) / GRID).tolist()

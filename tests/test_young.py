@@ -201,6 +201,25 @@ class TestComplement:
             yg.NumericConjugate(yg.xlog1p())._inverse_density(np.full(3, v))
             assert len(calls) <= 24
 
+    @pytest.mark.parametrize(
+        "base, vanish",
+        [
+            (yg.xlog1p(), 0.0),
+            (yg.cosh_minus_1(), 0.0),
+            # psi(1e-300) is about 0.5 here, but Psi(s) <= s^1.001 puts psi(0+) at 0
+            (yg.power(1.001), 0.0),
+            (yg.identity(), 1.0),
+            (yg.zygmund_exp(), 1.0),
+            (yg.tabulated([0.0, 1.0, 2.0], [0.3, 1.0, 3.0]), 0.3),
+            (yg.tabulated([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]), 1.0),
+        ],
+        ids=["xlog1p", "cosh-1", "power:1.001", "identity", "lexp", "tabulated", "tabulated-jump-at-0"],
+    )
+    def test_numeric_conjugate_vanishes_up_to_psi_at_0_plus(self, base, vanish):
+        conj = yg.complement(base, numeric=True)
+        assert conj.vanish_below == vanish
+        assert conj.eval(vanish) == 0.0
+
     def test_numeric_involution_for_strictly_increasing_density(self):
         y = yg.xlog1p()
         back = yg.complement(yg.complement(y, numeric=True), numeric=True)
