@@ -16,17 +16,19 @@ report always has modular_at_witness <= 1, and within 1e-8 of 1 when the
 modular is continuous at the crossing.
 
 The Orlicz (dual-pairing) norm is the Amemiya formula
-inf_{k>0} (1 + modular(k*f)) / k, minimised as a level crossing on the same
-loop, in t = 1/k (Krasnosel'skii & Rutickii, Convex Functions and Orlicz
-Spaces, sections 9-10; Hudzik & Maligranda, Indag. Math. 2000): the root of
-Young's equality for step-only profiles, and for profiles with analytic
-parts the point past which g(t/s) > g(t s) fails, for the objective g in t,
-which is convex, so that the minimiser is certified within a factor s.
-Limits, jumps and kinks the searches cannot reach are decided in closed
-form or evaluated directly: for step-only profiles Q jumps where a level
-reaches a kink of Psi, and one batched evaluation of Q at every such jump
-and just past it decides a minimiser on a jump before any search, or bounds
-the continuous piece of Q the search runs in.  The defining supremum over
+inf_{k>0} (1 + modular(k*f)) / k (Krasnosel'skii & Rutickii, Convex
+Functions and Orlicz Spaces, sections 9-10; Hudzik & Maligranda, Indag.
+Math. 2000).  Its slope is (Q(k) - 1) / k^2, where Q(k) = integral
+Gamma(k f) w integrates the gap in Young's equality, Gamma(s) = s psi(s) -
+Psi(s), and is non-decreasing: every profile solves Q(k) = 1 as a level
+crossing on the same loop, in t = 1/k (_amemiya).  Step-only profiles sum
+Q exactly; other profiles integrate it as a modular of Gamma viewed as a
+Young function, with the modular's quadrature and comparison tests.  Q
+jumps, or bends, where a step level, or the end value of a head or a
+tail, reaches a kink of Psi: one batched evaluation of Q at every such
+point and just past it decides a minimiser there before any search, or
+bounds the continuous piece of Q the search runs in.  Bounded densities
+and thresholds are decided in closed form.  The defining supremum over
 the dual ball is left to test oracles on tiny atom spaces.
 
 For step-only inputs both norms use an exact step modular: the levels and
@@ -55,7 +57,7 @@ against membership in the weighted cosh-1 space, which must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, takewhile
 
 import numpy as np
@@ -65,6 +67,7 @@ from .rearrange import (
     DecreasingProfile,
     LogSingularity,
     SimpleFunction,
+    _RTOL,
     _WeightView,
     _check_aligned,
     _finite_scale,
@@ -76,7 +79,7 @@ from .rearrange import (
     rearrange,
     simple_function,
 )
-from .young import YoungFunction, cosh_minus_1, complement, identity, power, xlog1p, zygmund_exp
+from .young import YoungFunction, _EqualityGap, cosh_minus_1, complement, identity, power, xlog1p, zygmund_exp
 
 __all__ = [
     "NormReport",
@@ -406,21 +409,11 @@ def _limit_slope(young: YoungFunction, mass: float) -> float | None:
 def _amemiya_steps(
     young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float
 ) -> NormReport:
-    """inf_k (1 + M(k)) / k for the step modular M(k) = sum m_i Psi(k a_i),
-    solved for f / max a_i (homogeneity).  The objective's slope is
-    (Q(k) - 1) / k^2 for Q(k) = sum m_i (k a_i psi(k a_i) - Psi(k a_i)),
-    which is non-decreasing and jumps up at each k = b / a_i where a level
-    reaches a kink b of Psi (llogl's at 1, a tabulated density's jumps).
-
-    One batched call evaluates Q at the start k = 1 (k = thr when Psi = inf
-    past thr), just below each such jump K and at K (1 + tol).  Q(K-) <= 1 <
-    Q(K (1 + tol)) puts the minimiser on the jump: the slope changes sign
-    there.  Otherwise these values bound the continuous piece of Q that holds
-    Q = 1, and _level_crossing finds its root in t = 1/k from the piece's
-    end nearest the start.  The value is the objective at the better end of the
-    final bracket, scaled back; witness and bracket are None where k / top
-    is not a finite double (a subnormal top).  The whole search runs under
-    one np.errstate (the decorator): its kernels overflow by design."""
+    """The Amemiya norm of the step modular M(k) = sum m_i Psi(k a_i), solved
+    by _amemiya for f / max a_i (homogeneity) from k = 1, with M and
+    Q(k) = sum m_i Gamma(k a_i) as exact sums, and scaled back.  The whole
+    search runs under one np.errstate (the decorator): its kernels overflow
+    by design."""
     top = float(levels.max(initial=0.0))
     if top == 0.0:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -428,11 +421,40 @@ def _amemiya_steps(
     # levels that vanish at this scale (or underflow) add nothing to M or Q
     keep = levels > 0
     levels, masses = levels[keep], masses[keep]
-    mod = _step_sum(young._eval_arr, levels, masses)
-    gap = _step_sum(young._equality_gap_arr, levels, masses)
     slope = _limit_slope(young, float(np.sum(masses)))
     if slope is not None:
         return NormReport(slope * float(np.sum(levels * masses)) * top, None, 0, True, None, None)
+    mod = _step_sum(young._eval_arr, levels, masses)
+    gap = _step_sum(young._equality_gap_arr, levels, masses)
+    k0 = 1.0 if young.finite_threshold == math.inf else young.finite_threshold
+    return _amemiya(young, mod, gap, levels, k0, tol, top)
+
+
+def _amemiya(
+    young: YoungFunction, mod, gap, levels: np.ndarray, k0: float, tol: float, top: float = 1.0
+) -> NormReport:
+    """inf_k (1 + M(k)) / k, for maps k -> M(k) and k -> Q(k) that take a
+    float or an array of k, as _step_sum's maps do.
+
+    The objective's slope is (Q(k) - 1) / k^2 for the gap in Young's
+    equality Q(k) = integral Gamma(k f) w, Gamma(s) = s psi(s) - Psi(s),
+    which is non-decreasing.  Q jumps up at each k = b / a where a step
+    level a reaches a kink b of Psi (llogl's at 1, a tabulated density's
+    jumps), and bends where the end value a of a head or a tail does;
+    `levels` holds those positive values a.  One call evaluates Q at the
+    start k0 (where Psi = inf past a threshold, k0 puts the top level on
+    it), just below each such point K and at K (1 + tol).  Q(k0) <= 1 under
+    a threshold puts the minimiser on k0, and Q(K-) <= 1 < Q(K (1 + tol))
+    puts it in [K-, K (1 + tol)], where the slope changes sign; it is read
+    at K.  Otherwise these values bound the continuous piece of Q that
+    holds Q = 1, and _level_crossing finds its root in t = 1/k from the
+    piece's end nearest k0, to relative width tol.
+
+    The value is the objective at the better end of the final bracket, in
+    one call of M, divided by top (a caller's normalisation of f) with the
+    witness and bracket; they are None where k / top is not a finite double
+    (a subnormal top).  iterations counts the calls of Q (one batch of k0
+    and the jumps, then one per search step) and the final call of M."""
 
     def report(ks, lo: float, hi: float, evals: int, converged: bool = True) -> NormReport:
         ks = np.asarray(ks)
@@ -442,15 +464,13 @@ def _amemiya_steps(
             return NormReport(top * float(vals[i]), None, evals + 1, converged, None, None)
         return NormReport(top * float(vals[i]), float(ks[i]) / top, evals + 1, converged, (lo / top, hi / top), None)
 
-    thr = young.finite_threshold
-    k0 = 1.0 if thr == math.inf else thr
     below, jumps = _step_jumps(young, levels, tol)
     past = jumps * (1.0 + tol)
     q = gap(np.concatenate(([k0], below, past)))
-    if thr < math.inf and q[0] <= 1.0:
-        # M(k) = inf beyond k = thr: with Q <= 1 there, the objective falls
-        # all the way to that jump
-        return report([thr], thr, thr, 1)
+    if young.finite_threshold < math.inf and q[0] <= 1.0:
+        # M(k) = inf beyond k0: with Q <= 1 there, the objective falls all
+        # the way to that jump
+        return report([k0], k0, k0, 1)
     start = 1.0 / k0
     known = {start: float(q[0])}
     if jumps.size:
@@ -473,7 +493,7 @@ def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float):
     """The points k = b / a_i where a level a_i reaches a positive kink b of
     Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (a density may
     take its right limit at the kink itself).  Only points where 1 / k- and
-    k (1 + tol) are finite are kept.  Runs under _amemiya_steps' errstate."""
+    k (1 + tol) are finite are kept.  Runs under its caller's errstate."""
     kinks = [b for b in young.kinks if b > 0.0]
     if not kinks:
         return np.empty(0), np.empty(0)
@@ -494,13 +514,18 @@ def orlicz_norm(
 ) -> NormReport:
     """Orlicz norm via the Amemiya formula inf_k (1 + modular(k f)) / k.
 
-    Step-only profiles solve Young's equality Q(k) = 1 to relative width tol
-    (see _amemiya_steps).  For other profiles g(t) = t + t modular(f/t) is
-    convex in t = 1/k (a perspective) with slope 1 - Q <= 1, so g(t/s) >
-    g(t s) holds exactly left of one point, closed to relative width s - 1
-    for s = 1 + sqrt(tol); a minimiser lies in [lo/s, hi s], the bracket
-    reported, and g at its centre and kinks is off the minimum by order tol
-    (times t^2 g''/g)."""
+    Every profile solves Young's equality Q(k) = 1 to relative width tol on
+    one search (_amemiya).  Step-only profiles take exact sums from their
+    levels (_amemiya_steps).  Other profiles start at k = 1 / (the supremum,
+    or a head's coefficient), or where the supremum reaches a threshold of
+    Psi, and evaluate M(k) = modular(Psi, k f) and Q(k) = modular(Gamma,
+    k f) by quadrature, with Gamma the equality gap as a Young function
+    (young._EqualityGap).  Their Q is certified only to relative _RTOL, so
+    the reported bracket is the closed one widened by 1 + _RTOL at each end:
+    where Gamma(s) / s is non-decreasing, true for every closed-form catalog
+    kind and every convex density, Q(k c) >= c Q(k) for c > 1, and the
+    widened bracket holds the minimiser.  converged means that the search's
+    own bracket closed to tol."""
     p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -509,42 +534,41 @@ def orlicz_norm(
         return _amemiya_steps(young, *steps, tol)
     if not membership(young, p, w).member:
         return NormReport(math.inf, None, 0, True, None, math.inf)
+    r = p.sup_value if p.head is None else p.head.coeff
     # the weight of {f > 0}: the support, less a closing zero step
     zero_step = p.tail is None and p.steps and p.steps[-1][0] == 0.0
     end = (p.head_width, *p.step_edges)[-2] if zero_step else p.support_end
     slope = _limit_slope(young, _WeightView(w).mass(0.0, end))
     if slope is not None:
-        l1 = hl_partial(p, math.inf) if w is None else modular(identity(), p, w)
+        # ||f w||_1 by homogeneity: modular's absolute floor _ATOL would
+        # swamp a small f
+        l1 = hl_partial(p, math.inf) if w is None else r * modular(identity(), p.scale(1.0 / r), w)
         return NormReport(slope * l1, None, 0, True, None, None)
-    seen = []  # (objective, k) of every modular evaluation
-
-    def h(k: float) -> float:
-        seen.append(((1.0 + modular(young, p.scale(k), w)) / k, k))
-        return seen[-1][0]
-
-    r = p.sup_value if p.head is None else p.head.coeff
-    s, thr, start = 1.0 + math.sqrt(tol), young.finite_threshold, 1.0
+    thr = young.finite_threshold
     if thr < math.inf:
-        # M = inf past k = thr / sup f; as g' <= 1, g there is within tol of
-        # the minimum unless it falls within a factor 1 + tol past the jump
-        k = thr / p.sup_value
-        k = k if k * p.sup_value <= thr else math.nextafter(k, 0.0)
-        if h(k) <= h(k / (1.0 + tol)):
-            return NormReport(seen[0][0], k, 2, True, (k / (1.0 + tol), k), None)
-        start = 1.0 / (r * k)
+        # M = inf past k = thr / sup f, taken one ulp lower where it rounds up
+        k0 = thr / p.sup_value
+        k0 = k0 if k0 * p.sup_value <= thr else math.nextafter(k0, 0.0)
+    else:
+        # a log head under exp growth of rate 1 diverges from k = 1 / r on:
+        # a start a hair inside would put the head's truncation past overflow
+        k0 = 1.0 / r
+        k0 = k0 if k0 * r >= 1.0 else math.nextafter(k0, math.inf)
 
-    def ratio(t: float) -> float:
-        left = h(s / (r * t))
-        return left if math.isinf(left) else left / h(1.0 / (r * t * s))
+    def modular_at(y: YoungFunction):
+        return np.vectorize(lambda k: modular(y, p.scale(k), w), otypes=[float])
 
-    lo, hi, _, _, _, converged = _level_crossing(ratio, start, s - 1.0)
-    bracket = (1.0 / (r * hi * s), s / (r * lo))
-    h(1.0 / (r * math.sqrt(lo) * math.sqrt(hi)))
-    # a minimiser on a kink of g (a step level at a kink of Psi) is not flat
-    for k in {b / level for b in young.kinks for level, _ in p.steps if level > 0}:
-        if bracket[0] < k < bracket[1]:
-            h(k)
-    return NormReport(*min(seen), len(seen), converged, bracket, None)
+    # Q jumps where a step level reaches a kink of Psi, and bends where the
+    # end value of a head or a tail does
+    head_end, tail_start = p.head.at_width if p.head else 0.0, p.tail.junction if p.tail else 0.0
+    ends = (*(level for level, _ in p.steps), head_end, tail_start)
+    levels = np.asarray([level for level in ends if level > 0.0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rep = _amemiya(young, modular_at(young), modular_at(_EqualityGap(young)), levels, k0, tol)
+    if rep.bracket is None:
+        return rep
+    lo, hi = rep.bracket
+    return replace(rep, bracket=(lo / (1.0 + _RTOL), hi * (1.0 + _RTOL)))
 
 
 def pairing_integral(f: SimpleFunction, g: SimpleFunction) -> float:

@@ -949,8 +949,8 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
 
         if g.kind == "exp":
             r = 1.0 - c * g.rate - theta_w
-            k = 1.0 if w_log else 0.0
-            amp = g.hi * wA
+            k = g.degree + (1.0 if w_log else 0.0)
+            amp = g.hi * _power_or_inf(c, g.degree) * wA
             y_lo = max(y1, g.valid_from / c)
         else:
             r = 1.0 - theta_w
@@ -1105,9 +1105,9 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
         return _integrate(integrand, pieces)
 
     if isinstance(tail, ExponentialTail):
-        # Psi(x) <= (Psi(j)/j) * x below the junction value j (convexity)
+        # Psi(x) <= slope * x below the junction value j
         j = max(junction, 1e-300)
-        slope = float(young.eval(j)) / j
+        slope = young.chord_slope(j)
 
         def certifies(u: float) -> bool:
             rem_cap = slope * tail.amplitude / tail.rate * math.exp(-tail.rate * u)

@@ -137,7 +137,9 @@ class SmallOrder:
 class Growth:
     """Large-argument class.
 
-    kind "exp": lo*e^(rate*y) <= Psi(y) <= hi*e^(rate*y) for y >= valid_from.
+    kind "exp": lo*e^(rate*y) <= Psi(y) <= hi * y**degree * e^(rate*y) for
+    y >= valid_from; degree is 0 for every catalog kind and y*psi(y) <=
+    y*Psi(y + 1) gives the equality gap's envelope degree 1.
     kind "poly": Psi(y) <= hi * y**degree * (1 + log^+ y)**has_log for all y.
     kind "threshold": Psi jumps to +inf beyond a finite argument.
     """
@@ -202,6 +204,11 @@ class YoungFunction:
         thr = self.finite_threshold
         over = np.isnan(gap) if thr == math.inf else (s > thr) | np.isnan(gap)
         return np.where(over, math.inf, np.maximum(gap, 0.0))
+
+    def chord_slope(self, j: float) -> float:
+        """A slope c with Psi(x) <= c*x for 0 <= x <= j: Psi(j)/j, by
+        convexity."""
+        return float(self.eval(j)) / j
 
     @property
     def name(self) -> str:
@@ -668,6 +675,69 @@ class NumericConjugate(YoungFunction):
     @property
     def vanish_below(self):
         return self._vanish
+
+    @property
+    def finite_threshold(self):
+        # a bounded base density never reaches v > psi(inf): Phi = inf there
+        return float(self._ladder_density[-1]) if self.base.linear_from < math.inf else math.inf
+
+
+@dataclass(frozen=True)
+class _EqualityGap(YoungFunction):
+    """The gap in Young's equality, Gamma(s) = s*psi(s) - Psi(s) = Psi*(psi(s)),
+    as a Young function of its own, so that rearrange.modular integrates
+    Q(k) = integral Gamma(k f) w, the Amemiya objective's slope term, with
+    the quadrature, truncations and comparison tests of the modular.
+
+    Gamma is non-decreasing and 0 where Psi is, but need not be convex.  Its
+    threshold, vanishing point and kinks are the base's, and its envelopes
+    are bounds on Gamma with the base's kind, rate, order and poly degree,
+    so the comparison tests decide Gamma's integral as they decide Psi's:
+    Gamma(s) <= s*psi(s) <= Psi(2s) (psi is non-decreasing) for the poly and
+    small-argument envelopes, and s*psi(s) <= s*Psi(s + 1) for the exp one,
+    whose prefactor y**degree does not change a verdict."""
+
+    base: YoungFunction
+
+    def _eval_arr(self, s):
+        return self.base._equality_gap_arr(s)
+
+    @property
+    def name(self):
+        return f"gap({self.base.name})"
+
+    @property
+    def finite_threshold(self):
+        return self.base.finite_threshold
+
+    @property
+    def vanish_below(self):
+        return self.base.vanish_below
+
+    @property
+    def kinks(self):
+        return self.base.kinks
+
+    def chord_slope(self, j: float) -> float:
+        # Gamma(x) <= x*psi(x) <= psi(j)*x for x <= j; Gamma is not convex
+        return float(self.base.density(j))
+
+    def small_order(self):
+        so = self.base.small_order()
+        if so is None:
+            return None
+        return SmallOrder(so.alpha, 0.0, so.hi * 2.0**so.alpha, so.valid_to / 2.0)
+
+    def growth(self):
+        g = self.base.growth()
+        if g is None or g.kind == "threshold":
+            return g
+        if g.kind == "exp":
+            # the base's degree is 0: y*Psi(y + 1) <= hi*e^rate * y * e^(rate*y)
+            return Growth("exp", degree=1.0, rate=g.rate, hi=g.hi * math.exp(g.rate),
+                          valid_from=max(g.valid_from - 1.0, 0.0))
+        log_factor = 1.0 + math.log(2.0) if g.has_log else 1.0
+        return Growth("poly", degree=g.degree, has_log=g.has_log, hi=g.hi * 2.0**g.degree * log_factor)
 
 
 # ----------------------------------------------------------------------------

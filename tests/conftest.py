@@ -2,6 +2,9 @@
 
 import pytest
 
+from orlicz_kit import classical_space as cs
+from orlicz_kit import young as yg
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -20,3 +23,18 @@ def count_calls(monkeypatch):
         return calls
 
     return patch
+
+
+@pytest.fixture
+def modular_calls(monkeypatch):
+    """Counts of the norms' modular calls for this test: "gap" integrates
+    the gap in Young's equality (one Q evaluation), "modular" Psi."""
+    calls = {"gap": 0, "modular": 0}
+    modular = cs.modular
+
+    def counted(young, p, w=None):
+        calls["gap" if isinstance(young, yg._EqualityGap) else "modular"] += 1
+        return modular(young, p, w)
+
+    monkeypatch.setattr(cs, "modular", counted)
+    return calls

@@ -1,7 +1,8 @@
 """The one multiple-precision reference behind the test oracles: Psi, a
 profile and weight evaluator, a piecewise integral, the Luxemburg and Amemiya
-norms and the membership rule.  It reads only the public fields of
-orlicz_kit's data classes and calls none of its functions."""
+norms, the root of Young's equality and the membership rule.  It reads only
+the public fields of orlicz_kit's data classes and calls none of its
+functions."""
 
 import math
 from collections import namedtuple
@@ -152,15 +153,27 @@ def integral(g, prof, weight=None, end=INF, levels=(), dps=20):
         return total
 
 
-def modular(y, f, weight=None, k=1, dps=20):
-    """integral Psi(k f) w: a sum over the atoms of a simple function, or the
+def _scaled_integral(fn, y, f, weight, k, dps):
+    """integral fn(k f) w: a sum over the atoms of a simple function, or the
     integral of a profile cut where k p crosses a kink of Psi."""
-    ref = young(y)
     with mp.workdps(dps):
         k = mp.mpf(k)
         if isinstance(f, rr.SimpleFunction):
-            return mp.fsum(mp.mpf(m) * ref.Psi(k * abs(mp.mpf(v))) for v, m in f.atoms)
-        return integral(lambda p, w: ref.Psi(k * p) * w, f, weight, levels=[b / k for b in ref.kinks if b > 0], dps=dps)
+            return mp.fsum(mp.mpf(m) * fn(k * abs(mp.mpf(v))) for v, m in f.atoms)
+        levels = [b / k for b in young(y).kinks if b > 0]
+        return integral(lambda p, w: fn(k * p) * w, f, weight, levels=levels, dps=dps)
+
+
+def modular(y, f, weight=None, k=1, dps=20):
+    """integral Psi(k f) w."""
+    return _scaled_integral(young(y).Psi, y, f, weight, k, dps)
+
+
+def gap(y, f, weight=None, k=1, dps=20):
+    """Q(k) = integral (k f psi(k f) - Psi(k f)) w, the gap in Young's
+    equality: the Amemiya objective (1 + M(k)) / k has slope (Q(k) - 1) / k^2."""
+    ref = young(y)
+    return _scaled_integral(lambda s: s * ref.psi(s) - ref.Psi(s), y, f, weight, k, dps)
 
 
 def luxemburg(y, f, weight=None):
@@ -199,6 +212,36 @@ def amemiya(y, f, weight=None, centre=0.0, half=30.0, width=1e-20, dps=30):
                 d = a + r * (b - a)
                 fd = h(d)
         return min(fc, fd), mp.exp((a + b) / 2)
+
+
+def amemiya_root(y, f, weight=None, centre=0.0, dps=20):
+    """The root k of Young's equality Q(k) = 1, which minimises the Amemiya
+    objective where Q is continuous, and the objective there: (value, k).
+    A doubling bracket in u = log k from centre +- 1 is closed to 1e-15 by
+    regula falsi with the Illinois halving on log Q, bisecting while an end
+    has Q = 0 or Q = inf."""
+    with mp.workdps(dps):
+        def q(u):
+            value = gap(y, f, weight, mp.exp(u), dps)
+            return -INF if value == 0 else mp.log(value)
+
+        a, b = mp.mpf(centre) - 1, mp.mpf(centre) + 1
+        while q(b) <= 0:
+            a, b = b, 3 * b - 2 * a
+        while q(a) > 0:
+            a, b = 3 * a - 2 * b, a
+        qa, qb, kept = q(a), q(b), 0
+        while b - a > 1e-15:
+            u = (a + b) / 2 if INF in (-qa, qb) else (a * qb - b * qa) / (qb - qa)
+            qu = q(u)
+            if qu == 0:
+                a = b = u
+            elif qu > 0:
+                b, qb, qa, kept = u, qu, qa / 2 if kept == -1 else qa, -1
+            else:
+                a, qa, qb, kept = u, qu, qb / 2 if kept == 1 else qb, 1
+        k = mp.exp((a + b) / 2)
+        return (1 + modular(y, f, weight, k, dps)) / k, k
 
 
 #: Psi(lambda p) w is integrable at 0 for small lambda iff the order theta_w

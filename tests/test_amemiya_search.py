@@ -1,8 +1,8 @@
 """The Amemiya (Orlicz) norm, found as the root of Young's equality Q(k) = 1
-for step profiles and as the crossing of g(t/s) / g(t s) = 1 for profiles
-with analytic parts, against closed forms, a plain mpmath minimisation of
-(1 + M(k)) / k, the sandwich Lux <= Orl <= 2 Lux, and its work counts.
-The oracles here share no code with the search."""
+for every profile, against closed forms, a plain mpmath minimisation of
+(1 + M(k)) / k, the mpmath root of Q(k) = 1, the sandwich
+Lux <= Orl <= 2 Lux, and its work counts.  The oracles here share no code
+with the search."""
 
 import math
 
@@ -173,7 +173,7 @@ def test_numeric_conjugate_inverts_once_per_evaluation(count_calls):
 
 
 # ----------------------------------------------------------------------------
-# profiles with analytic parts: the ratio search in t = 1/k
+# profiles with analytic parts: Q(k) by quadrature of the equality gap
 # ----------------------------------------------------------------------------
 
 D, E, P = rr.DecreasingProfile, rr.ExponentialTail, rr.PowerTail
@@ -209,6 +209,9 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("pname, yname, wname", ORACLE_CASES)
 def test_analytic_profile_against_mpmath_golden_section(pname, yname, wname):
+    # the oracle is the mpmath root of Q(k) = 1 and the objective there: a
+    # golden-section minimiser closed to 1e-5 in log k cannot lie inside a
+    # bracket about 2e-8 wide
     prof, young, weight = PROFILES[pname], PROFILE_YOUNGS[yname], WEIGHTS[wname]
     rep = cs.orlicz_norm(young, prof, weight)
     if not cs.membership(young, prof, weight).member:
@@ -216,11 +219,10 @@ def test_analytic_profile_against_mpmath_golden_section(pname, yname, wname):
         return
     assert rep.converged and rep.iterations <= 40
     centre = -math.log(representative_level(prof))
-    value, k = (float(x) for x in mpr.amemiya(young, prof, weight, centre, half=4, width=1e-5, dps=15))
+    value, k = (float(x) for x in mpr.amemiya_root(young, prof, weight, centre))
     assert abs(math.log(k) - centre) < 3.9  # an interior minimum
-    # under lexp the power tail's value is 1.4e-9 above the minimum, though
-    # its modular is within 6e-11 of mpmath: g at the bracket's centre is off
-    # the minimum by order tol (times t^2 g''/g)
+    # under lexp the power tail's modular is 1.8e-9 above mpmath's at the
+    # minimiser, inside its certified budget of relative 1e-8
     rel = 2e-9 if (pname, yname) == ("power", "lexp") else 1e-9
     assert rep.value == pytest.approx(value, rel=rel)
     assert rep.bracket[0] <= k <= rep.bracket[1]
@@ -299,6 +301,16 @@ def test_bounded_density_limit_ignores_a_closing_zero_step():
         assert rep.value == rr.hl_partial(prof, math.inf)
 
 
+def test_bounded_density_limit_of_a_small_profile():
+    # ||f w||_1 by homogeneity: at this scale modular's absolute floor 1e-10
+    # would swamp it
+    prof, weight = D(((0.3e-10, 0.8),), head=I(1e-10, 0.2, 0.9)), D((), E(1.0, 0.8))
+    rep = cs.orlicz_norm(yg.identity(), prof, weight)
+    assert rep.converged
+    assert rep.value == pytest.approx(9.3952947450e-11, rel=1e-9)
+    assert rep.value == pytest.approx(cs.luxemburg_norm(yg.identity(), prof, weight).value, rel=1e-9)
+
+
 def test_minimiser_on_a_kink_is_exact():
     # llogl vanishes up to 1: (1 + M(k)) / k = 1/k until k = 1/2 lifts the
     # step to 1, where its weight mass 1.4 > 1 turns the objective upward;
@@ -332,6 +344,22 @@ def test_minimiser_on_a_density_jump_is_exact():
     assert rep.converged
     assert rep.witness == 1.0
     assert rep.value == pytest.approx(1.75, rel=1e-11)
+
+
+@pytest.mark.parametrize("young, prof, k", [
+    # the levels 3 and 1.5 reach llogl's kink at k = 1/3 and 2/3
+    (yg.zygmund_llogl(), D(((3.0, 0.4), (1.5, 0.6)), E(1.0, 0.7)), 2.0 / 3.0),
+    (yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0]), D(((1.0, 1.0),), E(0.5, 1.0)), 1.0),
+], ids=["llogl", "tabulated-jump"])
+def test_profile_minimiser_on_a_jump_in_one_batch(young, prof, k, modular_calls):
+    # one batch of Q, at the start and where a step level or the tail's
+    # start value reaches the kink at 1 (below it and a factor 1 + tol past
+    # it), finds the minimiser on a jump, and one objective call reads it
+    rep = cs.orlicz_norm(young, prof)
+    assert rep.converged and rep.iterations <= 4
+    assert rep.witness == k and rep.bracket[0] <= k <= rep.bracket[1]
+    points = 1 + 2 * (len(prof.steps) + 1)
+    assert modular_calls == {"gap": points, "modular": 1}
 
 
 def test_step_minimiser_on_a_density_jump_is_exact():

@@ -40,6 +40,16 @@ class TestMembership:
         rep = cs.membership(thr, f)
         assert rep.member and rep.lambda_witness <= 1.0 / 8.0
 
+    def test_numeric_conjugate_of_a_bounded_density_is_the_threshold(self):
+        # psi <= 1: the conjugate is 0 up to 1 and inf past it, as
+        # ThresholdYoung(1.0); the finite threshold puts the witness at 1/8
+        young, same = yg.NumericConjugate(yg.tabulated([0, 1], [1, 1])), yg.ThresholdYoung(1.0)
+        p = rr.DecreasingProfile(((5.0, 1.0),), rr.ExponentialTail(1.0, 1.0))
+        assert cs.membership(young, p) == cs.membership(same, p) == cs.MembershipReport(True, 0.125)
+        assert not rr.modular_is_finite(young, p)
+        for norm in (cs.luxemburg_norm, cs.orlicz_norm):
+            assert norm(young, p).value == norm(same, p).value
+
 
 class TestLuxemburgNorm:
     def test_matches_p_norm(self):

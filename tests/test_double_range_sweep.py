@@ -125,6 +125,32 @@ def test_sweep(young, prof, weight):
 # The defects of the re-anchor baseline, by name.
 
 
+#: the sweep's Young functions, a density with a jump at 1 and one with a
+#: threshold at 3
+GAP_BASES = [*map(yg.from_spec, YOUNGS), yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0]),
+             yg.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], limit=3.0)]
+
+
+@pytest.mark.parametrize("young", GAP_BASES, ids=lambda y: y.name)
+def test_equality_gap_has_the_verdicts_of_psi(young):
+    # Q(k) = integral Gamma(k f) w is finite wherever M(k) is, and the
+    # comparison tests say so from Gamma's envelopes
+    rng = np.random.default_rng(SEED)
+    gamma = yg._EqualityGap(young)
+
+    def verdict(y, prof, w):
+        try:
+            return rr._finite_scale(y, prof, rr._WeightView(w))
+        except InconclusiveQuadratureError as err:
+            return str(err).replace(y.name, "")
+
+    for name in SHAPES:
+        for wname in WEIGHTS:
+            prof, weight = shape(name, rng), WEIGHTS[wname](rng)
+            for scale in SCALES:
+                assert verdict(gamma, prof.scale(scale), weight) == verdict(young, prof.scale(scale), weight)
+
+
 def test_a_member_that_needs_a_tiny_scale():
     # c lam rate < 1 needs lam < 1e-20: the witness is 2^-67
     rep = cs.membership(yg.cosh_minus_1(), D((), head=L(1e20, 1.0)))

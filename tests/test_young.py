@@ -220,6 +220,13 @@ class TestComplement:
         assert conj.vanish_below == vanish
         assert conj.eval(vanish) == 0.0
 
+    def test_conjugate_of_a_bounded_density_is_a_threshold(self):
+        # psi <= 1: the conjugate is 0 up to 1 and inf past it
+        young = yg.NumericConjugate(yg.tabulated([0, 1], [1, 1]))
+        assert young.finite_threshold == 1.0
+        assert young.eval(1.0) == 0.0 and young.eval(1.0 + 1e-9) == math.inf
+        assert yg.complement(yg.xlog1p()).finite_threshold == math.inf
+
     def test_numeric_involution_for_strictly_increasing_density(self):
         y = yg.xlog1p()
         back = yg.complement(yg.complement(y, numeric=True), numeric=True)
@@ -351,3 +358,52 @@ class TestTabulated:
             assert yg.from_spec(name).eval(1.0) >= 0.0
         with pytest.raises(DomainError):
             yg.from_spec("nope")
+
+
+#: the catalog, a density with a jump at 1 and one with a threshold at 3
+GAP_BASES = [
+    *ALL_CATALOG,
+    yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0]),
+    yg.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], limit=3.0),
+]
+GAP_GRID = np.geomspace(1e-6, 1e6, 481)
+
+
+class TestEqualityGap:
+    """Gamma(s) = s psi(s) - Psi(s) as a Young function: its envelopes and
+    chord slope bound Gamma itself."""
+
+    @staticmethod
+    def gamma_on(base, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return yg._EqualityGap(base)._eval_arr(x)
+
+    @pytest.mark.parametrize("base", GAP_BASES, ids=lambda y: y.name)
+    def test_gap_stays_under_its_envelopes(self, base):
+        gamma = yg._EqualityGap(base)
+        x = GAP_GRID[GAP_GRID <= base.finite_threshold]
+        g = self.gamma_on(base, x)
+        finite = np.isfinite(g)
+        x, g = x[finite], g[finite]
+        growth, order = gamma.growth(), gamma.small_order()
+        with np.errstate(over="ignore"):
+            if growth.kind == "poly":
+                env = growth.hi * x**growth.degree * (1.0 + np.log(np.maximum(x, 1.0))) ** growth.has_log
+                assert np.all(g <= env * (1 + 1e-12))
+            elif growth.kind == "exp":
+                far = x >= growth.valid_from
+                env = growth.hi * x[far] ** growth.degree * np.exp(growth.rate * x[far])
+                assert np.all(g[far] <= env * (1 + 1e-12))
+        if order is not None:
+            near = x <= order.valid_to
+            assert np.all(g[near] <= order.hi * x[near] ** order.alpha * (1 + 1e-12))
+
+    @pytest.mark.parametrize("base", GAP_BASES, ids=lambda y: y.name)
+    def test_chord_slope_bounds_the_gap_and_psi(self, base):
+        for j in (1e-3, 0.5, 1.0, 2.0, 3.0, 10.0, 300.0):
+            if j > base.finite_threshold:
+                continue
+            x = np.geomspace(1e-6 * j, j, 241)
+            slope = yg._EqualityGap(base).chord_slope(j)
+            assert np.all(self.gamma_on(base, x) <= slope * x * (1 + 1e-12))
+            assert np.all(base.eval(x) <= base.chord_slope(j) * x * (1 + 1e-12))
