@@ -1,9 +1,9 @@
 """Classical Orlicz-space computations.
 
-Luxemburg norms are the level-1 crossing of the modular
-lambda -> M(f/lambda) = integral Psi(|f|/lambda) dmu, which is
-non-increasing: a bracket lo < hi with M(f/lo) > 1 >= M(f/hi), found by a
-gallop over the x4 ladder while lambda and 1/lambda are finite doubles, is
+Luxemburg norms are the level-1 crossing of the modular lambda -> M(f/lambda)
+= integral Psi(|f|/lambda) dmu, which is non-increasing: a bracket lo < hi
+with M(f/lo) > 1 >= M(f/hi), found by a gallop over the x4 ladder while
+lambda and 1/lambda are finite doubles, and on up to the largest double, is
 shrunk by regula falsi with the Illinois modification (Dowell & Jarratt,
 1971) on (log lambda, log M).  For power Young functions log M is exactly
 linear in log lambda, and for the catalog functions nearly so, so a few
@@ -32,13 +32,13 @@ and thresholds are decided in closed form.  The defining supremum over
 the dual ball is left to test oracles on tiny atom spaces.
 
 For step-only inputs both norms use an exact step modular: the levels and
-their weight masses are computed once per norm (_step_levels), straight
-from the atoms for a simple function and from the steps for a profile, and
-every evaluation of the modular or of Q goes straight to the Young
-function's array kernel.  The kernels overflow by design, so each norm
-holds one np.errstate for its whole search (luxemburg_norm's step branch,
-_amemiya_steps) instead of one per evaluation.  Profiles with analytic
-parts evaluate the modular by quadrature, point by point.
+their weight masses are computed once per norm (_step_levels), straight from
+the atoms for a simple function and from the steps for a profile, and every
+evaluation of the modular or of Q goes to the Young function's array kernel.
+The kernels overflow by design, so each norm holds one np.errstate for its
+whole search (luxemburg_norm's step branch, _amemiya_steps).  Other profiles
+take the modular point by point, by quadrature, on p._scaled(c): checked once
+at c = 1, never again, and a head or tail that underflows to 0 adds 0.
 
 Membership in L^Psi asks for some lambda > 0 with a finite modular (Rao &
 Ren, Theory of Orlicz Spaces, 1991, ch. III).  The modular's comparison
@@ -283,9 +283,9 @@ def _level_crossing(fn, start: float, tol: float, known=None):
     fn is memoised, seeded with `known` (points t -> fn(t) the caller has
     already evaluated); the bracket is its tightest evaluated pair after one
     _first_holding search over the x4 ladder from `start`, up if fn(start)
-    > 1 and down otherwise, while t and 1/t (where callers evaluate) are
-    positive finite doubles and short of the nearest known point past the
-    crossing, which ends the ladder.  A rung whose fn raises
+    > 1 (then the largest double) and down otherwise, while t and 1/t (where
+    callers evaluate) are positive finite doubles and short of the nearest
+    known point past the crossing, which ends the ladder.  A rung whose fn raises
     InconclusiveQuadratureError counts as past the crossing, and its error
     is raised only if it is the crossing rung, which a rung-by-rung walk
     from start evaluates too.  Safeguarded Illinois regula falsi on
@@ -308,6 +308,7 @@ def _level_crossing(fn, start: float, tol: float, known=None):
 
     up = seen[start] > 1.0
     rungs = takewhile(lambda t: 0.0 < t < math.inf and 1.0 / t < math.inf, _ladder(start, 4.0 if up else 0.25))
+    rungs = chain(rungs, [math.nextafter(math.inf, 0.0)] if up else [])  # up to the largest double
     ends = [t for t, m in known.items() if (t > start) == up and (m > 1.0) != up]
     if ends:
         end = min(ends) if up else max(ends)
@@ -388,7 +389,7 @@ def luxemburg_norm(
             return NormReport(math.inf, None, 0, True, None, math.inf)
         # a witness below 2^-1022 would put the start past the largest double
         start = max(1.0, 2.0 / max(pre.lambda_witness, 2.0**-1022))
-        crossing = _level_crossing(lambda lam: modular(young, p.scale(1.0 / lam), w), start, tol)
+        crossing = _level_crossing(lambda lam: modular(young, p._scaled(1.0 / lam), w), start, tol)
     lo, hi, _, m_hi, iters, converged = crossing
     if m_hi > 1.0:
         return NormReport(math.inf, None, iters, False, (lo, hi), m_hi)
@@ -460,9 +461,11 @@ def _amemiya(
         ks = np.asarray(ks)
         vals = (1.0 + mod(ks)) / ks
         i = int(np.argmin(vals))
+        value = top * float(vals[i])
+        converged = converged and value < math.inf  # a value past the largest double is no bound
         if hi / top == math.inf:
-            return NormReport(top * float(vals[i]), None, evals + 1, converged, None, None)
-        return NormReport(top * float(vals[i]), float(ks[i]) / top, evals + 1, converged, (lo / top, hi / top), None)
+            return NormReport(value, None, evals + 1, converged, None, None)
+        return NormReport(value, float(ks[i]) / top, evals + 1, converged, (lo / top, hi / top), None)
 
     below, jumps = _step_jumps(young, levels, tol)
     past = jumps * (1.0 + tol)
@@ -542,7 +545,7 @@ def orlicz_norm(
     if slope is not None:
         # ||f w||_1 by homogeneity: modular's absolute floor _ATOL would
         # swamp a small f
-        l1 = hl_partial(p, math.inf) if w is None else r * modular(identity(), p.scale(1.0 / r), w)
+        l1 = hl_partial(p, math.inf) if w is None else r * modular(identity(), p._scaled(1.0 / r), w)
         return NormReport(slope * l1, None, 0, True, None, None)
     thr = young.finite_threshold
     if thr < math.inf:
@@ -556,7 +559,7 @@ def orlicz_norm(
         k0 = k0 if k0 * r >= 1.0 else math.nextafter(k0, math.inf)
 
     def modular_at(y: YoungFunction):
-        return np.vectorize(lambda k: modular(y, p.scale(k), w), otypes=[float])
+        return np.vectorize(lambda k: modular(y, p._scaled(k), w), otypes=[float])
 
     # Q jumps where a step level reaches a kink of Psi, and bends where the
     # end value of a head or a tail does

@@ -11,8 +11,8 @@ sides: a non-increasing, right-continuous function on (0, inf) assembled from
     of the steps), modelling slow decay on infinite measure.
 
 Either end, or both, may be present.  Each head and tail class owns its
-closed forms (value, exact partial integral, scaled copy, and for tails the
-level crossing); the profile composes them.
+closed forms (value, exact partial integral, and for tails the level
+crossing); the profile composes them and scales them.
 
 modular(Y, p, w) evaluates integral_0^inf Psi(p(t)) * w(t) dt against an
 optional weight profile (Lebesgue when omitted).  Step-by-step pieces
@@ -200,6 +200,13 @@ def add_aligned(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 # ----------------------------------------------------------------------------
 
 
+def _unchecked(obj, **changes):
+    """dataclasses.replace(obj, **changes) without __init__ and its checks."""
+    out = object.__new__(type(obj))
+    vars(out).update({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, **changes)
+    return out
+
+
 @dataclass(frozen=True)
 class ExponentialTail:
     """value(u) = amplitude * exp(-rate * u), u measured from the junction."""
@@ -226,9 +233,6 @@ class ExponentialTail:
         if math.isinf(u):
             return self.amplitude / self.rate
         return self.amplitude / self.rate * -math.expm1(-self.rate * u)
-
-    def scale(self, a: float) -> "ExponentialTail":
-        return ExponentialTail(a * self.amplitude, self.rate)
 
     def crossing(self, level: float) -> float:
         """u* with value(u*) = level (level below the junction)."""
@@ -270,9 +274,6 @@ class PowerTail:
             return math.inf if g < 1.0 else a * t0 ** (1.0 - g) / (g - 1.0)
         return a / (1.0 - g) * ((t0 + u) ** (1.0 - g) - t0 ** (1.0 - g))
 
-    def scale(self, a: float) -> "PowerTail":
-        return PowerTail(a * self.amplitude, self.exponent, self.offset)
-
     def crossing(self, level: float) -> float:
         """u* with value(u*) = level (level below the junction); inf where
         the float power overflows."""
@@ -304,9 +305,6 @@ class LogSingularity:
             return 0.0
         return self.coeff * x * (1.0 - math.log(x))
 
-    def scale(self, a: float) -> "LogSingularity":
-        return LogSingularity(a * self.coeff, self.width)
-
 
 @dataclass(frozen=True)
 class InvPowerSingularity:
@@ -336,9 +334,6 @@ class InvPowerSingularity:
         if th >= 1.0:
             return math.inf
         return self.coeff * x ** (1.0 - th) / (1.0 - th)
-
-    def scale(self, a: float) -> "InvPowerSingularity":
-        return InvPowerSingularity(a * self.coeff, self.exponent, self.width)
 
 
 Head = LogSingularity | InvPowerSingularity
@@ -483,14 +478,19 @@ class DecreasingProfile:
         return tuple(dict.fromkeys(pts))
 
     def scale(self, a: float) -> "DecreasingProfile":
-        """The profile of a*|f|: levels and head and tail amplitudes multiplied by a."""
+        """The profile of a*|f|: _scaled(a), checked anew (DomainError on overflow or underflow)."""
         if not (a > 0 and math.isfinite(a)):
             raise DomainError("scale factor must be positive and finite")
-        return DecreasingProfile(
-            tuple((a * l, w) for l, w in self.steps),
-            None if self.tail is None else self.tail.scale(a),
-            None if self.head is None else self.head.scale(a),
-        )
+        s = self._scaled(a)
+        return DecreasingProfile(s.steps, *(None if x is None else dataclasses.replace(x) for x in (s.tail, s.head)))
+
+    def _scaled(self, c: float) -> "DecreasingProfile":
+        """The profile of c*|f| unchecked, for norm searches: scale's products and the
+        unscaled step edges; a head or tail that underflows to 0 adds 0 to the modular."""
+        tail = None if self.tail is None else _unchecked(self.tail, amplitude=c * self.tail.amplitude)
+        head = None if self.head is None else _unchecked(self.head, coeff=c * self.head.coeff)
+        return _unchecked(self, steps=tuple((c * l, w) for l, w in self.steps), tail=tail, head=head,
+                          step_edges=self.step_edges, _edge_array=self._edge_array)
 
     def to_dict(self) -> dict:
         d = {"steps": [[l, w] for l, w in self.steps]}
@@ -738,7 +738,7 @@ def _finite_scale(young: YoungFunction, p: DecreasingProfile, w: _WeightView) ->
     (a log head under exp growth) and lam*top <= thr (top = _charged_top; v0,
     where Psi vanishes, in place of thr when theta_w >= 1 makes the weight's
     mass there infinite), each in the float expression of the test on
-    p.scale(lam).  A finite Psi that overflows a double is no divergence."""
+    p._scaled(lam).  A finite Psi that overflows a double is no divergence."""
     eff_end = min(p.support_end, w.support_end)
     theta_w = w.inv_order
     lam = 1.0
@@ -1022,8 +1022,9 @@ def _first_holding(holds, rungs) -> float | None:
         rung below 1e-290;
       * the scale of the comparison tests (_finite_scale): 1, 1/2, 1/4,
         ..., while positive;
-      * norm brackets (_level_crossing): x4 or x0.25, while t and 1/t are
-        finite, up to the nearest point already known past the crossing."""
+      * norm brackets (_level_crossing): x4 (then the largest double) or
+        x0.25, while t and 1/t are finite, up to the nearest point already
+        known past the crossing."""
     rungs = iter(rungs)
     seen: list[float] = []
     failed, k = -1, 0
@@ -1143,9 +1144,9 @@ def modular(
     profile: DecreasingProfile,
     weight: DecreasingProfile | None = None,
 ) -> float:
-    """integral_0^inf Psi(p(t)) w(t) dt; +inf when a comparison test of
-    _finite_scale fails, and where Psi of a step level overflows a double.
-    Raises InconclusiveQuadratureError when the value cannot be certified."""
+    """integral_0^inf Psi(p(t)) w(t) dt, with 0 from a head or tail of coefficient 0;
+    +inf when a comparison test of _finite_scale fails, and where Psi of a step
+    level overflows a double.  Raises InconclusiveQuadratureError if uncertified."""
     w = _WeightView(weight)
     if _finite_scale(young, profile, w) != 1.0:
         return math.inf
@@ -1160,7 +1161,7 @@ def modular(
     # 1. singular head
     hw = profile.head_width
     head_end = min(hw, eff_end)
-    if profile.head is not None and head_end > 0:
+    if profile.head is not None and profile.head.coeff > 0 and head_end > 0:
         inner = sorted({c for c in w.cuts() if 0.0 < c < head_end})
         m = inner[0] if inner else head_end
         total += _head_value(young, profile.head, w, m)
@@ -1190,7 +1191,7 @@ def modular(
             break
 
     # 3. tail; left out where the weight charges none of it (Psi(p) may be inf)
-    if profile.tail is not None:
+    if profile.tail is not None and profile.tail.amplitude > 0:
         start = profile.steps_end
         if math.isinf(eff_end):
             total += _tail_region_value(young, profile, w, integrand)

@@ -96,6 +96,15 @@ class TestNorm:
         assert payload["op"] == "weighted_luxemburg_norm"
         assert payload["value"] > 1.0 and payload["converged"]
 
+    def test_profile_whose_tail_underflows_in_the_search(self, runner, tmp_path):
+        # a valid file: its tail amplitude over lambda = 1e300 underflows to 0
+        prof = tmp_path / "tiny_tail.json"
+        prof.write_text(json.dumps({"steps": [[1e300, 1.0]], "tail": {"kind": "exponential", "amplitude": 1e-300, "rate": 1.0}}))
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--profile", str(prof)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["converged"] and payload["value"] == pytest.approx(1e300, rel=1e-12)
+
     def test_requires_exactly_one_input(self, runner, fixtures):
         res = runner.invoke(main, ["norm", "--young", "power:2"])
         assert res.exit_code == 2

@@ -197,10 +197,61 @@ def test_subnormal_atom_does_not_converge():
 
 
 def test_a_witness_near_the_least_double_keeps_the_start_finite():
-    # the witness is 2^-1024, so 2 / witness overflows; the norm, about
-    # 1.4e308, lies past the last x4 rung below the largest double
+    # the witness is 2^-1024, so 2 / witness overflows; the norm, sqrt(2)
+    # 1e308 (the cosh-1 modular of c log(1/t) on (0, 1] is c^2 / (1 - c^2)),
+    # lies past the last x4 rung, and the ladder's last rung is the largest
+    # double; 1 / lambda is subnormal there, so a few ulp are lost
     rep = cs.luxemburg_norm(yg.cosh_minus_1(), D((), head=L(1e308, 1.0)))
-    assert not rep.converged and rep.value == math.inf
+    assert rep.converged and rep.value == pytest.approx(math.sqrt(2.0) * 1e308, rel=ROUNDOFF)
+
+
+@pytest.mark.parametrize("spec", ["identity", "power:2"])
+def test_a_norm_past_the_last_x4_rung(spec):
+    # one atom of mass 1 at 5e307: the norm is the level, past the last x4
+    # rung 4^511 = 4.49e307 and below the largest double, the ladder's end
+    rep = cs.luxemburg_norm(yg.from_spec(spec), rr.simple_function([5e307], [1.0]))
+    assert rep.converged and rep.value == pytest.approx(5e307, rel=ROUNDOFF)
+
+
+#: a valid profile whose tail amplitude over a norm-sized lambda underflows
+#: to 0; the tail adds about 1e-600 to the modular
+TINY_TAIL = D(((1e300, 1.0),), E(1e-300, 1.0))
+
+
+#: x tanh x = 1: cosh(x) / x is least there
+X_COSH = mp.findroot(lambda x: x * mp.tanh(x) - 1, 1.2)
+
+
+@pytest.mark.parametrize("spec, lux, orl, k", [
+    ("power:2", 1e300, 2e300, 1e-300),
+    ("cosh-1", 1e300 / math.acosh(2.0), float(1e300 * mp.cosh(X_COSH) / X_COSH), float(X_COSH / mp.mpf(1e300))),
+], ids=["power:2", "cosh-1"])
+def test_a_tail_that_underflows_in_the_search(spec, lux, orl, k):
+    # the atom's norms: 1e300 / Psi^-1(1), and the least 1e300 (1 + Psi(x)) / x,
+    # taken at k = x / 1e300
+    young = yg.from_spec(spec)
+    rep = cs.luxemburg_norm(young, TINY_TAIL)
+    assert rep.converged and rep.value == pytest.approx(lux, rel=1e-12)
+    lo, hi = rep.bracket
+    assert mp_modular(young, TINY_TAIL, None, hi) <= 1 + ROUNDOFF
+    assert mp_modular(young, TINY_TAIL, None, lo) >= 1 - ROUNDOFF
+    rep = cs.orlicz_norm(young, TINY_TAIL)
+    assert rep.converged and rep.value == pytest.approx(orl, rel=1e-9)
+    assert rep.bracket[0] <= k <= rep.bracket[1]
+
+
+def test_a_tail_that_underflows_past_the_last_x4_rung():
+    # the power:2 norm is 1e308 sqrt(1 + 1e-1216): 1e308 to double precision
+    rep = cs.luxemburg_norm(yg.power(2.0), D(((1e308, 1.0), (1e-300, 1.0)), E(1e-300, 1.0)))
+    assert rep.converged and rep.value == pytest.approx(1e308, rel=ROUNDOFF)
+
+
+@pytest.mark.parametrize("f", [rr.simple_function([1e308], [1.0]), D(((1e308, 1.0),), E(1e-300, 1.0))],
+                         ids=["atom", "profile"])
+def test_an_amemiya_norm_past_the_largest_double_does_not_converge(f):
+    # the power:2 Orlicz norm is 2 ||f||_2 = 2e308, which overflows a double
+    rep = cs.orlicz_norm(yg.power(2.0), f)
+    assert rep.value == math.inf and not rep.converged
 
 
 def test_subnormal_atom_orlicz_norm_has_no_witness():

@@ -23,12 +23,14 @@ their levels and each norm search took one np.errstate.
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import test_double_range_sweep as sweep
 from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
-from orlicz_kit.errors import DomainError
+from orlicz_kit.errors import DomainError, OrliczKitError
 
 D = rr.DecreasingProfile
 L, I = rr.LogSingularity, rr.InvPowerSingularity
@@ -187,6 +189,57 @@ def test_analytic_amemiya_norm_work(kernel_work, modular_calls):
     assert rep.iterations == 11
     assert modular_calls == {"gap": 10, "modular": 2}
     assert kernel_work == {"integrate": 12, "rounds": 38, "panels": 124}
+
+
+#: the factors of the _scaled bit test, and its Young functions: the
+#: sweep's catalog and the gap in Young's equality of each
+FACTORS = [1e-50, 1e-3, 1.0, 1e3, 1e50]
+SCALED_YOUNGS = [*map(yg.from_spec, sweep.YOUNGS), *(yg._EqualityGap(yg.from_spec(s)) for s in sweep.YOUNGS)]
+
+
+def _modular_hex(young, prof, weight):
+    """The modular's float.hex, or the type of the package error it raises."""
+    try:
+        return rr.modular(young, prof, weight).hex()
+    except OrliczKitError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("young", SCALED_YOUNGS, ids=lambda y: y.name)
+@pytest.mark.parametrize("name", sweep.SHAPES)
+def test_scaled_copy_has_the_bits_of_scale(name, young):
+    # the sweep's shapes and weights: the norm searches' unchecked copy gives
+    # the modular of the checked one, value or error
+    rng = np.random.default_rng(sweep.SEED)
+    for wname, weight in sweep.WEIGHTS.items():
+        prof, w = sweep.shape(name, rng), weight(rng)
+        for c in FACTORS:
+            assert _modular_hex(young, prof._scaled(c), w) == _modular_hex(young, prof.scale(c), w), (wname, c)
+
+
+@pytest.mark.parametrize("name", [n for n in YOUNG if n != "capped"])  # threshold growth takes no head
+def test_pieces_that_underflow_add_nothing(name, kernel_work):
+    # 5e-324 times a level, coefficient or amplitude at most 0.5 rounds to 0;
+    # on a member, where the norm searches run, the modular is then 0, with
+    # no quadrature
+    young = YOUNG[name]
+    members = [(PROFILES[shape], w) for shape in ("log+exp", "inv+power") for w in WEIGHTS.values()
+               if cs.membership(young, PROFILES[shape], w).member]
+    assert members
+    for prof, w in members:
+        assert rr.modular(young, prof._scaled(5e-324), w) == 0.0
+    assert kernel_work["integrate"] == 0
+
+
+def test_norm_searches_check_no_profile(count_calls):
+    # the norms of tests/golden/norm_weighted_profile.json build no checked
+    # profile, head or tail: each modular is taken on an unchecked copy
+    data = Path(__file__).parent / "data"
+    p, w = (rr.load_json_input(data / name, rr.profile_from_dict) for name in ("glog.json", "exp.json"))
+    calls = [count_calls(cls, "__post_init__") for cls in (D, E, P, L, I)]
+    lux, orl = cs.luxemburg_norm(yg.cosh_minus_1(), p, w), cs.orlicz_norm(yg.cosh_minus_1(), p, w)
+    assert (lux.iterations, orl.iterations) == (13, 13)
+    assert [len(c) for c in calls] == [0] * 5
 
 
 # ----------------------------------------------------------------------------
