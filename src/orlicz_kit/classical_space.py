@@ -494,8 +494,9 @@ def _amemiya(
 
 def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float):
     """The points k = b / a_i where a level a_i reaches a positive kink b of
-    Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (a density may
-    take its right limit at the kink itself).  Only points where 1 / k- and
+    Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (every density
+    takes its left limit at the kink itself, so Q(k-) = Q(k) where k a_i
+    = b; k- is kept all the same).  Only points where 1 / k- and
     k (1 + tol) are finite are kept.  Runs under its caller's errstate."""
     kinks = [b for b in young.kinks if b > 0.0]
     if not kinks:

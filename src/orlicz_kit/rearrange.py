@@ -1134,7 +1134,12 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
         else:
             # a slow power tail keeps its mass near the start: split geometrically
             # in offset + u, the coordinate in which it decays as a power
-            pieces.extend(_decade_split(prev, c, tail.offset - lo))
+            shift = tail.offset - lo
+            if prev + shift <= 0.0:
+                raise InconclusiveQuadratureError(
+                    f"the power tail's offset {tail.offset:g} is lost against its start {lo:g} in doubles"
+                )
+            pieces.extend(_decade_split(prev, c, shift))
         prev = c
     return _integrate(integrand, pieces)
 

@@ -198,8 +198,11 @@ class YoungFunction:
 
     def _equality_gap_arr(self, s: np.ndarray) -> np.ndarray:
         """The gap in Young's equality, s*psi(s) - Psi(s) = Psi*(psi(s)):
-        non-decreasing, clipped at 0, and +inf beyond the finiteness threshold
-        or where both terms overflow."""
+        non-decreasing, >= 0, and +inf at s = inf.  This generic form, the
+        difference clipped at 0 and +inf beyond the finiteness threshold or
+        where both terms overflow, serves tabulated, threshold and user
+        kinds; the closed-form catalog kinds override it with one short
+        kernel each, exact to a few ulp over the whole double range."""
         gap = s * self._density_arr(s) - self._eval_arr(s)
         thr = self.finite_threshold
         over = np.isnan(gap) if thr == math.inf else (s > thr) | np.isnan(gap)
@@ -249,6 +252,14 @@ class PowerYoung(YoungFunction):
         out = self.coef * p * s ** (p - 1.0)
         return np.where(s > 0, out, 0.0)
 
+    def _equality_gap_arr(self, s):
+        # (p - 1) c s^p as s (p - 1) c s^(p - 1), which overflows only where
+        # the gap does; identity's gap is 0, and +inf at s = inf
+        p = self.exponent
+        if p == 1.0:
+            return np.where(s < math.inf, 0.0, math.inf)
+        return s * ((p - 1.0) * self.coef * s ** (p - 1.0))
+
     @property
     def name(self):
         if self.label:
@@ -283,6 +294,11 @@ class CoshMinusOne(YoungFunction):
     def _density_arr(self, s):
         return np.sinh(s)
 
+    def _equality_gap_arr(self, s):
+        # s sinh(s) - (cosh(s) - 1) = sinh(s) (s - tanh(s/2)), where
+        # s - tanh(s/2) > s/2 loses at most a bit
+        return np.sinh(s) * (s - np.tanh(0.5 * s))
+
     @property
     def name(self):
         return "cosh-1"
@@ -311,6 +327,12 @@ class LlogYoung(YoungFunction):
     def _density_arr(self, s):
         return np.arcsinh(s)
 
+    def _equality_gap_arr(self, s):
+        # sqrt(1 + s^2) - 1 = s / (1/s + sqrt(1/s^2 + 1)): no cancellation
+        # near 0, no overflow of s^2, and 0 at s = 0, +inf at s = inf
+        u = 1.0 / s
+        return s / (u + np.hypot(u, 1.0))
+
     @property
     def name(self):
         return "llog"
@@ -331,6 +353,10 @@ class XLog1p(YoungFunction):
 
     def _density_arr(self, s):
         return np.log1p(s) + s / (1.0 + s)
+
+    def _equality_gap_arr(self, s):
+        # s^2 / (1 + s) = s / (1/s + 1): 0 at s = 0, +inf at s = inf
+        return s / (1.0 / s + 1.0)
 
     @property
     def name(self):
@@ -355,6 +381,10 @@ class ZygmundLLogL(YoungFunction):
         safe = np.maximum(s, 1.0)
         return np.where(s <= 1.0, 0.0, 1.0 + np.log(safe))
 
+    def _equality_gap_arr(self, s):
+        # s (1 + log s) - s log s = s past the kink, 0 up to it
+        return np.where(s <= 1.0, 0.0, s)
+
     @property
     def name(self):
         return "llogl"
@@ -377,6 +407,11 @@ class ZygmundExp(YoungFunction):
     def _density_arr(self, s):
         inner = np.where(s <= 1.0, 1.0, np.exp(s - 1.0))
         return np.where(s <= 0.0, 0.0, inner)
+
+    def _equality_gap_arr(self, s):
+        # s e^(s-1) - e^(s-1) = (s - 1) e^(s-1) past the kink, s - s = 0 up to it
+        d = np.maximum(s - 1.0, 0.0)
+        return d * np.exp(d)
 
     @property
     def name(self):
@@ -491,8 +526,9 @@ class TabulatedYoung(YoungFunction):
         return val
 
     def _density_arr(self, s):
+        # the left limit at a repeated breakpoint: the segment ending at s
         xs, ys = self._xs, self._ys
-        i = self._segment_index(s)
+        i = np.clip(np.searchsorted(xs, s, side="left") - 1, 0, len(self.xs) - 1)
         inside = i < len(self.xs) - 1
         iseg = np.minimum(i, len(self.xs) - 2)
         val_in = ys[iseg] + self._slopes[iseg] * (s - xs[iseg])
@@ -687,7 +723,9 @@ class _EqualityGap(YoungFunction):
     """The gap in Young's equality, Gamma(s) = s*psi(s) - Psi(s) = Psi*(psi(s)),
     as a Young function of its own, so that rearrange.modular integrates
     Q(k) = integral Gamma(k f) w, the Amemiya objective's slope term, with
-    the quadrature, truncations and comparison tests of the modular.
+    the quadrature, truncations and comparison tests of the modular.  Its
+    values are the base's _equality_gap_arr: a closed-form kernel for the
+    catalog kinds, the generic s*psi(s) - Psi(s) for the others.
 
     Gamma is non-decreasing and 0 where Psi is, but need not be convex.  Its
     threshold, vanishing point and kinks are the base's, and its envelopes

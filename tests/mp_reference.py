@@ -1,8 +1,8 @@
-"""The one multiple-precision reference behind the test oracles: Psi, a
-profile and weight evaluator, a piecewise integral, the Luxemburg and Amemiya
-norms, the root of Young's equality and the membership rule.  It reads only
-the public fields of orlicz_kit's data classes and calls none of its
-functions."""
+"""The one multiple-precision reference behind the test oracles: Psi, the
+gap in Young's equality, a profile and weight evaluator, a piecewise
+integral, the Luxemburg and Amemiya norms, the root of Young's equality and
+the membership rule.  It reads only the public fields of orlicz_kit's data
+classes and calls none of its functions."""
 
 import math
 from collections import namedtuple
@@ -85,6 +85,16 @@ def young(y) -> Young:
     """The reference of a Young function."""
     ref = TABLE[type(y)]
     return ref if isinstance(ref, Young) else ref(y)
+
+
+def equality_gap(y, s, dps=50):
+    """Gamma(s) = s psi(s) - Psi(s), the gap in Young's equality, at a finite
+    s >= 0 and dps digits, which keep the difference exact where its terms
+    cancel (lexp's just above its kink lose about log10(1 / (s - 1)) digits)."""
+    ref = young(y)
+    with mp.workdps(dps):
+        s = mp.mpf(s)
+        return s * ref.psi(s) - ref.Psi(s)
 
 
 def pieces(prof):

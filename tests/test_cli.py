@@ -105,6 +105,15 @@ class TestNorm:
         payload = json.loads(res.output)
         assert payload["converged"] and payload["value"] == pytest.approx(1e300, rel=1e-12)
 
+    def test_profile_whose_power_tail_offset_is_lost(self, runner, tmp_path):
+        # offset 1 against a start of 1e300: inconclusive (exit 4), not a traceback
+        prof = tmp_path / "lost_offset.json"
+        prof.write_text(json.dumps({"steps": [[1e-300, 1e300]], "tail": {"kind": "power", "amplitude": 1e-300, "exponent": 2.0, "offset": 1.0}}))
+        for flags in ([], ["--orlicz"]):
+            res = runner.invoke(main, ["norm", "--young", "power:2", *flags, "--profile", str(prof)])
+            assert res.exit_code == 4, res.output
+            assert "offset 1 is lost" in res.output
+
     def test_requires_exactly_one_input(self, runner, fixtures):
         res = runner.invoke(main, ["norm", "--young", "power:2"])
         assert res.exit_code == 2

@@ -254,6 +254,18 @@ def test_an_amemiya_norm_past_the_largest_double_does_not_converge(f):
     assert rep.value == math.inf and not rep.converged
 
 
+#: a power tail of offset 1 after a step of length 1e300: offset - 1e300 cancels
+#: the start in doubles, so the tail's own coordinate is lost (ROADMAP item 5)
+LOST_OFFSET = D(((1e-300, 1e300),), P(1e-300, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("spec", ["power:2", "cosh-1", "xlog1p", "lexp"])
+@pytest.mark.parametrize("norm", [cs.luxemburg_norm, cs.orlicz_norm], ids=["luxemburg", "orlicz"])
+def test_a_power_tail_whose_offset_is_lost_is_inconclusive(spec, norm):
+    with pytest.raises(InconclusiveQuadratureError, match="offset 1 is lost against its start 1e"):
+        norm(yg.from_spec(spec), LOST_OFFSET)
+
+
 def test_subnormal_atom_orlicz_norm_has_no_witness():
     # the norm 2 ||f||_2 = 1e-320 sqrt(2) is found for f / 1e-320, but its
     # minimiser k / 1e-320 overflows: no witness and no bracket

@@ -17,7 +17,11 @@ holder_check, for every catalog Young function, on repeated levels, zeros,
 negative values, levels at 1e-300 and 1e300 and an aligned density): value,
 witness, bracket and modular at the witness as float.hex, with iterations
 and the converged flag, recorded before simple functions went straight to
-their levels and each norm search took one np.errstate.
+their levels and each norm search took one np.errstate.  Fourteen Amemiya
+and Hoelder entries were pinned again when the catalog kinds got closed-form
+equality gaps: no iteration count moved, each value moved by at most 2 ulp
+and stays within 1.5 ulp of a 40-digit mpmath minimum, and each witness
+stays inside its bracket of relative width 1e-9.
 """
 
 import warnings
@@ -371,9 +375,9 @@ STEP_PINS = {
     ("luxemburg", "conjugate(xlog1p)", "density"): "0x1.ec527c8678d41p-1 0x1.ec527c8678d41p-1 0x1.ec527c86789dfp-1:0x1.ec527c8678d41p-1 8 True 0x1.ffffffffffd73p-1",
     ("orlicz", "power:1.5", "mixed"): "0x1.3fafb943b0d5dp+1 0x1.3380574187003p+0 0x1.3380574187003p+0:0x1.338057420b125p+0 5 True -",
     ("orlicz", "power:1.5", "repeated"): "0x1.61aac213890e3p+1 0x1.15f4d444d9d3ep+0 0x1.15f4d44462724p+0:0x1.15f4d444d9d3ep+0 5 True -",
-    ("orlicz", "power:1.5", "tiny"): "0x1.12e08a0858cfcp-995 0x1.65a10045c311ap+996 0x1.65a10045c311ap+996:0x1.65a100465cab5p+996 5 True -",
+    ("orlicz", "power:1.5", "tiny"): "0x1.12e08a0858cfcp-995 0x1.65a10046f6451p+996 0x1.65a100465cab5p+996:0x1.65a10046f6451p+996 5 True -",
     ("orlicz", "power:1.5", "huge"): "0x1.0d4f6a2f97977p+997 0x1.6d057c92599f6p-996 0x1.6d057c92599f6p-996:0x1.6d057c92f6660p-996 5 True -",
-    ("orlicz", "power:1.5", "density"): "0x1.1bee3381631aap+1 0x1.5a39c1431c155p+0 0x1.5a39c1431c155p+0:0x1.5a39c143b0c94p+0 7 True -",
+    ("orlicz", "power:1.5", "density"): "0x1.1bee3381631aap+1 0x1.5a39c144457d3p+0 0x1.5a39c143b0c93p+0:0x1.5a39c144457d3p+0 7 True -",
     ("orlicz", "power:2", "mixed"): "0x1.7718c710f4446p+1 0x1.5d6f659b5f8d9p-1 0x1.5d6f659ac978cp-1:0x1.5d6f659b5f8d9p-1 5 True -",
     ("orlicz", "power:2", "repeated"): "0x1.90b410d07f01fp+1 0x1.471ad441b60bfp-1 0x1.471ad441b60bfp-1:0x1.471ad44242898p-1 5 True -",
     ("orlicz", "power:2", "tiny"): "0x1.2f1182b89d557p-995 0x1.b07bb4c291ce8p+995 0x1.b07bb4c291ce8p+995:0x1.b07bb4c34b8e8p+995 5 True -",
@@ -384,30 +388,30 @@ STEP_PINS = {
     ("orlicz", "identity", "tiny"): "0x1.16979ce6a45b8p-996 - - 0 True -",
     ("orlicz", "identity", "huge"): "0x1.105d1874d2099p+996 - - 0 True -",
     ("orlicz", "identity", "density"): "0x1.eb33333333332p-1 - - 0 True -",
-    ("orlicz", "cosh-1", "mixed"): "0x1.3053a72cfd2afp+1 0x1.695cb2f0a7a80p-1 0x1.695cb2f00c73cp-1:0x1.695cb2f0a7a80p-1 11 True -",
+    ("orlicz", "cosh-1", "mixed"): "0x1.3053a72cfd2afp+1 0x1.695cb2f0a7a80p-1 0x1.695cb2f00c73dp-1:0x1.695cb2f0a7a80p-1 11 True -",
     ("orlicz", "cosh-1", "repeated"): "0x1.372e04867b882p+1 0x1.7105feb4e6174p-1 0x1.7105feb44798cp-1:0x1.7105feb4e6174p-1 11 True -",
     ("orlicz", "cosh-1", "tiny"): "0x1.d97a8ac2243d4p-996 0x1.e1574b9c7809cp+995 0x1.e1574b9ba94dbp+995:0x1.e1574b9c7809cp+995 11 True -",
     ("orlicz", "cosh-1", "huge"): "0x1.c8ad0b396d0fdp+996 0x1.f9df7edcde8dep-997 0x1.f9df7edcde8dep-997:0x1.f9df7eddb7d32p-997 11 True -",
     ("orlicz", "cosh-1", "density"): "0x1.13a606557a66dp+1 0x1.8ddb557ef5b59p-1 0x1.8ddb557ef5b59p-1:0x1.8ddb557fa0965p-1 11 True -",
     ("orlicz", "llog", "mixed"): "0x1.cd9ceeeb7eb48p+0 0x1.617301fffc5e0p+0 0x1.617301ff648fdp+0:0x1.617301fffc5e0p+0 10 True -",
-    ("orlicz", "llog", "repeated"): "0x1.fe6b9861dcbc3p+0 0x1.34b158e9cd3d1p+0 0x1.34b158e4cd1d2p+0:0x1.34b158e9cd3d1p+0 10 True -",
-    ("orlicz", "llog", "tiny"): "0x1.84010dc5a29e8p-996 0x1.8e8b761b56106p+996 0x1.8e8b761871af0p+996:0x1.8e8b761b56106p+996 9 True -",
+    ("orlicz", "llog", "repeated"): "0x1.fe6b9861dcbc3p+0 0x1.34b158e9cd3d1p+0 0x1.34b158e4cd1d3p+0:0x1.34b158e9cd3d1p+0 10 True -",
+    ("orlicz", "llog", "tiny"): "0x1.84010dc5a29e8p-996 0x1.8e8b761b56106p+996 0x1.8e8b761871af3p+996:0x1.8e8b761b56106p+996 9 True -",
     ("orlicz", "llog", "huge"): "0x1.7cf0986c90590p+996 0x1.94a764301af61p-996 0x1.94a7642affb0ap-996:0x1.94a764301af61p-996 10 True -",
-    ("orlicz", "llog", "density"): "0x1.a039df85d30d9p+0 0x1.8a65f248fd713p+0 0x1.8a65f248540cbp+0:0x1.8a65f248fd713p+0 11 True -",
-    ("orlicz", "xlog1p", "mixed"): "0x1.0e067a33c9057p+1 0x1.4ef1382310469p+0 0x1.4ef1382310469p+0:0x1.4ef13823a021dp+0 9 True -",
-    ("orlicz", "xlog1p", "repeated"): "0x1.2c8133cb054ddp+1 0x1.258d91d68e92ep+0 0x1.258d91d68e92ep+0:0x1.258d91d72fcfap+0 9 True -",
+    ("orlicz", "llog", "density"): "0x1.a039df85d30d9p+0 0x1.8a65f248fd711p+0 0x1.8a65f248540c9p+0:0x1.8a65f248fd711p+0 11 True -",
+    ("orlicz", "xlog1p", "mixed"): "0x1.0e067a33c9058p+1 0x1.4ef1382310468p+0 0x1.4ef1382310468p+0:0x1.4ef13823a021cp+0 9 True -",
+    ("orlicz", "xlog1p", "repeated"): "0x1.2c8133cb054ddp+1 0x1.258d91d68e932p+0 0x1.258d91d68e932p+0:0x1.258d91d72fcf9p+0 9 True -",
     ("orlicz", "xlog1p", "tiny"): "0x1.cd2f01f7ad3cfp-996 0x1.75abeaccaa10dp+996 0x1.75abeaccaa10dp+996:0x1.75abeacd4a8e7p+996 9 True -",
     ("orlicz", "xlog1p", "huge"): "0x1.c4ba4d59e0ddep+996 0x1.7c3aa0ece197dp-996 0x1.7c3aa0ec1faf4p-996:0x1.7c3aa0ece197dp-996 9 True -",
     ("orlicz", "xlog1p", "density"): "0x1.e4aeb8b00517cp+0 0x1.79fc13c23b9b0p+0 0x1.79fc13c23b9b0p+0:0x1.79fc13c2ddf2fp+0 11 True -",
-    ("orlicz", "llogl", "mixed"): "0x1.acc552a1284f2p+0 0x1.0d79435e50d78p+0 0x1.0d79435e50d78p+0:0x1.0d79435ec4947p+0 4 True -",
+    ("orlicz", "llogl", "mixed"): "0x1.acc552a1284f2p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4948p+0 4 True -",
     ("orlicz", "llogl", "repeated"): "0x1.d0202964d7297p+0 0x1.aaaaaaaaaaaaap-1 0x1.aaaaaaaaaaaaap-1:0x1.aaaaaaab61eb2p-1 4 True -",
-    ("orlicz", "llogl", "tiny"): "0x1.49e91583869cbp-996 0x1.53ca7954c9edap+996 0x1.53ca7954c9edap+996:0x1.53ca79555bde1p+996 4 True -",
+    ("orlicz", "llogl", "tiny"): "0x1.49e91583869cbp-996 0x1.53ca79555bde0p+996 0x1.53ca79555bde0p+996:0x1.53ca7955edce6p+996 4 True -",
     ("orlicz", "llogl", "huge"): "0x1.439d820cfc93ap+996 0x1.56e1fc2f8f359p-996 0x1.56e1fc2f8f358p-996:0x1.56e1fc354fe12p-996 2 True -",
     ("orlicz", "llogl", "density"): "0x1.8295864789149p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4948p+0 4 True -",
     ("orlicz", "lexp", "mixed"): "0x1.57a1ad5461344p+1 0x1.aafcb9b3384cbp-1 0x1.aafcb9b3384cbp-1:0x1.aafcb9b7eb725p-1 10 True -",
     ("orlicz", "lexp", "repeated"): "0x1.58db41641d686p+1 0x1.c55d3096bbbe8p-1 0x1.c55d3096bbbe8p-1:0x1.c55d30977e765p-1 11 True -",
-    ("orlicz", "lexp", "tiny"): "0x1.155ea830a1697p-995 0x1.29a56948d7f5dp+996 0x1.29a56948d7f5dp+996:0x1.29a5694957cc6p+996 10 True -",
-    ("orlicz", "lexp", "huge"): "0x1.08ca445d30933p+997 0x1.3d9cfd3397c1ep-996 0x1.3d9cfd3397c1ep-996:0x1.3d9cfd34202bep-996 11 True -",
+    ("orlicz", "lexp", "tiny"): "0x1.155ea830a1697p-995 0x1.29a56948d7f5dp+996 0x1.29a56948d7f5dp+996:0x1.29a5694957cc5p+996 10 True -",
+    ("orlicz", "lexp", "huge"): "0x1.08ca445d30933p+997 0x1.3d9cfd3397c1dp-996 0x1.3d9cfd3397c1dp-996:0x1.3d9cfd34202bcp-996 11 True -",
     ("orlicz", "lexp", "density"): "0x1.2bbbe736a1a17p+1 0x1.d745f120d6ac1p-1 0x1.d745f120d6ac1p-1:0x1.d745f121a1153p-1 11 True -",
     ("orlicz", "tabulated", "mixed"): "0x1.3acb70d07e341p+1 0x1.b2fd90691db78p-1 0x1.b2fd90675c0a1p-1:0x1.b2fd90691db78p-1 8 True -",
     ("orlicz", "tabulated", "repeated"): "0x1.4cccccccccccdp+1 0x1.24924924917e8p-1 0x1.24924924917e8p-1:0x1.249249250f272p-1 9 True -",
@@ -432,12 +436,12 @@ STEP_PINS = {
     ("holder", "identity", "repeated"): "0x1.6000000000001p-1 0x1.f333333333335p+1 0x1.4cccccccccccep+0 0x1.8000000000000p+1 True",
     ("holder", "cosh-1", "mixed"): "0x1.b999999999999p-1 0x1.74d6f6273db04p+1 0x1.378a5eff538f0p+0 0x1.325ef658e8b77p+1 True",
     ("holder", "cosh-1", "repeated"): "0x1.6000000000001p-1 0x1.d2b297740e900p+0 0x1.3afd5bed71e1fp+0 0x1.7b4bfdad46fa6p+0 True",
-    ("holder", "llog", "mixed"): "0x1.b999999999999p-1 0x1.773f234d92c0ap+1 0x1.d51e94a5fde3cp-1 0x1.998beda920b63p+1 True",
+    ("holder", "llog", "mixed"): "0x1.b999999999999p-1 0x1.773f234d92c0bp+1 0x1.d51e94a5fde3cp-1 0x1.998beda920b65p+1 True",
     ("holder", "llog", "repeated"): "0x1.6000000000001p-1 0x1.0f0911c1e25c5p+1 0x1.0237329776c65p+0 0x1.0cb5b630e2a66p+1 True",
     ("holder", "xlog1p", "mixed"): "0x1.b999999999999p-1 0x1.7d18b997c3834p+1 0x1.16e8b97ecf24ep+0 0x1.5dcb4413412f0p+1 True",
     ("holder", "xlog1p", "repeated"): "0x1.6000000000001p-1 0x1.17e28819ffd72p+1 0x1.3509cf9443f44p+0 0x1.cfb331a237a42p+0 True",
     ("holder", "llogl", "mixed"): "0x1.b999999999999p-1 0x1.7ef5bf4bc43e1p+1 0x1.ae82cb42d39d4p-1 0x1.c772c8719d091p+1 True",
-    ("holder", "llogl", "repeated"): "0x1.6000000000001p-1 0x1.127bfc2dbf74fp+1 0x1.d9ac749ec4a16p-1 0x1.28b193b1f3856p+1 True",
+    ("holder", "llogl", "repeated"): "0x1.6000000000001p-1 0x1.127bfc2dbf750p+1 0x1.d9ac749ec4a16p-1 0x1.28b193b1f3858p+1 True",
     ("holder", "lexp", "mixed"): "0x1.b999999999999p-1 0x1.7a6f82de6d520p+1 0x1.5c52e779ce2bdp+0 0x1.16216d5ed1ff4p+1 True",
     ("holder", "lexp", "repeated"): "0x1.6000000000001p-1 0x1.eb0212662ecbdp+0 0x1.64789dbd592b0p+0 0x1.609e278b6466cp+0 True",
     ("holder", "tabulated", "mixed"): "0x1.b999999999999p-1 0x1.7f533c0c2bd4ap+1 0x1.3aed4bf3a721cp+0 0x1.3799999999999p+1 True",

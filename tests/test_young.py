@@ -1,7 +1,9 @@
 """Young-function calculus: catalog values, complements, growth checks."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from orlicz_kit import young as yg
 from orlicz_kit.errors import DomainError
+
+import mp_reference as mpr
 
 ALL_CATALOG = [
     yg.power(1),
@@ -407,3 +411,99 @@ class TestEqualityGap:
             slope = yg._EqualityGap(base).chord_slope(j)
             assert np.all(self.gamma_on(base, x) <= slope * x * (1 + 1e-12))
             assert np.all(base.eval(x) <= base.chord_slope(j) * x * (1 + 1e-12))
+
+
+class TestTabulatedDensity:
+    JUMP = yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.5, 0.5, 2.0, 4.0])
+
+    def test_left_limit_at_a_repeated_breakpoint(self):
+        # psi is left-continuous: 0.5 at the jump itself, 2 just past it
+        assert self.JUMP.density(1.0) == 0.5
+        assert self.JUMP.density(math.nextafter(1.0, 2.0)) == pytest.approx(2.0, rel=1e-15)
+        assert self.JUMP.density(math.nextafter(1.0, 0.0)) == 0.5
+
+    def test_continuous_breakpoints_and_psi_keep_their_values(self):
+        tab = yg.tabulated([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 2.0, 4.0])
+        assert list(tab.density([0.0, 1.0, 2.0, 3.0, 4.0])) == [0.5, 1.5, 2.0, 4.0, 4.0]
+        # Psi is continuous at the jump: 0.5 from the flat segment
+        assert self.JUMP.eval(1.0) == 0.5 and self.JUMP.eval(2.0) == 0.5 + 3.0
+
+
+#: every catalog kind with a closed-form gap, and power conjugates
+GAP_KINDS = {
+    "power:1.5": yg.power(1.5),
+    "power:2.5": yg.power(2.5),
+    "identity": yg.identity(),
+    "cosh-1": yg.cosh_minus_1(),
+    "llog": yg.llog(),
+    "xlog1p": yg.xlog1p(),
+    "llogl": yg.zygmund_llogl(),
+    "lexp": yg.zygmund_exp(),
+}
+#: the ends of the double range, a log grid between them, both sides of the
+#: kinks at 1 and power:1.5's window where s^1.5 overflows but Gamma does not
+KERNEL_GRID = np.unique([
+    0.0, 5e-324, 1e-300, *np.geomspace(1e-300, 1e300, 121), 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
+    4e205, 1e308, 1.7e308, math.inf,
+])
+
+
+def closed_gap(young, s):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return young._equality_gap_arr(np.asarray(s, dtype=float))
+
+
+def generic_gap(young, s):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return yg.YoungFunction._equality_gap_arr(young, np.asarray(s, dtype=float))
+
+
+class TestClosedFormGap:
+    """Each closed-form Gamma(s) = s psi(s) - Psi(s) against a 50-digit
+    mpmath value over the whole double range."""
+
+    @pytest.mark.parametrize("name", GAP_KINDS)
+    def test_kernel_against_mpmath(self, name):
+        young = GAP_KINDS[name]
+        got = closed_gap(young, KERNEL_GRID)
+        assert got[-1] == math.inf  # at s = inf
+        for s, g in zip(KERNEL_GRID[:-1], got[:-1]):
+            ref = mpr.equality_gap(young, float(s))
+            if ref > sys.float_info.max:
+                assert g == math.inf, s
+            elif ref == 0:
+                assert g == 0.0, s
+            elif ref < sys.float_info.min:
+                assert 0.0 <= g < sys.float_info.min, s
+            else:
+                assert abs(mp.mpf(float(g)) - ref) <= 4 * math.ulp(float(ref)), s
+        assert np.all(got[1:] >= got[:-1])
+
+    @pytest.mark.parametrize("base, partner", [
+        (yg.cosh_minus_1(), yg.llog()), (yg.llog(), yg.cosh_minus_1()),
+        (yg.zygmund_llogl(), yg.zygmund_exp()), (yg.zygmund_exp(), yg.zygmund_llogl()),
+        (yg.power(2.5), yg.complement(yg.power(2.5))), (yg.complement(yg.power(2.5)), yg.power(2.5)),
+    ], ids=lambda y: y.name)
+    def test_gap_is_the_conjugate_at_the_density(self, base, partner):
+        # Gamma_Psi(s) = Psi*(psi(s)): equality in Young's inequality
+        s = np.geomspace(1e-3, 1e3, 61)
+        with np.errstate(over="ignore"):
+            want = partner.eval(base.density(s))
+        got = closed_gap(base, s)
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["llog", "xlog1p", "llogl"])
+    def test_generic_form_overflows_where_the_gap_does_not(self, name):
+        # s psi(s) and Psi(s) both overflow at 1e308, where Gamma ~ 1e308
+        young = GAP_KINDS[name]
+        assert generic_gap(young, 1e308) == math.inf
+        assert closed_gap(young, 1e308) == pytest.approx(1e308, rel=1e-15)
+
+    def test_generic_form_cancels_just_past_the_lexp_kink(self):
+        # Gamma(1 + 1e-7) = 1e-7 e^(1e-7): s psi - Psi cancels seven digits
+        young, s = yg.zygmund_exp(), 1.0 + 1e-7
+        want = (s - 1.0) * math.exp(s - 1.0)
+        assert abs(generic_gap(young, s) / want - 1.0) > 1e-11
+        assert abs(closed_gap(young, s) / want - 1.0) <= 1e-15
