@@ -444,10 +444,11 @@ def _amemiya(
     jumps), and bends where the end value a of a head or a tail does;
     `levels` holds those positive values a.  One call evaluates Q at the
     start k0 (where Psi = inf past a threshold, k0 puts the top level on
-    it), just below each such point K and at K (1 + tol).  Q(k0) <= 1 under
-    a threshold puts the minimiser on k0, and Q(K-) <= 1 < Q(K (1 + tol))
-    puts it in [K-, K (1 + tol)], where the slope changes sign; it is read
-    at K.  Otherwise these values bound the continuous piece of Q that
+    it), at each such point K, where every density takes its left limit so
+    that Q(K) is Q just below the jump, and at K (1 + tol).  Q(k0) <= 1
+    under a threshold puts the minimiser on k0, and Q(K) <= 1 < Q(K (1 +
+    tol)) puts it in [K, K (1 + tol)], where the slope changes sign; it is
+    read at K.  Otherwise these values bound the continuous piece of Q that
     holds Q = 1, and _level_crossing finds its root in t = 1/k from the
     piece's end nearest k0, to relative width tol.
 
@@ -467,9 +468,9 @@ def _amemiya(
             return NormReport(value, None, evals + 1, converged, None, None)
         return NormReport(value, float(ks[i]) / top, evals + 1, converged, (lo / top, hi / top), None)
 
-    below, jumps = _step_jumps(young, levels, tol)
+    jumps = _step_jumps(young, levels, tol)
     past = jumps * (1.0 + tol)
-    q = gap(np.concatenate(([k0], below, past)))
+    q = gap(np.concatenate(([k0], jumps, past)))
     if young.finite_threshold < math.inf and q[0] <= 1.0:
         # M(k) = inf beyond k0: with Q <= 1 there, the objective falls all
         # the way to that jump
@@ -477,12 +478,12 @@ def _amemiya(
     start = 1.0 / k0
     known = {start: float(q[0])}
     if jumps.size:
-        q_below, q_past = q[1 : jumps.size + 1], q[jumps.size + 1 :]
-        on = np.flatnonzero((q_below <= 1.0) & (q_past > 1.0))
+        q_at, q_past = q[1 : jumps.size + 1], q[jumps.size + 1 :]
+        on = np.flatnonzero((q_at <= 1.0) & (q_past > 1.0))
         if on.size:
             j = on[np.argmax(jumps[on])]  # Q <= 1 up to the last such jump
-            return report([jumps[j]], float(below[j]), float(past[j]), 1)
-        known.update(zip((1.0 / below).tolist(), q_below.tolist()))
+            return report([jumps[j]], float(jumps[j]), float(past[j]), 1)
+        known.update(zip((1.0 / jumps).tolist(), q_at.tolist()))
         known.update(zip((1.0 / past).tolist(), q_past.tolist()))
         # start from the end of Q's continuous piece nearest k0
         t_a = max((t for t, m in known.items() if m > 1.0), default=0.0)
@@ -492,21 +493,17 @@ def _amemiya(
     return report([1.0 / hi, 1.0 / lo], 1.0 / hi, 1.0 / lo, 1 + iters, converged)
 
 
-def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float):
+def _step_jumps(young: YoungFunction, levels: np.ndarray, tol: float) -> np.ndarray:
     """The points k = b / a_i where a level a_i reaches a positive kink b of
-    Psi, as (k-, k): k a_i <= b, and k- a_i < b just below it (every density
-    takes its left limit at the kink itself, so Q(k-) = Q(k) where k a_i
-    = b; k- is kept all the same).  Only points where 1 / k- and
+    Psi, rounded down so that k a_i <= b.  Only points where 1 / k and
     k (1 + tol) are finite are kept.  Runs under its caller's errstate."""
     kinks = [b for b in young.kinks if b > 0.0]
     if not kinks:
-        return np.empty(0), np.empty(0)
+        return np.empty(0)
     kinks = np.asarray(kinks)[:, None]
     at = kinks / levels
     at = np.where(at * levels > kinks, np.nextafter(at, 0.0), at)
-    below = np.where(at * levels < kinks, at, np.nextafter(at, 0.0))
-    ok = (1.0 / below < math.inf) & (at * (1.0 + tol) < math.inf)
-    return below[ok], at[ok]
+    return at[(1.0 / at < math.inf) & (at * (1.0 + tol) < math.inf)]
 
 
 def orlicz_norm(

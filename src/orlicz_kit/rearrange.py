@@ -21,8 +21,9 @@ are decided first by the comparison tests of _finite_scale, which also
 decide membership; only certified-convergent pieces are then integrated
 numerically, with an analytic truncation bound below half the budget.
 Every cutoff is the first rung of a fixed geometric ladder where its bound
-holds, found by one gallop-and-bisect search, _first_holding.  Divergence
-is therefore always an analytic verdict, never a quadrature blow-up.
+holds, found by one gallop-and-bisect search, _first_holding; both singular
+heads share one such rule in y = log(1/t).  Divergence is therefore always
+an analytic verdict, never a quadrature blow-up.
 
 The numerical part is one kernel, _integrate: adaptive Gauss-Kronrod 7/15
 in the style of QUADPACK (Piessens et al., 1983) that evaluates the
@@ -793,14 +794,6 @@ def _power_or_inf(x: float, d: float) -> float:
         return math.inf
 
 
-def _log_bump_sup(delta: float, q: int) -> float:
-    """sup over L >= 0 of exp(-delta*L) * (1+L)**q."""
-    if q == 0:
-        return 1.0
-    lstar = max(0.0, q / delta - 1.0)
-    return math.exp(-delta * lstar) * (1.0 + lstar) ** q
-
-
 #: Absolute and relative budgets of every certified integral.
 _ATOL = 1e-10
 _RTOL = 1e-8
@@ -931,68 +924,67 @@ def _cut(pieces, points) -> list[tuple[float, float]]:
 
 def _head_value(young, head, w: _WeightView, m: float) -> float:
     """Certified value of integral_0^m Psi(head(t)) w(t) dt (already known to
-    converge); m has no weight cuts inside.  The pieces are split where the
-    head crosses a positive kink of Psi, whose jump in psi a Gauss-Kronrod
-    panel's error estimate can miss."""
+    converge); m has no weight cuts inside.  Either head is integrated in
+    y = log(1/t) from y1 = log(1/m) to the first rung of its ladder where the
+    exact tail amp * _gamma_tail(k, r, y) of an envelope amp * y**k * e^(-r*y)
+    of the integrand is below half of _ATOL.  The inverse-power ladder ends
+    at y = log(1e280), where that tail is accepted only within half the
+    relative budget.  The pieces are split where the head crosses a positive
+    kink of Psi, whose jump in psi a Gauss-Kronrod panel's error estimate
+    can miss."""
     g = _require_growth(young)
-    theta_w = w.inv_order
-    w_log = w.has_log_head
-    wA = w.head_coeff
-
+    theta_w, w_log, wA = w.inv_order, float(w.has_log_head), w.head_coeff
+    c, y1 = head.coeff, math.log(1.0 / m)
+    kinks = [b for b in young.kinks if b > 0]
     if isinstance(head, LogSingularity):
-        c = head.coeff
-        y1 = math.log(1.0 / m)
-
-        def integrand(y):
-            t = np.exp(-y)
-            return young._eval_arr(c * y) * w.value(t) * t
+        def level(y):
+            return c * y
 
         if g.kind == "exp":
             r = 1.0 - c * g.rate - theta_w
-            k = g.degree + (1.0 if w_log else 0.0)
+            k = g.degree + w_log
             amp = g.hi * _power_or_inf(c, g.degree) * wA
             y_lo = max(y1, g.valid_from / c)
         else:
             r = 1.0 - theta_w
-            k = g.degree + (0.5 if g.has_log else 0.0) + (1.0 if w_log else 0.0)
+            k = g.degree + (0.5 if g.has_log else 0.0) + w_log
             amp = g.hi * _power_or_inf(max(c, 1.0), g.degree) * 2.0 * (1.0 + abs(math.log(c))) * wA
             y_lo = y1
-        start = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
-        ymax = _first_holding(lambda y: amp * _gamma_tail(k, r, y) < 0.5 * _ATOL,
-                              islice(_ladder(start, 1.5), 400))
-        if ymax is None:
-            raise InconclusiveQuadratureError("log head truncation did not certify")
-        n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
-        kinks = [b / c for b in young.kinks if b > 0]
-        return _integrate(integrand, _cut(_split(y1, ymax, n), kinks))
-
-    # inverse-power head, polynomial growth, theta*d + theta_w < 1
-    c, th = head.coeff, head.exponent
-    beta = th * g.degree + theta_w
-    logpow = (1 if g.has_log else 0) + (1 if w_log else 0)
-    if logpow:
-        delta = 0.5 * (1.0 - beta)
-        bump = _log_bump_sup(delta, logpow)
-        beta_eff = beta + delta
+        kinks, last = [b / c for b in kinks], math.inf
     else:
-        bump = 1.0
-        beta_eff = beta
-    kc = ((1.0 + abs(math.log(c))) * (1.0 + th)) ** logpow
-    amp = g.hi * _power_or_inf(c, g.degree) * kc * wA * bump
-    eps = _power_or_inf(0.5 * _ATOL * (1.0 - beta_eff) / max(amp, 1e-300), 1.0 / (1.0 - beta_eff))
-    clamped = eps < 1e-280
-    eps = min(max(eps, 1e-280), 0.5 * m)
+        # poly growth: Psi(c e^(theta*y)) <= hi c^d e^(theta*d*y) ((1 + |log c|)
+        # (1 + theta)(1 + y))**has_log, a weight's log head adds a factor y,
+        # and 1 + y <= 2y for y >= 1
+        th = head.exponent
 
-    def integrand_t(t):
-        return young._eval_arr(c * t ** (-th)) * w.value(t)
+        def level(y):
+            return c * np.exp(th * y)
 
-    # only crossings t < m, tested in logs: past m the power could overflow
-    lm = th * math.log(m)
-    kinks = [(c / b) ** (1.0 / th) for b in young.kinks if b > 0 and math.log(c) - math.log(b) < lm]
-    value = _integrate(integrand_t, _cut(_decade_split(eps, m), kinks))
-    # a cutoff clamped at 1e-280 drops more than 0.5*_ATOL; accept it only
-    # within half the relative budget
-    if clamped and amp * eps ** (1.0 - beta_eff) / (1.0 - beta_eff) > 0.5 * _RTOL * value:
+        r = 1.0 - th * g.degree - theta_w
+        k = float(g.has_log) + w_log
+        amp = g.hi * _power_or_inf(c, g.degree) * (2.0 * (1.0 + abs(math.log(c))) * (1.0 + th)) ** k * wA
+        y_lo = max(y1, 1.0)
+        kinks, last = [(math.log(b) - math.log(c)) / th for b in kinks], math.log(1e280)
+    start = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
+    if last == math.inf:
+        rungs = islice(_ladder(start, 1.5), 400)
+    else:
+        rungs = chain(takewhile(partial(operator.gt, last), _ladder(start, 2.0)), [last])
+
+    def dropped(y: float) -> float:
+        return amp * _gamma_tail(k, r, y)
+
+    ymax = _first_holding(lambda y: y == last or dropped(y) < 0.5 * _ATOL, rungs)
+    if ymax is None:
+        raise InconclusiveQuadratureError("log head truncation did not certify")
+
+    def integrand(y):
+        t = np.exp(-y)
+        return young._eval_arr(level(y)) * w.value(t) * t
+
+    n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
+    value = _integrate(integrand, _cut(_split(y1, ymax, n), kinks))
+    if ymax == last and not dropped(last) < 0.5 * max(_ATOL, _RTOL * value):
         raise InconclusiveQuadratureError("inverse-power head truncation did not certify")
     return value
 
@@ -1015,6 +1007,8 @@ def _first_holding(holds, rungs) -> float | None:
 
       * log head, in y = log(1/t): from max(y_lo, y1 + 1, 2/max(r, 1e-3)),
         x1.5, 400 rungs;
+      * inverse-power head, in y = log(1/t): from the same start, x2, while
+        below log(1e280), then log(1e280);
       * exponential tail length: from max(10/rate, 1), x1.6, 200 rungs;
       * power tail length: from max(offset, 1, the envelope's validity), x1.6,
         while at most 1e300 (the first rung always);

@@ -198,11 +198,12 @@ class YoungFunction:
 
     def _equality_gap_arr(self, s: np.ndarray) -> np.ndarray:
         """The gap in Young's equality, s*psi(s) - Psi(s) = Psi*(psi(s)):
-        non-decreasing, >= 0, and +inf at s = inf.  This generic form, the
-        difference clipped at 0 and +inf beyond the finiteness threshold or
-        where both terms overflow, serves tabulated, threshold and user
-        kinds; the closed-form catalog kinds override it with one short
-        kernel each, exact to a few ulp over the whole double range."""
+        non-decreasing, >= 0, and +inf at s = inf unless Psi is ultimately
+        linear.  This generic form, the difference clipped at 0 and +inf
+        beyond the finiteness threshold or where both terms overflow, serves
+        threshold and user kinds; the closed-form catalog kinds and tabulated
+        densities override it with one short kernel each, exact to a few ulp
+        over the whole double range."""
         gap = s * self._density_arr(s) - self._eval_arr(s)
         thr = self.finite_threshold
         over = np.isnan(gap) if thr == math.inf else (s > thr) | np.isnan(gap)
@@ -502,19 +503,25 @@ class TabulatedYoung(YoungFunction):
 
     @cached_property
     def _slopes(self):
+        """The density's slope on each segment, 0 on a jump, and a trailing 0
+        past the last breakpoint (so one breakpoint, a constant density, has
+        one slope)."""
         xs, ys = self._xs, self._ys
         dx = np.diff(xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = np.where(dx > 0, np.diff(ys) / np.where(dx > 0, dx, 1.0), 0.0)
-        return m
+        return np.append(m, 0.0)
 
-    def _segment_index(self, s):
-        i = np.searchsorted(self._xs, s, side="right") - 1
-        return np.clip(i, 0, len(self.xs) - 1)
+    @cached_property
+    def _gap_at(self):
+        """Gamma at each breakpoint: the running sum of the steps
+        (x_i + x_(i+1)) (y_(i+1) - y_i) / 2, each >= 0."""
+        xs = self._xs
+        return np.concatenate(([0.0], np.cumsum(0.5 * (xs[1:] + xs[:-1]) * np.diff(self._ys))))
 
     def _eval_arr(self, s):
         xs, ys, cum = self._xs, self._ys, self._cum
-        i = self._segment_index(s)
+        i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 1)
         inside = i < len(self.xs) - 1
         iseg = np.minimum(i, len(self.xs) - 2)
         dx = s - xs[iseg]
@@ -526,13 +533,23 @@ class TabulatedYoung(YoungFunction):
         return val
 
     def _density_arr(self, s):
-        # the left limit at a repeated breakpoint: the segment ending at s
-        xs, ys = self._xs, self._ys
-        i = np.clip(np.searchsorted(xs, s, side="left") - 1, 0, len(self.xs) - 1)
-        inside = i < len(self.xs) - 1
-        iseg = np.minimum(i, len(self.xs) - 2)
-        val_in = ys[iseg] + self._slopes[iseg] * (s - xs[iseg])
-        val = np.where(inside, val_in, ys[-1])
+        # the left limit at a repeated breakpoint: the segment ending at s;
+        # past the last breakpoint s is held at it
+        xs = self._xs
+        i = np.clip(np.searchsorted(xs, s, side="left") - 1, 0, len(xs) - 1)
+        val = self._ys[i] + self._slopes[i] * (np.minimum(s, xs[-1]) - xs[i])
+        if math.isfinite(self.limit):
+            val = np.where(s > self.limit, math.inf, val)
+        return val
+
+    def _equality_gap_arr(self, s):
+        # Gamma(s) = Psi*(psi(s)), the integral of the inverse density up to
+        # psi(s): on the segment of _density_arr, _gap_at at its start x plus
+        # m (s^2 - x^2) / 2
+        xs = self._xs
+        i = np.clip(np.searchsorted(xs, s, side="left") - 1, 0, len(xs) - 1)
+        u, x = np.minimum(s, xs[-1]), xs[i]
+        val = self._gap_at[i] + 0.5 * self._slopes[i] * (u - x) * (u + x)
         if math.isfinite(self.limit):
             val = np.where(s > self.limit, math.inf, val)
         return val
@@ -725,7 +742,7 @@ class _EqualityGap(YoungFunction):
     Q(k) = integral Gamma(k f) w, the Amemiya objective's slope term, with
     the quadrature, truncations and comparison tests of the modular.  Its
     values are the base's _equality_gap_arr: a closed-form kernel for the
-    catalog kinds, the generic s*psi(s) - Psi(s) for the others.
+    catalog and tabulated kinds, the generic s*psi(s) - Psi(s) for others.
 
     Gamma is non-decreasing and 0 where Psi is, but need not be convex.  Its
     threshold, vanishing point and kinks are the base's, and its envelopes

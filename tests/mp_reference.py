@@ -34,9 +34,15 @@ def _tabulated(y):
         us = [(min(s, b) - a, ya, slope) for a, b, ya, slope in segments]
         return INF if s > y.limit else mp.fsum(ya * u + slope * u * u / 2 for u, ya, slope in us if u > 0)
 
+    def psi(s):
+        # left-continuous: the segment ending at s, y0 at s = 0
+        if s > y.limit:
+            return INF
+        return next((ya + slope * (s - a) for a, b, ya, slope in segments if a < s <= b), ys[0])
+
     _, _, y0, slope0 = segments[0]
     alpha = 1 if y0 > 0 else 2 if slope0 > 0 else INF
-    return Young(Psi, None, (*y.xs, y.limit), "threshold" if y.limit < math.inf else "poly", alpha=alpha)
+    return Young(Psi, psi, (*y.xs, y.limit), "threshold" if y.limit < math.inf else "poly", alpha=alpha)
 
 
 def _conjugate(y):

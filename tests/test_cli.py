@@ -391,6 +391,18 @@ class TestMalformedInput:
         assert proc.stderr.startswith("domain error:")
 
 
+@pytest.mark.parametrize("extra", [[], ["--orlicz"]], ids=["luxemburg", "orlicz"])
+def test_a_one_row_tabulated_file_is_a_constant_density(runner, tmp_path, extra):
+    # Psi(s) = 2 s: both norms are 2 ||f||_1 = 2 (2 * 0.5 + 1 * 0.25)
+    table, f = tmp_path / "one.txt", tmp_path / "f.txt"
+    table.write_text("0.0 2.0\n")
+    f.write_text("2.0 0.5\n-1.0 0.25\n")
+    res = runner.invoke(main, ["norm", "--young", f"tabulated:{table}", "--function", str(f), *extra])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.stdout)
+    assert out["converged"] and out["value"] == pytest.approx(2.5, rel=1e-12)
+
+
 class TestInconclusiveQuadrature:
     def test_exits_4_with_one_line_naming_the_quadrature_context(self, runner, tmp_path):
         # cosh(c*log(1/t)) overflows on the certified range of the log head

@@ -1,8 +1,8 @@
 """The Luxemburg root search (safeguarded Illinois regula falsi on
 (log lambda, log modular)) against closed forms and a plain-bisection
 oracle, its report invariants, its work counts, and the truncation
-searches (power tail, log head, exponential tail, singular piece) against
-linear scans of their ladders."""
+searches (power tail, log and inverse-power heads, exponential tail,
+singular piece) against linear scans of their ladders."""
 
 import json
 import math
@@ -402,6 +402,26 @@ def linear_scan_log_head(young, head, w, m):
     raise InconclusiveQuadratureError("log head truncation did not certify")
 
 
+def linear_scan_inv_head(young, head, w, m):
+    """The inverse-power-head truncation search in y = log(1/t) as a linear
+    scan over y *= 2 up to the last rung y = log(1e280).  A cutoff on the
+    last rung whose bound fails raises: the stubbed quadrature returns 0,
+    whose relative budget is 0."""
+    g = young.growth()
+    y1, th = math.log(1.0 / m), head.exponent
+    r = 1.0 - th * g.degree - w.inv_order
+    k = (1.0 if g.has_log else 0.0) + (1.0 if w.has_log_head else 0.0)
+    amp = g.hi * head.coeff**g.degree * (2.0 * (1.0 + abs(math.log(head.coeff))) * (1.0 + th)) ** k * w.head_coeff
+    y, last = max(y1, 1.0, y1 + 1.0, 2.0 / max(r, 1e-3)), math.log(1e280)
+    while y < last:
+        if amp * rr._gamma_tail(k, r, y) < 0.5 * rr._ATOL:
+            return y
+        y *= 2.0
+    if amp * rr._gamma_tail(k, r, last) < 0.5 * rr._ATOL:
+        return last
+    raise InconclusiveQuadratureError("inverse-power head truncation did not certify")
+
+
 def linear_scan_exp_tail(young, profile, w):
     """The exponential-tail truncation search as a linear scan over u *= 1.6."""
     tail, lo = profile.tail, profile.steps_end
@@ -476,6 +496,26 @@ def test_log_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
             assert got == scanned(linear_scan_log_head, young, head, w, m), (c, width)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("wname", CUTOFF_WEIGHTS)
+@pytest.mark.parametrize("yname", CUTOFF_YOUNGS)
+def test_inv_power_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
+    # widths past 1 put the head's end y1 = log(1/m) below 0
+    young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
+    w = rr._WeightView(weight)
+    checked = 0
+    for c in (1e-30, 0.05, 0.9, 2.0, 40.0, 1e30):
+        for th in (0.05, 0.3, 0.6, 0.9, 0.99):
+            for width in (0.2, 1.0, 3.0):
+                head = rr.InvPowerSingularity(c, th, width)
+                if rr._finite_scale(young, rr.DecreasingProfile((), head=head), w) != 1.0:
+                    continue
+                m = min([width, *(x for x in w.cuts() if x > 0)])
+                got = searched_cutoff(monkeypatch, rr._head_value, young, head, w, m)
+                assert got == scanned(linear_scan_inv_head, young, head, w, m), (c, th, width)
+                checked += 1
+    assert checked > 0 or young.growth().kind != "poly"
 
 
 def test_log_head_cutoff_raises_when_no_rung_certifies():

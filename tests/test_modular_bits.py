@@ -8,7 +8,10 @@ produced it before the profile values and the quadrature loop were made
 leaner; a change that is meant to keep every number must keep these bits.
 The four Amemiya values were pinned again when every profile came to
 solve Young's equality Q(k) = 1; the old and new values are within 2e-11
-of a 25-digit mpmath minimum.  The work counts (root-finder iterations,
+of a 25-digit mpmath minimum.  The six values with an inverse-power head
+were pinned again when that head came to be integrated in y = log(1/t)
+under the log head's truncation rule; each new value is within 7.3e-12
+relative of a 25-digit mpmath value.  The work counts (root-finder iterations,
 _integrate calls, _gk15 rounds and panels evaluated) were recorded at the
 same points.
 
@@ -21,7 +24,12 @@ their levels and each norm search took one np.errstate.  Fourteen Amemiya
 and Hoelder entries were pinned again when the catalog kinds got closed-form
 equality gaps: no iteration count moved, each value moved by at most 2 ulp
 and stays within 1.5 ulp of a 40-digit mpmath minimum, and each witness
-stays inside its bracket of relative width 1e-9.
+stays inside its bracket of relative width 1e-9.  Seven Amemiya entries,
+of llogl and a tabulated density with a jump, were pinned again when the
+Amemiya search came to evaluate Q at each jump point itself rather than
+one ulp below it, and the tabulated density got a closed-form equality gap:
+no value, iteration count or converged flag moved, and each bracket end or
+witness moved by 1-2 ulp, or to the other end of its bracket.
 """
 
 import warnings
@@ -110,10 +118,10 @@ PINS = {
     ("modular", "log/cosh-1/exp"): "0x1.449b7100418c6p-2",
     ("modular", "log/cosh-1/power"): "0x1.6f5f3379e39e6p-2",
     ("modular", "log/cosh-1/inv"): "0x1.83bbe85729578p+0",
-    ("modular", "inv/power:2.5/none"): "0x1.764b9b9d7ea2ap-2",
-    ("modular", "inv/power:2.5/inv"): "0x1.c01b0019f8b9bp-1",
-    ("modular", "inv/xlog1p/none"): "0x1.67a17a1743da9p-2",
-    ("modular", "inv/xlog1p/exp"): "0x1.d087f6a5e3d97p-3",
+    ("modular", "inv/power:2.5/none"): "0x1.764b9b9e5a842p-2",
+    ("modular", "inv/power:2.5/inv"): "0x1.c01b001a66a66p-1",
+    ("modular", "inv/xlog1p/none"): "0x1.67a17a174396cp-2",
+    ("modular", "inv/xlog1p/exp"): "0x1.d087f6a5e3521p-3",
     ("modular", "exp/power:2.5/none"): "0x1.4e27ff60f01aep-1",
     ("modular", "exp/cosh-1/power"): "0x1.6f40bdd021929p-2",
     ("modular", "exp/lexp/inv"): "0x1.4a51ac62e9d28p+0",
@@ -125,9 +133,9 @@ PINS = {
     ("modular", "power/capped/none"): "0x1.ea0ea0e94d5b4p-2",
     ("modular", "slow-power/power:2/none"): "0x1.67fffffff3d5cp+2",
     ("modular", "log+exp/cosh-1/none"): "0x1.85e0c619dfe8cp-2",
-    ("modular", "inv+power/power:2.5/inv"): "0x1.bf50d3bd262acp-1",
+    ("modular", "inv+power/power:2.5/inv"): "0x1.bf50d3bd94177p-1",
     ("luxemburg", "log/cosh-1/exp"): "0x1.66b98ff209d01p-1",
-    ("luxemburg", "inv/power:2.5/none"): "0x1.56529effb05dbp-1",
+    ("luxemburg", "inv/power:2.5/none"): "0x1.56529effcdc37p-1",
     ("luxemburg", "exp/lexp/none"): "0x1.0888888884105p+0",
     ("luxemburg", "power/cosh-1/power"): "0x1.5aae95868eb71p-1",
     ("luxemburg", "slow-power/power:2/none"): "0x1.2f9422c2208e6p+1",
@@ -403,11 +411,11 @@ STEP_PINS = {
     ("orlicz", "xlog1p", "tiny"): "0x1.cd2f01f7ad3cfp-996 0x1.75abeaccaa10dp+996 0x1.75abeaccaa10dp+996:0x1.75abeacd4a8e7p+996 9 True -",
     ("orlicz", "xlog1p", "huge"): "0x1.c4ba4d59e0ddep+996 0x1.7c3aa0ece197dp-996 0x1.7c3aa0ec1faf4p-996:0x1.7c3aa0ece197dp-996 9 True -",
     ("orlicz", "xlog1p", "density"): "0x1.e4aeb8b00517cp+0 0x1.79fc13c23b9b0p+0 0x1.79fc13c23b9b0p+0:0x1.79fc13c2ddf2fp+0 11 True -",
-    ("orlicz", "llogl", "mixed"): "0x1.acc552a1284f2p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4948p+0 4 True -",
+    ("orlicz", "llogl", "mixed"): "0x1.acc552a1284f2p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4949p+0 4 True -",
     ("orlicz", "llogl", "repeated"): "0x1.d0202964d7297p+0 0x1.aaaaaaaaaaaaap-1 0x1.aaaaaaaaaaaaap-1:0x1.aaaaaaab61eb2p-1 4 True -",
-    ("orlicz", "llogl", "tiny"): "0x1.49e91583869cbp-996 0x1.53ca79555bde0p+996 0x1.53ca79555bde0p+996:0x1.53ca7955edce6p+996 4 True -",
-    ("orlicz", "llogl", "huge"): "0x1.439d820cfc93ap+996 0x1.56e1fc2f8f359p-996 0x1.56e1fc2f8f358p-996:0x1.56e1fc354fe12p-996 2 True -",
-    ("orlicz", "llogl", "density"): "0x1.8295864789149p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4948p+0 4 True -",
+    ("orlicz", "llogl", "tiny"): "0x1.49e91583869cbp-996 0x1.53ca7955edce5p+996 0x1.53ca79555bddfp+996:0x1.53ca7955edce5p+996 4 True -",
+    ("orlicz", "llogl", "huge"): "0x1.439d820cfc93ap+996 0x1.56e1fc2f8f359p-996 0x1.56e1fc2f8f359p-996:0x1.56e1fc354fe12p-996 2 True -",
+    ("orlicz", "llogl", "density"): "0x1.8295864789149p+0 0x1.0d79435e50d79p+0 0x1.0d79435e50d79p+0:0x1.0d79435ec4949p+0 4 True -",
     ("orlicz", "lexp", "mixed"): "0x1.57a1ad5461344p+1 0x1.aafcb9b3384cbp-1 0x1.aafcb9b3384cbp-1:0x1.aafcb9b7eb725p-1 10 True -",
     ("orlicz", "lexp", "repeated"): "0x1.58db41641d686p+1 0x1.c55d3096bbbe8p-1 0x1.c55d3096bbbe8p-1:0x1.c55d30977e765p-1 11 True -",
     ("orlicz", "lexp", "tiny"): "0x1.155ea830a1697p-995 0x1.29a56948d7f5dp+996 0x1.29a56948d7f5dp+996:0x1.29a5694957cc5p+996 10 True -",
@@ -415,9 +423,9 @@ STEP_PINS = {
     ("orlicz", "lexp", "density"): "0x1.2bbbe736a1a17p+1 0x1.d745f120d6ac1p-1 0x1.d745f120d6ac1p-1:0x1.d745f121a1153p-1 11 True -",
     ("orlicz", "tabulated", "mixed"): "0x1.3acb70d07e341p+1 0x1.b2fd90691db78p-1 0x1.b2fd90675c0a1p-1:0x1.b2fd90691db78p-1 8 True -",
     ("orlicz", "tabulated", "repeated"): "0x1.4cccccccccccdp+1 0x1.24924924917e8p-1 0x1.24924924917e8p-1:0x1.249249250f272p-1 9 True -",
-    ("orlicz", "tabulated", "tiny"): "0x1.eff0a0935de39p-996 0x1.b07bb4c2870b8p+995 0x1.b07bb4c2870b8p+995:0x1.b07bb4c340cb8p+995 7 True -",
-    ("orlicz", "tabulated", "huge"): "0x1.e6ecc0959c477p+996 0x1.bb1f1e6c8d33ep-997 0x1.bb1f1e6c8d33ep-997:0x1.bb1f1e6d4b859p-997 10 True -",
-    ("orlicz", "tabulated", "density"): "0x1.199db21fa2b4ap+1 0x1.eb7889fa455afp-1 0x1.eb7889fa455afp-1:0x1.eb7889fb1870bp-1 8 True -",
+    ("orlicz", "tabulated", "tiny"): "0x1.eff0a0935de39p-996 0x1.b07bb4c2870b8p+995 0x1.b07bb4c2870b8p+995:0x1.b07bb4c340cb9p+995 7 True -",
+    ("orlicz", "tabulated", "huge"): "0x1.e6ecc0959c477p+996 0x1.bb1f1e6c8d33dp-997 0x1.bb1f1e6c8d33dp-997:0x1.bb1f1e6d4b859p-997 10 True -",
+    ("orlicz", "tabulated", "density"): "0x1.199db21fa2b4ap+1 0x1.eb7889fa455adp-1 0x1.eb7889fa455adp-1:0x1.eb7889fb18709p-1 8 True -",
     ("orlicz", "threshold", "mixed"): "0x1.8000000000000p+1 0x1.5555555555555p-2 0x1.5555555555555p-2:0x1.5555555555555p-2 2 True -",
     ("orlicz", "threshold", "repeated"): "0x1.0000000000000p+1 0x1.0000000000000p-1 0x1.0000000000000p-1:0x1.0000000000000p-1 2 True -",
     ("orlicz", "threshold", "tiny"): "0x1.01297d23ab683p-995 0x1.fdafb60009ccfp+994 0x1.fdafb60009ccfp+994:0x1.fdafb60009ccfp+994 2 True -",

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicz_kit import classical_space as cs
+from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 from orlicz_kit.errors import DomainError
 
@@ -428,6 +430,21 @@ class TestTabulatedDensity:
         # Psi is continuous at the jump: 0.5 from the flat segment
         assert self.JUMP.eval(1.0) == 0.5 and self.JUMP.eval(2.0) == 0.5 + 3.0
 
+    def test_one_breakpoint_is_a_constant_density(self):
+        # Psi(s) = 2 s: both norms are 2 ||f||_1 = 2 (2 * 0.5 + 1 * 0.25)
+        one = yg.tabulated([0.0], [2.0])
+        s = np.array([0.0, 0.5, 3.0, 1e300])
+        assert list(one.eval(s)) == [0.0, 1.0, 6.0, 2e300]
+        assert list(one.density(s)) == [2.0] * 4
+        assert list(closed_gap(one, s)) == [0.0] * 4
+        f = rr.simple_function([2.0, -1.0], [0.5, 0.25])
+        for norm in (cs.luxemburg_norm, cs.orlicz_norm):
+            rep = norm(one, f)
+            assert rep.converged and rep.value == pytest.approx(2.5, rel=1e-12)
+        # its complement, 0 up to 2 and inf beyond, is no tabulated density
+        with pytest.raises(DomainError):
+            yg.complement(one)
+
 
 #: every catalog kind with a closed-form gap, and power conjugates
 GAP_KINDS = {
@@ -507,3 +524,50 @@ class TestClosedFormGap:
         want = (s - 1.0) * math.exp(s - 1.0)
         assert abs(generic_gap(young, s) / want - 1.0) > 1e-11
         assert abs(closed_gap(young, s) / want - 1.0) <= 1e-15
+
+
+#: tabulated densities: continuous, with a jump, with a threshold at 3, with
+#: a jump as its last breakpoint, and one breakpoint
+TAB_GAPS = {
+    "continuous": yg.tabulated([0.0, 1.0, 2.0], [0.5, 1.5, 2.0]),
+    "jump": TestTabulatedDensity.JUMP,
+    "threshold": yg.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], limit=3.0),
+    "last-jump": yg.tabulated([0.0, 0.3, 0.7, 5.0, 5.0], [0.1, 0.2, 0.2, 3.0, 7.0]),
+    "one": yg.tabulated([0.0], [1.0]),
+}
+
+
+class TestTabulatedGap:
+    """The tabulated Gamma, the running sum of the inverse density's
+    trapezoids, against a mpmath value over the whole double range."""
+
+    @pytest.mark.parametrize("name", TAB_GAPS)
+    def test_kernel_against_mpmath(self, name):
+        young = TAB_GAPS[name]
+        near = [x for b in young.xs for x in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf))]
+        grid = np.unique([0.0, *np.geomspace(1e-6, 1e300, 103), *near])
+        grid = grid[grid <= young.limit]
+        got = closed_gap(young, grid)
+        for s, g in zip(grid, got):
+            # s psi(s) - Psi(s) cancels about 300 digits at 1e300
+            ref = mpr.equality_gap(young, float(s), dps=350)
+            assert abs(mp.mpf(float(g)) - ref) <= 2 * math.ulp(float(ref)), s
+        assert np.all(got[1:] >= got[:-1])
+        # +inf past a threshold, the constant past the last breakpoint otherwise
+        assert closed_gap(young, math.nextafter(young.limit, math.inf)) == (
+            math.inf if young.limit < math.inf else got[-1])
+
+    def test_left_limit_at_a_jump(self):
+        # psi(1) = 0.5 = Psi(1); just past the jump psi = 2
+        jump = TAB_GAPS["jump"]
+        assert closed_gap(jump, 1.0) == 0.0
+        assert closed_gap(jump, math.nextafter(1.0, 2.0)) == pytest.approx(1.5, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [1e16, 1e100, 1e300])
+    def test_generic_form_cancels_past_the_last_breakpoint(self, s):
+        # Gamma = 2 * 2 - Psi(2) = 1.25 past x = 2, where s psi(s) - Psi(s)
+        # = 2 s - (2.75 + 2 (s - 2)) loses every digit
+        young = TAB_GAPS["continuous"]
+        assert generic_gap(young, s) == 0.0
+        assert closed_gap(young, s) == 1.25
+
