@@ -110,7 +110,12 @@ _STALL_STEPS = 3
 
 @dataclass(frozen=True)
 class NormReport:
-    """Outcome of a norm computation: value, optimal parameter, diagnostics."""
+    """Outcome of a norm computation: value, optimal parameter, diagnostics.
+
+    iterations counts the search's evaluations: of the modular in a
+    Luxemburg search, of Q and the final M in an Amemiya search.  The first
+    batch of Q points there (k0 and every level-kink jump) counts as one,
+    although on profiles with analytic parts each point is a quadrature."""
 
     value: float
     witness: float | None

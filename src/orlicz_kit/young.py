@@ -898,7 +898,7 @@ def _power_conjugate(y: PowerYoung) -> YoungFunction:
     return PowerYoung(c2, q)
 
 
-def _tabulated_conjugate(y: TabulatedYoung) -> TabulatedYoung:
+def _tabulated_conjugate(y: TabulatedYoung) -> YoungFunction:
     # Generalized inverse of a piecewise-linear density swaps the roles of
     # the coordinates: flats become jumps and jumps become flats.
     pts: list[tuple[float, float]] = []
@@ -918,6 +918,10 @@ def _tabulated_conjugate(y: TabulatedYoung) -> TabulatedYoung:
         if p != dedup[-1]:
             dedup.append(p)
     xs2, ys2 = zip(*dedup)
+    if not any(ys2):
+        # every breakpoint at x = 0: the density is the constant y0 = ys[-1]
+        # on (0, inf), whose complement is 0 up to y0 and +inf beyond
+        return ThresholdYoung(new_limit)
     return TabulatedYoung(xs2, ys2, new_limit)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from orlicz_kit import classical_space as cs
+from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 
 
@@ -38,3 +39,24 @@ def modular_calls(monkeypatch):
 
     monkeypatch.setattr(cs, "modular", counted)
     return calls
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Counts of _integrate calls, _gk15 rounds and the panels they evaluate
+    for this test."""
+    work = {"integrate": 0, "rounds": 0, "panels": 0}
+    integrate, gk15 = rr._integrate, rr._gk15
+
+    def counted_integrate(fn, pieces):
+        work["integrate"] += 1
+        return integrate(fn, pieces)
+
+    def counted_gk15(fn, lo, hi):
+        work["rounds"] += 1
+        work["panels"] += lo.size
+        return gk15(fn, lo, hi)
+
+    monkeypatch.setattr(rr, "_integrate", counted_integrate)
+    monkeypatch.setattr(rr, "_gk15", counted_gk15)
+    return work

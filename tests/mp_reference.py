@@ -139,11 +139,14 @@ def _quad(fn, a, b):
     return first * mp.quad(lambda x: fn(x) / first, [a, b])
 
 
-def integral(g, prof, weight=None, end=INF, levels=(), dps=20):
+def integral(g, prof, weight=None, end=INF, levels=(), knee=None, dps=20):
     """integral_0^end g(p(t), w(t)) dt, cut at every breakpoint of the
     profile p and the weight w and where p crosses one of the levels.  A
     piece at 0 is taken in y = log(1/t) and a power tail in
-    s = log(offset + u), where both decay exponentially."""
+    s = log(offset + u), where both decay exponentially; a power tail is
+    also cut where p crosses the knee, the level where g(p, w) turns from
+    its small- to its large-argument form, since a large tail holds its
+    mass there, too far out for one quadrature from its start to see."""
     with mp.workdps(dps):
         total = mp.mpf(0)
         for a1, b1, p, crossing, o1 in pieces(prof):
@@ -154,16 +157,17 @@ def integral(g, prof, weight=None, end=INF, levels=(), dps=20):
                 if crossing is None and w_crossing is None:  # a step against a step
                     total += g(p(a), w(a)) * (b - a)
                     continue
-                cuts = {x for x in map(crossing, levels) if a < x < b} if crossing else set()
-                pts = sorted({a, b, *cuts, *([mp.mpf(1)] if a == 0 and b == INF else [])})
                 # an exponential factor decays fast enough as it is
                 origin = None if -INF in (o1, o2) else o1 if o1 is not None else o2
+                at = [*levels, *([knee] if knee is not None and origin is not None else [])]
+                cuts = {x for x in map(crossing, at) if a < x < b} if crossing else set()
+                pts = sorted({a, b, *cuts, *([mp.mpf(1)] if a == 0 and b == INF else [])})
                 f = lambda t, p=p, w=w: g(p(t), w(t))  # noqa: E731
                 for x0, x1 in zip(pts, pts[1:]):
                     if x0 == 0:
                         total += _quad(lambda y: f(mp.exp(-y)) * mp.exp(-y), -mp.log(x1), INF)
-                    elif x1 == INF and origin is not None:
-                        total += _quad(lambda s: f(origin + mp.exp(s)) * mp.exp(s), mp.log(x0 - origin), INF)
+                    elif origin is not None:
+                        total += _quad(lambda s: f(origin + mp.exp(s)) * mp.exp(s), mp.log(x0 - origin), mp.log(x1 - origin))
                     else:
                         total += _quad(f, x0, x1)
         return total
@@ -177,7 +181,7 @@ def _scaled_integral(fn, y, f, weight, k, dps):
         if isinstance(f, rr.SimpleFunction):
             return mp.fsum(mp.mpf(m) * fn(k * abs(mp.mpf(v))) for v, m in f.atoms)
         levels = [b / k for b in young(y).kinks if b > 0]
-        return integral(lambda p, w: fn(k * p) * w, f, weight, levels=levels, dps=dps)
+        return integral(lambda p, w: fn(k * p) * w, f, weight, levels=levels, knee=1 / k, dps=dps)
 
 
 def modular(y, f, weight=None, k=1, dps=20):

@@ -7,6 +7,7 @@ a closed form.
 
 import json
 import math
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -318,6 +319,80 @@ class TestRegressions:
         got = cs.luxemburg_norm(yg.power(p_exp), prof)
         assert got.converged
         assert got.value == pytest.approx(integral ** (1 / p_exp), rel=1e-9)
+
+
+#: The power-tail grid: each Young function with its small order alpha
+#: (Psi(s) ~ s**alpha at 0), the tail's decay kappa = gamma * alpha + gamma_w
+#: at infinity, the tail's offset, a weight with its power gamma_w, and scale.
+TAIL_YOUNG = {"power:2": 2.0, "power:2.5": 2.5, "cosh-1": 2.0, "xlog1p": 2.0}
+TAIL_KAPPA = [1.1, 1.5, 2.5, 3.3]
+TAIL_OFFSET = [0.5, 1.0, 10.0]
+TAIL_WEIGHT = {"none": 0.0, "power": 0.5, "exp": 0.0}
+TAIL_SCALE = [1e-50, 1.0, 1e50]
+
+
+def tail_case(spec, kappa, offset, weight, scale):
+    """The bare power tail of the grid case, decaying under Psi and the
+    weight as t**-kappa, and its weight."""
+    gamma = (kappa - TAIL_WEIGHT[weight]) / TAIL_YOUNG[spec]
+    return D((), P(0.8 * scale, gamma, offset)), WEIGHTS[weight]
+
+
+def tail_raise(spec, kappa, weight, scale):
+    """The message of the raise a grid case may end in, or None.  At scale
+    1e50, cosh-1 overflows on the tail, and at kappa = 1.1 a tail without an
+    exponential weight drops more than the budget past any cutoff below 1e300."""
+    if scale == 1e50 and kappa == 1.1 and weight != "exp":
+        return "power tail truncation did not certify"
+    if scale == 1e50 and spec == "cosh-1":
+        return "non-finite integrand"
+    return None
+
+
+def tail_grid():
+    return [(spec, kappa, offset, weight, scale) for spec in TAIL_YOUNG for kappa in TAIL_KAPPA
+            for offset in TAIL_OFFSET for weight in TAIL_WEIGHT for scale in TAIL_SCALE]
+
+
+class TestPowerTailGrid:
+    @pytest.mark.parametrize("kappa", TAIL_KAPPA)
+    @pytest.mark.parametrize("spec", sorted(TAIL_YOUNG))
+    def test_certified_against_mpmath(self, spec, kappa):
+        # power:p is homogeneous, Psi(c s) = c**p Psi(s): its reference at a
+        # scale is the scale-1 one times scale**p
+        young = yg.from_spec(spec)
+        for offset in TAIL_OFFSET:
+            for weight in TAIL_WEIGHT:
+                unit = None
+                for scale in TAIL_SCALE:
+                    p, w = tail_case(spec, kappa, offset, weight, scale)
+                    message = tail_raise(spec, kappa, weight, scale)
+                    if message is not None:
+                        with pytest.raises(InconclusiveQuadratureError, match=message):
+                            rr.modular(young, p, w)
+                        continue
+                    got = rr.modular(young, p, w)
+                    if spec.startswith("power"):
+                        if unit is None:
+                            unit = mpr.modular(young, tail_case(spec, kappa, offset, weight, 1.0)[0], w, dps=12)
+                        ref = unit * mp.mpf(scale) ** TAIL_YOUNG[spec]
+                    else:
+                        ref = mpr.modular(young, p, w, dps=12)
+                    assert abs(got - ref) <= max(rr._ATOL, rr._RTOL * abs(ref)), (offset, weight, scale)
+
+    def test_a_power_tail_certifies_in_one_round(self, kernel_work):
+        # one _integrate call per modular of a bare tail; the kernel starts a
+        # decade of offset + u on three panels, where one took about four rounds
+        rounds = []
+        for spec, kappa, offset, weight, scale in tail_grid():
+            if tail_raise(spec, kappa, weight, scale) is not None:
+                continue
+            before = dict(kernel_work)
+            rr.modular(yg.from_spec(spec), *tail_case(spec, kappa, offset, weight, scale))
+            assert kernel_work["integrate"] == before["integrate"] + 1
+            rounds.append(kernel_work["rounds"] - before["rounds"])
+        assert len(rounds) == 378
+        assert statistics.median(rounds) == 1
 
 
 class TestCrossIntegral:

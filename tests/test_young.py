@@ -441,9 +441,17 @@ class TestTabulatedDensity:
         for norm in (cs.luxemburg_norm, cs.orlicz_norm):
             rep = norm(one, f)
             assert rep.converged and rep.value == pytest.approx(2.5, rel=1e-12)
-        # its complement, 0 up to 2 and inf beyond, is no tabulated density
-        with pytest.raises(DomainError):
-            yg.complement(one)
+        # its complement is 0 up to 2 and inf beyond, a threshold function
+        assert yg.complement(one) == yg.ThresholdYoung(2.0)
+
+    def test_hoelder_check_of_a_constant_density(self):
+        # one breakpoint and two equal ones are the same density 2 on (0, inf)
+        f = rr.simple_function([1.0, -2.0], [0.5, 0.5])
+        g = rr.simple_function([3.0, 1.0], [0.5, 0.5])
+        rep = cs.holder_check(f, g, yg.tabulated([0.0], [2.0]))
+        assert rep == cs.holder_check(f, g, yg.tabulated([0.0, 1.0], [2.0, 2.0]))
+        assert rep.holds and rep.lhs == 2.5 and rep.orlicz_g == 1.5
+        assert rep.luxemburg_f == pytest.approx(3.0, rel=1e-12)
 
 
 #: every catalog kind with a closed-form gap, and power conjugates
