@@ -23,11 +23,15 @@ numerically, with an analytic truncation bound below half the budget.
 Every cutoff is the first rung of a fixed geometric ladder where its bound
 holds, found by one gallop-and-bisect search, _first_holding; both singular
 heads share one such rule in y = log(1/t).  Divergence is therefore always
-an analytic verdict, never a quadrature blow-up.
+an analytic verdict, never a quadrature blow-up.  Each piece starts on
+panels across which the integrand's envelope falls by a bounded factor: a
+log head on 1.1 panels per decay length in y, a power tail on three panels
+a decade of offset + u.
 
 The numerical part is one kernel, _integrate: adaptive Gauss-Kronrod 7/15
 in the style of QUADPACK (Piessens et al., 1983) that evaluates the
-integrand on every node of every active panel in one numpy call.  Its
+integrand on every node of every active panel in one numpy call.  Each
+caller hands it its piece layout as one (n, 2) array.  Its
 contract: it returns a sum whose error estimate is at most
 max(_ATOL, _RTOL*|sum|), and otherwise raises InconclusiveQuadratureError
 (a non-finite integrand value, or 200 panels per starting panel used up)
@@ -840,22 +844,24 @@ def _gk15(fn, lo, hi):
 def _integrate(fn, pieces) -> float:
     """Certified integral of fn over the union of the pieces (a, b).
 
-    fn maps an array of points to the integrand there.  Every piece starts
-    as one panel.  Each round applies _gk15 to all new panels, with one call
-    of fn, and bisects every panel whose error estimate exceeds its equal
-    share of the budget max(_ATOL, _RTOL*|total|).  Returns once the summed
-    estimate meets the budget; raises InconclusiveQuadratureError on a
-    non-finite integrand value or total, or when the panels reach
-    _PANELS_PER_PIECE per piece.
+    fn maps an array of points to the integrand there; pieces is an (n, 2)
+    array-like of (a, b) rows, and rows with b <= a are dropped.  Every
+    piece starts as one panel.  Each round applies _gk15 to all new panels,
+    with one call of fn, and bisects every panel whose error estimate
+    exceeds its equal share of the budget max(_ATOL, _RTOL*|total|).
+    Returns once the summed estimate meets the budget; raises
+    InconclusiveQuadratureError on a non-finite integrand value or total,
+    or when the panels reach _PANELS_PER_PIECE per piece.
 
     Kept panels come first and new ones after them, in a fixed order, since
     numpy's pairwise sum depends on it.  A change must keep that order and
     each ufunc and operand type: the reported bits depend on them."""
-    pieces = [(a, b) for a, b in pieces if b > a]
-    if not pieces:
+    lo, hi = np.asarray(pieces, dtype=float).reshape(-1, 2).T
+    wide = hi > lo
+    lo, hi = lo[wide], hi[wide]
+    if not lo.size:
         return 0.0
-    lo, hi = np.array(pieces, dtype=float).T
-    cap = _PANELS_PER_PIECE * len(pieces)
+    cap = _PANELS_PER_PIECE * lo.size
     a = b = res = err = np.empty(0)
     budget = _ATOL
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -893,18 +899,23 @@ def _integrate(fn, pieces) -> float:
             a, b, res, err = a[keep], b[keep], res[keep], err[keep]
 
 
-def _split(a: float, b: float, n: int) -> list[tuple[float, float]]:
-    xs = np.linspace(a, b, n + 1)
-    return list(zip(xs[:-1], xs[1:]))
+def _layout(edges: np.ndarray) -> np.ndarray:
+    """The contiguous pieces between consecutive edges, as an (n, 2) array."""
+    return np.stack((edges[:-1], edges[1:]), axis=1)
 
 
-def _geo_split(a: float, b: float, n: int, shift: float = 0.0) -> list[tuple[float, float]]:
+def _split(a: float, b: float, n: int) -> np.ndarray:
+    """n equal pieces of (a, b), as an (n, 2) array."""
+    return _layout(np.linspace(a, b, n + 1))
+
+
+def _geo_split(a: float, b: float, n: int, shift: float = 0.0) -> np.ndarray:
     """n pieces of (a, b) whose ends are in geometric progression in t + shift:
     the points of np.geomspace, by its own steps (log10, linspace, power)
     without its input checks and sign handling, which cost twice the rest."""
     xs = np.power(10.0, np.linspace(np.log10(a + shift), np.log10(b + shift), n + 1)) - shift
     xs[0], xs[-1] = a, b
-    return list(zip(xs[:-1], xs[1:]))
+    return _layout(xs)
 
 
 def _decades(a: float, b: float, shift: float = 0.0) -> int:
@@ -912,18 +923,17 @@ def _decades(a: float, b: float, shift: float = 0.0) -> int:
     return max(math.ceil(math.log10((b + shift) / (a + shift))), 1)
 
 
-def _decade_split(a: float, b: float, shift: float = 0.0) -> list[tuple[float, float]]:
+def _decade_split(a: float, b: float, shift: float = 0.0) -> np.ndarray:
     """Pieces of (a, b) spanning at most a decade each in t + shift > 0."""
     return _geo_split(a, b, _decades(a, b, shift), shift)
 
 
-def _cut(pieces, points) -> list[tuple[float, float]]:
-    """The pieces (a, b), each split at the points inside it."""
-    out = []
-    for a, b in pieces:
-        edges = [a, *sorted(x for x in points if a < x < b), b]
-        out.extend(zip(edges[:-1], edges[1:]))
-    return out
+def _cut(pieces: np.ndarray, points) -> np.ndarray:
+    """The contiguous layout `pieces` (an (n, 2) array of ascending pieces,
+    each starting where the one before ends), split at the points inside it."""
+    a, b = pieces[0, 0], pieces[-1, 1]
+    inside = [x for x in points if a < x < b]
+    return _layout(np.unique(np.concatenate((pieces[:, 0], pieces[-1:, 1], inside))))
 
 
 def _head_value(young, head, w: _WeightView, m: float) -> float:
@@ -933,7 +943,8 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     exact tail amp * _gamma_tail(k, r, y) of an envelope amp * y**k * e^(-r*y)
     of the integrand is below half of _ATOL.  The inverse-power ladder ends
     at y = log(1e280), where that tail is accepted only within half the
-    relative budget.  The pieces are split where the head crosses a positive
+    relative budget.  The log head starts on 1.1 panels per decay length 1/r
+    of that envelope; the pieces are split where the head crosses a positive
     kink of Psi, whose jump in psi a Gauss-Kronrod panel's error estimate
     can miss."""
     g = _require_growth(young)
@@ -986,8 +997,14 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         t = np.exp(-y)
         return young._eval_arr(level(y)) * w.value(t) * t
 
-    n = min(max(int((ymax - y1) / 20.0) + 1, 2), 60)
-    value = _integrate(integrand, _cut(_split(y1, ymax, n), kinks))
+    # the log head starts on 1.1 panels per decay length 1/r of the envelope,
+    # each of which one qk15 round resolves, where panels 20 wide took three
+    # or four (1.1 rather than 1 keeps every sweep case's outcome and the
+    # weighted golden's bits); the inverse-power head certifies in one round
+    # on panels 20 wide, and 1/r ones over its clamped range would only add
+    # panels
+    n = math.ceil(1.1 * r * (ymax - y1)) if last == math.inf else int((ymax - y1) / 20.0) + 1
+    value = _integrate(integrand, _cut(_split(y1, ymax, min(max(n, 2), 60)), kinks))
     if ymax == last and not dropped(last) < 0.5 * max(_ATOL, _RTOL * value):
         raise InconclusiveQuadratureError("inverse-power head truncation did not certify")
     return value
@@ -1128,7 +1145,7 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
     prev = lo
     for c in inner_cuts + [hi]:
         if isinstance(tail, ExponentialTail):
-            pieces.extend(_split(prev, c, max(int((c - prev) / max(u / 12.0, 1e-6)) + 1, 1)))
+            pieces.append(_split(prev, c, max(int((c - prev) / max(u / 12.0, 1e-6)) + 1, 1)))
         else:
             # a slow power tail keeps its mass near the start: split geometrically
             # in offset + u, the coordinate in which it decays as a power, on
@@ -1141,9 +1158,9 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
                 raise InconclusiveQuadratureError(
                     f"the power tail's offset {tail.offset:g} is lost against its start {lo:g} in doubles"
                 )
-            pieces.extend(_geo_split(prev, c, 3 * _decades(prev, c, shift), shift))
+            pieces.append(_geo_split(prev, c, 3 * _decades(prev, c, shift), shift))
         prev = c
-    return _integrate(integrand, pieces)
+    return _integrate(integrand, np.concatenate(pieces))
 
 
 def modular(

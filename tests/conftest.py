@@ -41,16 +41,27 @@ def modular_calls(monkeypatch):
     return calls
 
 
+class _Work(dict):
+    """Work counts; `per_integral` lists the _gk15 rounds of each _integrate
+    call in order, one entry per call that returned."""
+
+    per_integral: list[int]
+
+
 @pytest.fixture
 def kernel_work(monkeypatch):
     """Counts of _integrate calls, _gk15 rounds and the panels they evaluate
-    for this test."""
-    work = {"integrate": 0, "rounds": 0, "panels": 0}
+    for this test, and the rounds of each integral."""
+    work = _Work(integrate=0, rounds=0, panels=0)
+    work.per_integral = []
     integrate, gk15 = rr._integrate, rr._gk15
 
     def counted_integrate(fn, pieces):
         work["integrate"] += 1
-        return integrate(fn, pieces)
+        before = work["rounds"]
+        value = integrate(fn, pieces)
+        work.per_integral.append(work["rounds"] - before)
+        return value
 
     def counted_gk15(fn, lo, hi):
         work["rounds"] += 1

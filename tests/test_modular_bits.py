@@ -22,7 +22,16 @@ now 1.19e-11 below a 25-digit mpmath root) and slow-power/power:2/none
 (-1.0e-13; 2.13e-11 and now 2.14e-11 below its exact sqrt(5.625)).  The
 work counts (root-finder iterations, _integrate calls, _gk15 rounds and
 panels evaluated) were recorded at the same points; the two that take
-power tails were recorded again with them.
+power tails were recorded again with them.  Six values with a log head
+were pinned again when a log head came to start on 1.1 panels per decay
+length in y = log(1/t): the modulars log/power:2.5/exp (-1 ulp),
+log/cosh-1/{none, power, inv} (+1, +1, +2 ulp) and log+exp/cosh-1/none
+(+1 ulp), and the Luxemburg norm log+exp/xlog1p/inv (-3.6e-16 relative).
+Against 30-digit mpmath values, log/power:2.5/exp stays 3.37e-12 below,
+the four cosh-1 modulars went from 2.6-4.2e-15 to 2.3-4.0e-15 below, and
+the norm stays 2.7e-13 above its root.  The golden weighted norm's work
+was recorded again with them: its 12 integrals take 13 rounds, where they
+took 48.
 
 STEP_PINS holds the step norms of simple functions (Luxemburg, Amemiya and
 holder_check, for every catalog Young function, on repeated levels, zeros,
@@ -116,17 +125,17 @@ CASES = ([("modular", c) for c in MODULAR] + [("luxemburg", c) for c in LUXEMBUR
 
 PINS = {
     ("modular", "log/power:2.5/none"): "0x1.41d1cb7a43cc6p-1",
-    ("modular", "log/power:2.5/exp"): "0x1.1c6ca6e357270p-1",
+    ("modular", "log/power:2.5/exp"): "0x1.1c6ca6e35726fp-1",
     ("modular", "log/power:2.5/power"): "0x1.3b65f71dc6eefp-1",
     ("modular", "log/power:2.5/inv"): "0x1.09d9666eb3f22p+1",
     ("modular", "log/xlog1p/none"): "0x1.885bd22941044p-2",
     ("modular", "log/xlog1p/exp"): "0x1.33a4722d0e6d9p-2",
     ("modular", "log/xlog1p/power"): "0x1.73da6c0c181cdp-2",
     ("modular", "log/xlog1p/inv"): "0x1.bf502df1a8f89p-1",
-    ("modular", "log/cosh-1/none"): "0x1.7b2efc759e748p-2",
+    ("modular", "log/cosh-1/none"): "0x1.7b2efc759e749p-2",
     ("modular", "log/cosh-1/exp"): "0x1.449b7100418c6p-2",
-    ("modular", "log/cosh-1/power"): "0x1.6f5f3379e39e6p-2",
-    ("modular", "log/cosh-1/inv"): "0x1.83bbe85729578p+0",
+    ("modular", "log/cosh-1/power"): "0x1.6f5f3379e39e7p-2",
+    ("modular", "log/cosh-1/inv"): "0x1.83bbe8572957ap+0",
     ("modular", "inv/power:2.5/none"): "0x1.764b9b9e5a842p-2",
     ("modular", "inv/power:2.5/inv"): "0x1.c01b001a66a66p-1",
     ("modular", "inv/xlog1p/none"): "0x1.67a17a174396cp-2",
@@ -141,14 +150,14 @@ PINS = {
     ("modular", "power/xlog1p/exp"): "0x1.86e732ccdb6aap-2",
     ("modular", "power/capped/none"): "0x1.ea0ea0e94d5b4p-2",
     ("modular", "slow-power/power:2/none"): "0x1.67fffffff3d5bp+2",
-    ("modular", "log+exp/cosh-1/none"): "0x1.85e0c619dfe8cp-2",
+    ("modular", "log+exp/cosh-1/none"): "0x1.85e0c619dfe8dp-2",
     ("modular", "inv+power/power:2.5/inv"): "0x1.bf50d3bd94177p-1",
     ("luxemburg", "log/cosh-1/exp"): "0x1.66b98ff209d01p-1",
     ("luxemburg", "inv/power:2.5/none"): "0x1.56529effcdc37p-1",
     ("luxemburg", "exp/lexp/none"): "0x1.0888888884105p+0",
     ("luxemburg", "power/cosh-1/power"): "0x1.5aae95868edd1p-1",
     ("luxemburg", "slow-power/power:2/none"): "0x1.2f9422c2206d1p+1",
-    ("luxemburg", "log+exp/xlog1p/inv"): "0x1.da44998853c8bp-1",
+    ("luxemburg", "log+exp/xlog1p/inv"): "0x1.da44998853c88p-1",
     ("orlicz", "log/power:2.5/none"): "0x1.a0bcb3ab0d775p+0",
     ("orlicz", "exp/power:2.5/none"): "0x1.a70e2350a7ae1p+0",
     ("orlicz", "power/xlog1p/none"): "0x1.a9160ab86766dp+0",
@@ -173,7 +182,7 @@ def test_golden_weighted_norm_work(kernel_work):
     p, w = (rr.load_json_input(data / name, rr.profile_from_dict) for name in ("glog.json", "exp.json"))
     rep = cs.luxemburg_norm(yg.cosh_minus_1(), p, w)
     assert rep.iterations == 13
-    assert kernel_work == {"integrate": 12, "rounds": 48, "panels": 152}
+    assert kernel_work == {"integrate": 12, "rounds": 13, "panels": 456}
 
 
 def test_power_tail_luxemburg_norm_work(kernel_work):
