@@ -21,8 +21,9 @@ are decided first by the comparison tests of _finite_scale, which also
 decide membership; only certified-convergent pieces are then integrated
 numerically, with an analytic truncation bound below half the budget.
 Every cutoff is the first rung of a fixed geometric ladder where its bound
-holds, found by one gallop-and-bisect search, _first_holding; both singular
-heads share one such rule in y = log(1/t).  Divergence is therefore always
+holds, found by a gallop-and-bisect search, _first_holding, that starts at
+the rung the bound's decay law predicts from its value at the first rung;
+both singular heads share one such rule in y = log(1/t).  Divergence is therefore always
 an analytic verdict, never a quadrature blow-up.  Each piece starts on
 panels across which the integrand's envelope falls by a bounded factor: a
 log head on 1.1 panels per decay length in y, a power tail on three panels
@@ -49,7 +50,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
@@ -205,10 +206,15 @@ def add_aligned(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 # ----------------------------------------------------------------------------
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _unchecked(obj, **changes):
     """dataclasses.replace(obj, **changes) without __init__ and its checks."""
     out = object.__new__(type(obj))
-    vars(out).update({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, **changes)
+    vars(out).update({name: getattr(obj, name) for name in _field_names(type(obj))}, **changes)
     return out
 
 
@@ -901,19 +907,33 @@ def _integrate(fn, pieces) -> float:
 
 def _layout(edges: np.ndarray) -> np.ndarray:
     """The contiguous pieces between consecutive edges, as an (n, 2) array."""
-    return np.stack((edges[:-1], edges[1:]), axis=1)
+    out = np.empty((edges.size - 1, 2))
+    out[:, 0], out[:, 1] = edges[:-1], edges[1:]
+    return out
+
+
+def _linspace(a: float, b: float, n: int) -> np.ndarray:
+    """np.linspace(a, b, n + 1), n >= 1, by its own arithmetic (i * step + a,
+    the last point b) without its call overhead, which costs more than the
+    points; a zero step, which linspace treats apart, goes to linspace."""
+    step = (b - a) / n
+    if step == 0:
+        return np.linspace(a, b, n + 1)
+    xs = np.arange(n + 1.0) * step + a
+    xs[-1] = b
+    return xs
 
 
 def _split(a: float, b: float, n: int) -> np.ndarray:
     """n equal pieces of (a, b), as an (n, 2) array."""
-    return _layout(np.linspace(a, b, n + 1))
+    return _layout(_linspace(a, b, n))
 
 
 def _geo_split(a: float, b: float, n: int, shift: float = 0.0) -> np.ndarray:
     """n pieces of (a, b) whose ends are in geometric progression in t + shift:
     the points of np.geomspace, by its own steps (log10, linspace, power)
     without its input checks and sign handling, which cost twice the rest."""
-    xs = np.power(10.0, np.linspace(np.log10(a + shift), np.log10(b + shift), n + 1)) - shift
+    xs = np.power(10.0, _linspace(np.log10(a + shift), np.log10(b + shift), n)) - shift
     xs[0], xs[-1] = a, b
     return _layout(xs)
 
@@ -933,6 +953,8 @@ def _cut(pieces: np.ndarray, points) -> np.ndarray:
     each starting where the one before ends), split at the points inside it."""
     a, b = pieces[0, 0], pieces[-1, 1]
     inside = [x for x in points if a < x < b]
+    if not inside:
+        return pieces
     return _layout(np.unique(np.concatenate((pieces[:, 0], pieces[-1:, 1], inside))))
 
 
@@ -982,14 +1004,22 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
         kinks, last = [(math.log(b) - math.log(c)) / th for b in kinks], math.log(1e280)
     start = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
     if last == math.inf:
-        rungs = islice(_ladder(start, 1.5), 400)
+        factor, rungs = 1.5, islice(_ladder(start, 1.5), 400)
     else:
-        rungs = chain(takewhile(partial(operator.gt, last), _ladder(start, 2.0)), [last])
+        factor, rungs = 2.0, chain(takewhile(partial(operator.gt, last), _ladder(start, 2.0)), [last])
 
     def dropped(y: float) -> float:
         return amp * _gamma_tail(k, r, y)
 
-    ymax = _first_holding(lambda y: y == last or dropped(y) < 0.5 * _ATOL, rungs)
+    def crossing(y0: float, d0: float) -> float:
+        # three fixed-point steps towards amp * y**k * e^(-r*y) = _ATOL / 2,
+        # that envelope fitted to d0 at y0
+        y = y0
+        for _ in range(3):
+            y = y0 + (math.log(d0 / (0.5 * _ATOL)) + k * math.log(y / y0)) / r
+        return y
+
+    ymax = _entered_search(lambda y: 0.0 if y == last else dropped(y), rungs, factor, crossing)
     if ymax is None:
         raise InconclusiveQuadratureError("log head truncation did not certify")
 
@@ -1016,23 +1046,33 @@ def _ladder(start: float, factor: float):
     return accumulate(repeat(factor), operator.mul, initial=start)
 
 
-def _first_holding(holds, rungs) -> float | None:
+def _first_holding(holds, rungs, guess: int = 0) -> float | None:
     """The first rung x of the ladder `rungs` with holds(x), for a test that,
     once true, stays true along the ladder; None when it fails at the last.
 
-    Bentley and Yao's unbounded search: a gallop over the rung indices 0, 1,
-    3, 7, ..., capped at the last rung, stops at the first one that holds; a
-    bisection of the gap after the last failure then finds the rung a linear
-    scan would stop at, in about 2*log2(k) tests instead of k + 1.  The
-    ladder is read lazily, at most 2k + 2 rungs of it.  The ladders in use:
+    Bentley and Yao's unbounded search, entered at rung `guess` (clamped to
+    the ladder).  Where that rung holds, a gallop down over guess - 1,
+    guess - 3, guess - 7, ... stops at the first rung that fails; where it
+    fails, a gallop up over guess + 1, guess + 3, guess + 7, ..., capped at
+    the last rung, stops at the first that holds.  A bisection of the gap
+    between the last failure and the last success then finds the rung a
+    linear scan would stop at, in about 2*log2(|k - guess|) tests; a guess
+    of the answer k >= 1 takes two.  Each rung is tested at most once, and
+    the ladder is read lazily, up to the larger of rung guess and rung
+    2k - guess.  The ladders in use, with the entry rung of each (a guess of
+    rung 0 is the plain search from the start):
 
       * log head, in y = log(1/t): from max(y_lo, y1 + 1, 2/max(r, 1e-3)),
-        x1.5, 400 rungs;
+        x1.5, 400 rungs; entered where amp * y**k * e^(-r*y), fitted to the
+        bound at the first rung, falls to half of _ATOL;
       * inverse-power head, in y = log(1/t): from the same start, x2, while
-        below log(1e280), then log(1e280);
+        below log(1e280), then log(1e280); entered as the log head;
       * exponential tail length: from max(10/rate, 1), x1.6, 200 rungs;
+        entered where e^(-rate*u), fitted likewise, falls to that bound;
       * power tail length: from max(offset, 1, the envelope's validity), x1.6,
-        while at most 1e300 (the first rung always);
+        while at most 1e300 (the first rung always); entered where
+        (offset + u)**(1 - kappa) falls to that bound, or e^(-rate*u) for
+        a weight with an exponential tail of that rate;
       * singular piece of cross_integral, eps: from b, x0.1, up to the first
         rung below 1e-290;
       * the scale of the comparison tests (_finite_scale): 1, 1/2, 1/4,
@@ -1041,16 +1081,28 @@ def _first_holding(holds, rungs) -> float | None:
         x0.25, while t and 1/t are finite, up to the nearest point already
         known past the crossing."""
     rungs = iter(rungs)
-    seen: list[float] = []
-    failed, k = -1, 0
-    while True:
-        seen.extend(islice(rungs, k + 1 - len(seen)))
-        k = min(k, len(seen) - 1)
-        if k == failed:
-            return None
-        if holds(seen[k]):
-            break
-        failed, k = k, 2 * k + 1
+    seen = list(islice(rungs, guess + 1))
+    if not seen:
+        return None
+    guess = k = len(seen) - 1
+    if holds(seen[k]):
+        failed = -1
+        while k > 0:
+            down = max(2 * k - guess - 1, 0)
+            if not holds(seen[down]):
+                failed = down
+                break
+            k = down
+    else:
+        failed, k = k, k + 1
+        while True:
+            seen.extend(islice(rungs, k + 1 - len(seen)))
+            k = min(k, len(seen) - 1)
+            if k == failed:
+                return None
+            if holds(seen[k]):
+                break
+            failed, k = k, 2 * k - guess + 1
     while k - failed > 1:
         mid = (failed + k) // 2
         if holds(seen[mid]):
@@ -1060,11 +1112,31 @@ def _first_holding(holds, rungs) -> float | None:
     return seen[k]
 
 
+def _entered_search(bound, rungs, factor: float, crossing) -> float | None:
+    """The first rung x of the ladder `rungs` (ratio about `factor`) with
+    bound(x) < _ATOL / 2, for a bound that falls along it; None when it
+    fails at the last.  The search is entered at the rung past
+    crossing(x0, bound(x0)), the point where the bound's decay law, fitted
+    at the first rung x0, falls to _ATOL / 2; at rung 0 where bound(x0) is
+    not finite.  bound(x0) is computed once."""
+    rungs = iter(rungs)
+    x0 = next(rungs, None)
+    if x0 is None:
+        return None
+    b0 = bound(x0)
+    guess = 0
+    if 0.5 * _ATOL <= b0 < math.inf:
+        x_star = crossing(x0, b0)
+        if math.isfinite(x_star):
+            guess = max(math.ceil(math.log(max(x_star, x0) / x0) / math.log(factor)), 1)
+    return _first_holding(lambda x: (b0 if x == x0 else bound(x)) < 0.5 * _ATOL, chain([x0], rungs), guess)
+
+
 def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> float:
     """Certified truncation length u of a power tail starting at lo: the
     first rung of its _first_holding ladder whose bound on the mass of
     Psi(p) w beyond lo + u is below half of _ATOL.  Raises when no rung up
-    to 1e300 certifies."""
+    to 1e300 certifies, and where the ladder's start overflows."""
     so = young.small_order()
     if so is None:
         raise InconclusiveQuadratureError(f"no small-argument envelope for {young.name}")
@@ -1074,15 +1146,18 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
     kappa = g_exp * so.alpha + gamma_w
     u = max(t0, 1.0)
     if so.valid_to < math.inf:
-        need = (a / so.valid_to) ** (1.0 / g_exp) - t0
-        u = max(u, need)
+        u = max(u, _power_or_inf(a / so.valid_to, 1.0 / g_exp) - t0)
+    if math.isinf(u):
+        raise InconclusiveQuadratureError("power tail truncation did not certify")
 
-    def certifies(u: float) -> bool:
-        amp_env = so.hi * (a * (t0 + u) ** (-g_exp)) ** so.alpha
+    def bound(u: float) -> float:
+        # the least candidate bound on the dropped mass; an overflowing
+        # power makes its candidate inf or nan, which certifies nothing
+        amp_env = so.hi * _power_or_inf(a * (t0 + u) ** (-g_exp), so.alpha)
         cands = []
         if g_exp * so.alpha > 1.0:
             cands.append(
-                so.hi * a**so.alpha * (t0 + u) ** (1.0 - g_exp * so.alpha)
+                so.hi * _power_or_inf(a, so.alpha) * (t0 + u) ** (1.0 - g_exp * so.alpha)
                 / (g_exp * so.alpha - 1.0) * w.value(lo + u)
             )
         wm = w.mass(lo + u, math.inf)
@@ -1091,13 +1166,22 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
         if kind == "power" and kappa > 1.0:
             moff = min(t0, wtail.offset)
             cands.append(
-                so.hi * a**so.alpha * wtail.amplitude
+                so.hi * _power_or_inf(a, so.alpha) * wtail.amplitude
                 * (moff + u) ** (1.0 - kappa) / (kappa - 1.0)
             )
-        return bool(cands) and min(cands) < 0.5 * _ATOL
+        return min(cands) if cands else math.inf
+
+    def crossing(u0: float, b0: float) -> float:
+        # every candidate falls as (offset + u)**(1 - kappa), or at least as
+        # e^(-rate*u) under a weight with an exponential tail
+        if kind == "exp":
+            return u0 + math.log(b0 / (0.5 * _ATOL)) / wtail.rate
+        if kappa > 1.0:
+            return (t0 + u0) * _power_or_inf(b0 / (0.5 * _ATOL), 1.0 / (kappa - 1.0)) - t0
+        return math.inf
 
     rungs = chain([u], takewhile(partial(operator.ge, 1e300), _ladder(u * 1.6, 1.6)))
-    u = _first_holding(certifies, rungs)
+    u = _entered_search(bound, rungs, 1.6, crossing)
     if u is None:
         raise InconclusiveQuadratureError("power tail truncation did not certify")
     return u
@@ -1125,15 +1209,16 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
         j = max(junction, 1e-300)
         slope = young.chord_slope(j)
 
-        def certifies(u: float) -> bool:
+        def bound(u: float) -> float:
             rem_cap = slope * tail.amplitude / tail.rate * math.exp(-tail.rate * u)
             rem = rem_cap * w.value(lo + u)
             wm = w.mass(lo + u, math.inf)
             if math.isfinite(wm):
                 rem = min(rem, slope * tail.amplitude * math.exp(-tail.rate * u) * wm)
-            return rem < 0.5 * _ATOL
+            return rem
 
-        u = _first_holding(certifies, islice(_ladder(max(10.0 / tail.rate, 1.0), 1.6), 200))
+        u = _entered_search(bound, islice(_ladder(max(10.0 / tail.rate, 1.0), 1.6), 200), 1.6,
+                            lambda u0, rem0: u0 + math.log(rem0 / (0.5 * _ATOL)) / tail.rate)
         if u is None:
             raise InconclusiveQuadratureError("exponential tail truncation did not certify")
     else:

@@ -435,6 +435,18 @@ class TestInconclusiveQuadrature:
         res = runner.invoke(main, ["check", "membership", "--young", "llogl", "--profile", str(profile)])
         assert res.exit_code == 0 and json.loads(res.stdout)["member"] is True
 
+    def test_exits_4_where_a_power_tail_bound_overflows(self, runner, tmp_path):
+        # (1e300 (0.001 + u)**-0.55)**2 overflows a double on the first rungs
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({"steps": [], "tail": {"kind": "power", "amplitude": 1e300,
+                                                             "exponent": 0.55, "offset": 0.001}}))
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--profile", str(profile)])
+        assert res.exit_code == 4, res.output
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("inconclusive quadrature:")
+        assert "Traceback" not in res.output
+
 
 # mostly well-formed values, so that parsing succeeds often enough for the
 # norms and checks behind it to run on odd but valid input

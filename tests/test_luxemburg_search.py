@@ -270,8 +270,18 @@ def test_weighted_profile_work_count():
     assert rep.value == pytest.approx(1.392432277626598, rel=1e-12)
 
 
+def power_or_inf(x, d):
+    """x ** d, inf where the float power overflows."""
+    try:
+        return x**d
+    except OverflowError:
+        return math.inf
+
+
 def linear_scan_cutoff(young, back, w, lo):
-    """The power-tail truncation search as a linear scan over u *= 1.6."""
+    """The power-tail truncation search as a linear scan over u *= 1.6; a
+    candidate bound whose power overflows certifies nothing, nor does a
+    start past the largest double."""
     so = young.small_order()
     a, g_exp, t0 = back.amplitude, back.exponent, back.offset
     kind, wtail = w.far_field()
@@ -279,31 +289,36 @@ def linear_scan_cutoff(young, back, w, lo):
     kappa = g_exp * so.alpha + gamma_w
     u = max(t0, 1.0)
     if so.valid_to < math.inf:
-        u = max(u, (a / so.valid_to) ** (1.0 / g_exp) - t0)
-    while True:
+        u = max(u, power_or_inf(a / so.valid_to, 1.0 / g_exp) - t0)
+    while math.isfinite(u):
         cands = []
         if g_exp * so.alpha > 1.0:
             cands.append(
-                so.hi * a**so.alpha * (t0 + u) ** (1.0 - g_exp * so.alpha)
+                so.hi * power_or_inf(a, so.alpha) * (t0 + u) ** (1.0 - g_exp * so.alpha)
                 / (g_exp * so.alpha - 1.0) * w.value(lo + u)
             )
         wm = w.mass(lo + u, math.inf)
         if math.isfinite(wm):
-            cands.append(so.hi * (a * (t0 + u) ** (-g_exp)) ** so.alpha * wm)
+            cands.append(so.hi * power_or_inf(a * (t0 + u) ** (-g_exp), so.alpha) * wm)
         if kind == "power" and kappa > 1.0:
             cands.append(
-                so.hi * a**so.alpha * wtail.amplitude
+                so.hi * power_or_inf(a, so.alpha) * wtail.amplitude
                 * (min(t0, wtail.offset) + u) ** (1.0 - kappa) / (kappa - 1.0)
             )
         if cands and min(cands) < 0.5 * rr._ATOL:
             return u
         if u * 1.6 > 1e300:
-            raise InconclusiveQuadratureError("power tail truncation did not certify")
+            break
         u *= 1.6
+    raise InconclusiveQuadratureError("power tail truncation did not certify")
 
 
 POWER_WEIGHT = rr.DecreasingProfile(((1.0, 2.0),), rr.PowerTail(1.0, 0.3, 1.5))
-# (kappa, Young function, tail exponent, weight): kappa = exponent * alpha + gamma_w
+EXP_WEIGHT = rr.DecreasingProfile(((1.0, 2.0),), rr.ExponentialTail(1.0, 0.5))
+# (kappa, Young function, tail exponent, weight): kappa = exponent * alpha +
+# gamma_w, with gamma_w the exponent of a power tail of the weight (0 for an
+# exponential one); at kappa = 1.0001 the search's entry rung overflows and
+# it starts from the first rung
 CUTOFF_CASES = [
     (1.05, yg.identity(), 1.05, None),
     (1.05, yg.power(2.0), 0.375, POWER_WEIGHT),
@@ -313,17 +328,24 @@ CUTOFF_CASES = [
     (1.5, yg.power(1.5), 0.8, POWER_WEIGHT),
     (3.0, yg.power(2.0), 1.5, None),
     (3.0, yg.identity(), 2.7, POWER_WEIGHT),
+    (0.5, yg.identity(), 0.5, EXP_WEIGHT),
+    (3.0, yg.power(2.0), 1.5, EXP_WEIGHT),
+    (1.0001, yg.identity(), 1.0001, None),
+    (1.0001, yg.power(2.0), 0.35005, POWER_WEIGHT),
+    (1.0001, yg.cosh_minus_1(), 0.50005, EXP_WEIGHT),
 ]
 
 
 @pytest.mark.parametrize("kappa,young,exponent,weight", CUTOFF_CASES)
 def test_power_tail_cutoff_equals_linear_scan(kappa, young, exponent, weight):
-    back = rr.PowerTail(2.0, exponent, 1.25)
     w = rr._WeightView(weight)
-    gamma_w = weight.tail.exponent if weight is not None else 0.0
+    gamma_w = weight.tail.exponent if weight is not None and weight.tail.kind == "power" else 0.0
     assert exponent * young.small_order().alpha + gamma_w == pytest.approx(kappa)
-    for lo in (0.0, 0.5, 3.0):
-        assert rr._power_tail_cutoff(young, back, w, lo) == linear_scan_cutoff(young, back, w, lo)
+    for amp in (1e-300, 2.0, 1e300):
+        back = rr.PowerTail(amp, exponent, 1.25)
+        for lo in (0.0, 0.5, 3.0):
+            got = scanned(rr._power_tail_cutoff, young, back, w, lo)
+            assert got == scanned(linear_scan_cutoff, young, back, w, lo), (amp, lo)
 
 
 def test_power_tail_cutoff_gallops(monkeypatch):
@@ -360,7 +382,8 @@ def searched_cutoff(monkeypatch, fn, *args):
     raised."""
     found = []
     search = rr._first_holding
-    monkeypatch.setattr(rr, "_first_holding", lambda holds, rungs: found.append(search(holds, rungs)) or found[-1])
+    monkeypatch.setattr(rr, "_first_holding",
+                        lambda holds, rungs, *rest: found.append(search(holds, rungs, *rest)) or found[-1])
     monkeypatch.setattr(rr, "_integrate", lambda integrand, pieces: 0.0)
     try:
         fn(*args)
@@ -392,7 +415,7 @@ def linear_scan_log_head(young, head, w, m):
     else:
         r = 1.0 - w.inv_order
         k = g.degree + (0.5 if g.has_log else 0.0) + (1.0 if w.has_log_head else 0.0)
-        amp = g.hi * max(c, 1.0) ** g.degree * 2.0 * (1.0 + abs(math.log(c))) * w.head_coeff
+        amp = g.hi * power_or_inf(max(c, 1.0), g.degree) * 2.0 * (1.0 + abs(math.log(c))) * w.head_coeff
         y_lo = y1
     y = max(y_lo, y1 + 1.0, 2.0 / max(r, 1e-3))
     for _ in range(400):
@@ -411,7 +434,8 @@ def linear_scan_inv_head(young, head, w, m):
     y1, th = math.log(1.0 / m), head.exponent
     r = 1.0 - th * g.degree - w.inv_order
     k = (1.0 if g.has_log else 0.0) + (1.0 if w.has_log_head else 0.0)
-    amp = g.hi * head.coeff**g.degree * (2.0 * (1.0 + abs(math.log(head.coeff))) * (1.0 + th)) ** k * w.head_coeff
+    amp = (g.hi * power_or_inf(head.coeff, g.degree)
+           * (2.0 * (1.0 + abs(math.log(head.coeff))) * (1.0 + th)) ** k * w.head_coeff)
     y, last = max(y1, 1.0, y1 + 1.0, 2.0 / max(r, 1e-3)), math.log(1e280)
     while y < last:
         if amp * rr._gamma_tail(k, r, y) < 0.5 * rr._ATOL:
@@ -486,7 +510,7 @@ def test_log_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
     young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
     w = rr._WeightView(weight)
     checked = 0
-    for c in (0.05, 0.3, 0.9, 0.999, 2.0, 40.0):
+    for c in (1e-300, 0.05, 0.3, 0.9, 0.999, 2.0, 40.0, 1e300):
         for width in (0.2, 1.0):
             head = rr.LogSingularity(c, width)
             if rr._finite_scale(young, rr.DecreasingProfile((), head=head), w) != 1.0:
@@ -505,7 +529,7 @@ def test_inv_power_head_cutoff_equals_linear_scan(monkeypatch, yname, wname):
     young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
     w = rr._WeightView(weight)
     checked = 0
-    for c in (1e-30, 0.05, 0.9, 2.0, 40.0, 1e30):
+    for c in (1e-300, 1e-30, 0.05, 0.9, 2.0, 40.0, 1e30, 1e300):
         for th in (0.05, 0.3, 0.6, 0.9, 0.99):
             for width in (0.2, 1.0, 3.0):
                 head = rr.InvPowerSingularity(c, th, width)
@@ -534,7 +558,7 @@ def test_exp_tail_cutoff_equals_linear_scan(monkeypatch, yname, wname):
     # crosses 1 instead of by a truncation bound
     young, weight = CUTOFF_YOUNGS[yname], CUTOFF_WEIGHTS[wname]
     w = rr._WeightView(weight)
-    for amp in (0.5, 3.0, 50.0, 700.0, 800.0):
+    for amp in (1e-300, 0.5, 3.0, 50.0, 700.0, 800.0, 1e300):
         for rate in (1e-3, 0.05, 0.7, 5.0):
             for steps in ((), ((1.5 * amp, 0.7),)):
                 profile = rr.DecreasingProfile(steps, rr.ExponentialTail(amp, rate))

@@ -4,7 +4,8 @@ linear walk of lambda = 2^-k over the closed-form conditions, and no modular
 or quadrature call on the way.  The walk and the reference share no code
 with `classical_space` or `rearrange`.  Also the search the witness gallops
 with, `rearrange._first_holding` over a ladder of rungs: its answer, its
-test count and how much of the ladder it reads."""
+test count and how much of the ladder it reads, from the first rung and
+from any entry rung."""
 
 import itertools
 import math
@@ -180,6 +181,61 @@ def test_first_holding_on_an_endless_ladder():
 
 def test_first_holding_on_an_empty_ladder():
     assert rr._first_holding(lambda x: True, []) is None
+
+
+def gallop_from_the_start(holds, rungs):
+    """Bentley and Yao's search from rung 0 as a plain list walk: a gallop
+    over the indices 0, 1, 3, 7, ..., capped at the last rung, then a
+    bisection of the gap after the last failure."""
+    rungs = list(rungs)
+    failed, k = -1, 0
+    while True:
+        k = min(k, len(rungs) - 1)
+        if k == failed:
+            return None
+        if holds(rungs[k]):
+            break
+        failed, k = k, 2 * k + 1
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if holds(rungs[mid]):
+            k = mid
+        else:
+            failed = mid
+    return rungs[k]
+
+
+def entry_guesses(first):
+    """The entry rungs tried against a ladder that holds from `first` on."""
+    return sorted({g for g in (0, first - 5, first - 1, first, first + 1, first + 7, 399, 1000) if g >= 0})
+
+
+def test_an_entered_search_is_the_search_from_the_start():
+    # a 400-rung ladder that holds from rung `first` on (400: nowhere)
+    def run(search, first, *guess):
+        ladder, tested = CountingLadder(400), []
+        got = search(lambda k: tested.append(k) or k >= first, ladder, *guess)
+        return got, tested, ladder.read
+
+    for first in range(401):
+        want, plain, _ = run(gallop_from_the_start, first)
+        assert want == (first if first < 400 else None)
+        assert run(rr._first_holding, first)[:2] == (want, plain), first
+        assert run(rr._first_holding, first, 0)[:2] == (want, plain), first
+        for guess in entry_guesses(first):
+            got, tested, read = run(rr._first_holding, first, guess)
+            g = min(guess, 399)
+            assert got == want, (first, guess)
+            assert len(set(tested)) == len(tested), (first, guess)
+            assert read <= min(max(g, 2 * first - g) + 1, 400), (first, guess)
+            assert len(tested) <= 2 * math.ceil(math.log2(abs(first - g) + 2)) + 1, (first, guess)
+            if 1 <= guess == first < 400:
+                assert tested == [first, first - 1], first
+
+
+def test_an_entered_search_on_an_empty_ladder():
+    for guess in (0, 1, 1000):
+        assert rr._first_holding(lambda x: True, [], guess) is None
 
 
 def test_ladder_is_the_repeated_product():

@@ -18,7 +18,7 @@ from orlicz_kit import classical_space as cs
 from orlicz_kit import rearrange as rr
 from orlicz_kit import young as yg
 from orlicz_kit.cli import main
-from orlicz_kit.errors import InconclusiveQuadratureError
+from orlicz_kit.errors import InconclusiveQuadratureError, OrliczKitError
 
 import mp_reference as mpr
 
@@ -95,6 +95,38 @@ class TestKernel:
         assert rr._integrate(fn, np.array(pieces)).hex() == rr._integrate(fn, pieces).hex()
         layout = rr._split(0.0, 10.0, 7)
         assert rr._integrate(fn, layout).hex() == rr._integrate(fn, [tuple(x) for x in layout]).hex()
+
+    def test_split_points_are_linspace_bit_for_bit(self):
+        # widths from subnormal to 1e300, ends from 1e-300 to 1e300 of either
+        # sign, and a = b
+        rng = np.random.default_rng(7)
+        for _ in range(10_000):
+            a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            kind = rng.integers(4)
+            if kind == 0:
+                b = a
+            elif kind == 1:
+                b = a + float(rng.integers(1, 64)) * 5e-324 * 10.0 ** rng.integers(0, 10)
+            elif kind == 2:
+                b = float(np.nextafter(a, math.inf)) if rng.integers(2) else a * (1 + 2.0 ** -rng.integers(1, 53))
+            else:
+                b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            n = int(rng.integers(1, 200))
+            want = np.linspace(a, b, n + 1)
+            assert np.array_equal(rr._linspace(a, b, n), want), (a, b, n)
+            assert np.array_equal(rr._split(a, b, n), np.stack((want[:-1], want[1:]), axis=1)), (a, b, n)
+
+    def test_layout_is_numpys_stack(self):
+        edges = np.cumsum(np.random.default_rng(3).uniform(0.0, 2.0, 40))
+        got = rr._layout(edges)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.stack((edges[:-1], edges[1:]), axis=1))
+
+    def test_cut_without_a_point_inside_returns_its_layout(self):
+        layout = rr._split(1.0, 3.0, 4)
+        assert rr._cut(layout, []) is layout
+        assert rr._cut(layout, [0.5, 1.0, 3.0, 7.0]) is layout
+        assert np.array_equal(rr._cut(layout, [2.2]), rr._layout(np.array([1.0, 1.5, 2.0, 2.2, 2.5, 3.0])))
 
     @pytest.mark.parametrize("theta", [0.5, 0.8])
     def test_bisects_towards_an_endpoint_singularity(self, theta):
@@ -401,6 +433,26 @@ class TestPowerTailGrid:
         assert len(rounds) == 378
         assert statistics.median(rounds) == 1
 
+    def test_a_power_tail_cutoff_takes_three_bounds(self, monkeypatch):
+        # each bound reads the weight's mass past the rung once; the search
+        # enters at the rung where (offset + u)**(1 - kappa) crosses the
+        # bound, where a search from the first rung took a median of 6 here
+        calls = []
+        mass = rr._WeightView.mass
+        monkeypatch.setattr(rr._WeightView, "mass", lambda self, a, b: calls.append(a) or mass(self, a, b))
+        evals = []
+        for spec, kappa, offset, weight, scale in tail_grid():
+            p, w = tail_case(spec, kappa, offset, weight, scale)
+            calls.clear()
+            try:
+                rr._power_tail_cutoff(yg.from_spec(spec), p.tail, rr._WeightView(w), p.steps_end)
+            except InconclusiveQuadratureError:
+                assert tail_raise(spec, kappa, weight, scale) == "power tail truncation did not certify"
+                continue
+            evals.append(len(calls))
+        assert len(evals) == 408
+        assert statistics.median(evals) <= 3
+
 
 @pytest.mark.xfail(reason="ROADMAP item 5: a power tail is cut where its dropped mass is below half of _ATOL, "
                           "not the relative budget", strict=True)
@@ -464,6 +516,48 @@ class TestLogHeadGrid:
             rr.modular(young, p, w)
         assert len(kernel_work.per_integral) == 104
         assert statistics.median(kernel_work.per_integral) == 1
+
+    def test_a_log_head_cutoff_takes_at_most_four_gamma_tails(self, monkeypatch):
+        # the search enters at the rung where amp * y**k * e^(-r*y) crosses
+        # the bound, where a search from the first rung took a median of 8
+        calls, per_head = [], []
+        gamma_tail, head_value = rr._gamma_tail, rr._head_value
+        monkeypatch.setattr(rr, "_gamma_tail", lambda *args: calls.append(1) or gamma_tail(*args))
+
+        def counted(*args):
+            calls.clear()
+            value = head_value(*args)
+            per_head.append(len(calls))
+            return value
+
+        monkeypatch.setattr(rr, "_head_value", counted)
+        for young, p, w, *_ in head_grid():
+            rr.modular(young, p, w)
+        assert len(per_head) == 104
+        assert statistics.median(per_head) <= 4
+
+
+#: The overflow probe grid: every catalog kind but tabulated, on bare power
+#: tails over the double range, each weighted three ways.
+PROBE_YOUNG = ["power:2", "cosh-1", "llog", "xlog1p", "llogl", "lexp", "identity"]
+PROBE_AMPLITUDE = [10.0**e for e in range(-300, 301, 100)]
+PROBE_WEIGHT = {"none": None, "power": D((), P(1.0, 2.0)), "exp": D((), E(1.0, 1.0))}
+
+
+@pytest.mark.parametrize("spec", PROBE_YOUNG)
+def test_power_tails_over_the_double_range_raise_only_toolkit_errors(spec):
+    # a bound or validity point whose power overflows certifies no rung, so
+    # such a tail raises InconclusiveQuadratureError, not OverflowError
+    young = yg.from_spec(spec)
+    for amp in PROBE_AMPLITUDE:
+        for exponent in (0.55, 1.0, 3.0, 50.0):
+            for offset in (1e-3, 1.0, 1e3):
+                p = D((), P(amp, exponent, offset))
+                for w in PROBE_WEIGHT.values():
+                    try:
+                        rr.modular(young, p, w)
+                    except OrliczKitError:
+                        pass
 
 
 class TestCrossIntegral:
