@@ -379,7 +379,10 @@ def luxemburg_norm(
     one taken at the witness.  Returns 0 for f = 0 and +inf for non-members.
     When the modular jumps across level 1 (threshold kinds), every step is a
     geometric bisection, the returned witness is the boundary infimum and
-    modular_at_witness records the sub-unit value."""
+    modular_at_witness records the sub-unit value.  tol must be finite and
+    > 0 (DomainError)."""
+    if not 0 < tol < math.inf:
+        raise DomainError("the norm tolerance must be finite and > 0")
     p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
@@ -531,7 +534,9 @@ def orlicz_norm(
     where Gamma(s) / s is non-decreasing, true for every closed-form catalog
     kind and every convex density, Q(k c) >= c Q(k) for c > 1, and the
     widened bracket holds the minimiser.  converged means that the search's
-    own bracket closed to tol."""
+    own bracket closed to tol, which must be finite and > 0 (DomainError)."""
+    if not 0 < tol < math.inf:
+        raise DomainError("the norm tolerance must be finite and > 0")
     p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)

@@ -40,7 +40,7 @@ from .classical_space import (
     orlicz_norm,
 )
 from .errors import DimensionMismatchError, DomainError
-from .rearrange import DecreasingProfile, _step_profile, hl_partial, load_json_input
+from .rearrange import DecreasingProfile, _json_number, _step_profile, hl_partial, load_json_input
 from .young import YoungFunction, complement, cosh_minus_1
 
 __all__ = [
@@ -126,13 +126,14 @@ def _complex_entry(z) -> complex:
     if isinstance(z, (list, tuple)):
         if len(z) != 2:
             raise DomainError("a matrix entry is a number or a [re, im] pair")
-        return complex(z[0], z[1])
-    return complex(z)
+        return complex(_json_number(z[0]), _json_number(z[1]))
+    return complex(_json_number(z))
 
 
 def matrix_from_dict(d: dict) -> MatrixObservable:
     """Matrix from {"entries": n rows of n entries, "dim": n (optional)}.
-    Ragged, non-square or non-finite entries raise DomainError."""
+    Ragged, non-square or non-finite entries, and entries or a dim that are
+    not JSON numbers (an integer dim), raise DomainError."""
     entries = d["entries"]
     n = len(entries)
     if n == 0 or any(len(row) != n for row in entries):
@@ -140,7 +141,10 @@ def matrix_from_dict(d: dict) -> MatrixObservable:
     arr = np.array([[_complex_entry(z) for z in row] for row in entries], dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise DomainError("matrix entries must be finite")
-    if "dim" in d and int(d["dim"]) != n:
+    dim = d.get("dim", n)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise DomainError(f"dim must be an integer, not {dim!r}")
+    if dim != n:
         raise DimensionMismatchError("declared dim does not match entries")
     return MatrixObservable.from_array(arr)
 

@@ -21,10 +21,12 @@ are decided first by the comparison tests of _finite_scale, which also
 decide membership; only certified-convergent pieces are then integrated
 numerically, with an analytic truncation bound below half the budget.
 Every cutoff is the first rung of a fixed geometric ladder where its bound
-holds, found by a gallop-and-bisect search, _first_holding, that starts at
-the rung the bound's decay law predicts from its value at the first rung;
-both singular heads share one such rule in y = log(1/t).  Divergence is therefore always
-an analytic verdict, never a quadrature blow-up.  Each piece starts on
+holds, found by _cutoff: a gallop-and-bisect search, _first_holding, that
+starts at the rung the bound's decay law predicts from its value at the
+first rung, and raises where no rung holds.  Both singular heads share one
+such rule in y = log(1/t), a closed-form bound on the tail of an envelope
+y**k * e^(-r*y) of the integrand.  Divergence is therefore always an
+analytic verdict, never a quadrature blow-up.  Each piece starts on
 panels across which the integrand's envelope falls by a bounded factor: a
 log head on 1.1 panels per decay length in y, a power tail on three panels
 a decade of offset + u.
@@ -54,7 +56,6 @@ from functools import cache, cached_property, partial
 from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, InconclusiveQuadratureError, OrliczKitError
 from .young import Growth, YoungFunction, _load_two_columns
@@ -227,8 +228,8 @@ class ExponentialTail:
     kind = "exponential"
 
     def __post_init__(self):
-        if not (self.amplitude > 0 and self.rate > 0):
-            raise DomainError("exponential tail needs amplitude > 0 and rate > 0")
+        if not (0 < self.amplitude < math.inf and 0 < self.rate < math.inf):
+            raise DomainError("exponential tail needs finite amplitude > 0 and rate > 0")
 
     @property
     def junction(self) -> float:
@@ -260,8 +261,8 @@ class PowerTail:
     kind = "power"
 
     def __post_init__(self):
-        if not (self.amplitude > 0 and self.exponent > 0 and self.offset > 0):
-            raise DomainError("power tail needs amplitude, exponent, offset > 0")
+        if not all(0 < x < math.inf for x in (self.amplitude, self.exponent, self.offset)):
+            raise DomainError("power tail needs finite amplitude, exponent, offset > 0")
         try:
             self.offset ** (-self.exponent)
         except OverflowError:
@@ -300,8 +301,8 @@ class LogSingularity:
     kind = "log_singularity"
 
     def __post_init__(self):
-        if not (self.coeff > 0 and 0 < self.width <= 1.0):
-            raise DomainError("log singularity needs coeff > 0 and width in (0, 1]")
+        if not (0 < self.coeff < math.inf and 0 < self.width <= 1.0):
+            raise DomainError("log singularity needs finite coeff > 0 and width in (0, 1]")
 
     @property
     def at_width(self) -> float:
@@ -327,8 +328,8 @@ class InvPowerSingularity:
     kind = "inv_power"
 
     def __post_init__(self):
-        if not (self.coeff > 0 and self.exponent > 0 and self.width > 0):
-            raise DomainError("inverse-power singularity needs positive parameters")
+        if not all(0 < x < math.inf for x in (self.coeff, self.exponent, self.width)):
+            raise DomainError("inverse-power singularity needs finite positive parameters")
 
     @property
     def at_width(self) -> float:
@@ -531,7 +532,18 @@ def _piece_from_dict(d: dict, where: str):
             raise KeyError(f.name)
     if kind == "zero":
         return None
-    return _PIECES[kind](**{f.name: float(d[f.name]) for f in fields if f.name in d})
+    return _PIECES[kind](**{f.name: _json_number(d[f.name]) for f in fields if f.name in d})
+
+
+def _json_number(x) -> float:
+    """A number read from JSON as a float: an int or a float, not a bool,
+    a string or anything else (DomainError)."""
+    if isinstance(x, bool) or not isinstance(x, int | float):
+        raise DomainError(f"expected a number, not {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError("an integer too large for a double") from None
 
 
 def profile_from_dict(d: dict) -> DecreasingProfile:
@@ -542,7 +554,7 @@ def profile_from_dict(d: dict) -> DecreasingProfile:
     unknown = sorted(set(d) - {"steps", "head", "tail"})
     if unknown:
         raise DomainError(f"unknown profile key(s) {', '.join(map(repr, unknown))}")
-    steps = tuple((float(l), float(w)) for l, w in d.get("steps", []))
+    steps = tuple((_json_number(l), _json_number(w)) for l, w in d.get("steps", []))
     head = _piece_from_dict(d["head"], "head") if "head" in d else None
     tail = _piece_from_dict(d.get("tail", {}), "tail")
     if isinstance(tail, Head):
@@ -788,11 +800,15 @@ def _finite_scale(young: YoungFunction, p: DecreasingProfile, w: _WeightView) ->
 
 
 def _gamma_tail(k: float, r: float, y: float) -> float:
-    """integral_y^inf s**k * exp(-r*s) ds, r > 0, k >= 0."""
-    if r <= 0:
+    """An upper bound on integral_y^inf s**k * exp(-r*s) ds, k >= 0:
+    y**k * e^(-r*y) / (r - k/y), since (s/y)**k <= e^(k*(s - y)/y).  Exact
+    for k = 0; inf where r*y <= k, and where the float value overflows."""
+    if not r * y > k:
         return math.inf
-    with np.errstate(over="ignore"):
-        return float(_sp.gammaincc(k + 1.0, r * y) * _sp.gamma(k + 1.0) / r ** (k + 1.0))
+    try:
+        return math.exp(k * math.log(y) - r * y) / (r - k / y)
+    except OverflowError:
+        return math.inf
 
 
 def _power_or_inf(x: float, d: float) -> float:
@@ -943,11 +959,6 @@ def _decades(a: float, b: float, shift: float = 0.0) -> int:
     return max(math.ceil(math.log10((b + shift) / (a + shift))), 1)
 
 
-def _decade_split(a: float, b: float, shift: float = 0.0) -> np.ndarray:
-    """Pieces of (a, b) spanning at most a decade each in t + shift > 0."""
-    return _geo_split(a, b, _decades(a, b, shift), shift)
-
-
 def _cut(pieces: np.ndarray, points) -> np.ndarray:
     """The contiguous layout `pieces` (an (n, 2) array of ascending pieces,
     each starting where the one before ends), split at the points inside it."""
@@ -962,13 +973,13 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
     """Certified value of integral_0^m Psi(head(t)) w(t) dt (already known to
     converge); m has no weight cuts inside.  Either head is integrated in
     y = log(1/t) from y1 = log(1/m) to the first rung of its ladder where the
-    exact tail amp * _gamma_tail(k, r, y) of an envelope amp * y**k * e^(-r*y)
-    of the integrand is below half of _ATOL.  The inverse-power ladder ends
-    at y = log(1e280), where that tail is accepted only within half the
-    relative budget.  The log head starts on 1.1 panels per decay length 1/r
-    of that envelope; the pieces are split where the head crosses a positive
-    kink of Psi, whose jump in psi a Gauss-Kronrod panel's error estimate
-    can miss."""
+    bound amp * _gamma_tail(k, r, y) on the tail of an envelope
+    amp * y**k * e^(-r*y) of the integrand, exact for k = 0, is below half
+    of _ATOL.  The inverse-power ladder ends at y = log(1e280), where that
+    bound is accepted only within half the relative budget.  The log head
+    starts on 1.1 panels per decay length 1/r of that envelope; the pieces
+    are split where the head crosses a positive kink of Psi, whose jump in
+    psi a Gauss-Kronrod panel's error estimate can miss."""
     g = _require_growth(young)
     theta_w, w_log, wA = w.inv_order, float(w.has_log_head), w.head_coeff
     c, y1 = head.coeff, math.log(1.0 / m)
@@ -1019,9 +1030,7 @@ def _head_value(young, head, w: _WeightView, m: float) -> float:
             y = y0 + (math.log(d0 / (0.5 * _ATOL)) + k * math.log(y / y0)) / r
         return y
 
-    ymax = _entered_search(lambda y: 0.0 if y == last else dropped(y), rungs, factor, crossing)
-    if ymax is None:
-        raise InconclusiveQuadratureError("log head truncation did not certify")
+    ymax = _cutoff("log head", lambda y: 0.0 if y == last else dropped(y), rungs, factor, crossing)
 
     def integrand(y):
         t = np.exp(-y)
@@ -1112,24 +1121,26 @@ def _first_holding(holds, rungs, guess: int = 0) -> float | None:
     return seen[k]
 
 
-def _entered_search(bound, rungs, factor: float, crossing) -> float | None:
-    """The first rung x of the ladder `rungs` (ratio about `factor`) with
-    bound(x) < _ATOL / 2, for a bound that falls along it; None when it
-    fails at the last.  The search is entered at the rung past
-    crossing(x0, bound(x0)), the point where the bound's decay law, fitted
-    at the first rung x0, falls to _ATOL / 2; at rung 0 where bound(x0) is
-    not finite.  bound(x0) is computed once."""
+def _cutoff(what: str, bound, rungs, factor: float, crossing) -> float:
+    """The first rung x of the ladder `rungs` (ratio about `factor`, at
+    least one rung) with bound(x) < _ATOL / 2, for a bound that falls along
+    it; raises InconclusiveQuadratureError(f"{what} truncation did not
+    certify") when it fails at the last.  The search is entered at the rung
+    past crossing(x0, bound(x0)), the point where the bound's decay law,
+    fitted at the first rung x0, falls to _ATOL / 2; at rung 0 where
+    bound(x0) or that point is not finite.  bound(x0) is computed once."""
     rungs = iter(rungs)
-    x0 = next(rungs, None)
-    if x0 is None:
-        return None
+    x0 = next(rungs)
     b0 = bound(x0)
     guess = 0
     if 0.5 * _ATOL <= b0 < math.inf:
         x_star = crossing(x0, b0)
         if math.isfinite(x_star):
             guess = max(math.ceil(math.log(max(x_star, x0) / x0) / math.log(factor)), 1)
-    return _first_holding(lambda x: (b0 if x == x0 else bound(x)) < 0.5 * _ATOL, chain([x0], rungs), guess)
+    x = _first_holding(lambda x: (b0 if x == x0 else bound(x)) < 0.5 * _ATOL, chain([x0], rungs), guess)
+    if x is None:
+        raise InconclusiveQuadratureError(f"{what} truncation did not certify")
+    return x
 
 
 def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> float:
@@ -1150,25 +1161,26 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
     if math.isinf(u):
         raise InconclusiveQuadratureError("power tail truncation did not certify")
 
+    a_alpha = _power_or_inf(a, so.alpha)
+
     def bound(u: float) -> float:
         # the least candidate bound on the dropped mass; an overflowing
         # power makes its candidate inf or nan, which certifies nothing
         amp_env = so.hi * _power_or_inf(a * (t0 + u) ** (-g_exp), so.alpha)
         cands = []
         if g_exp * so.alpha > 1.0:
-            cands.append(
-                so.hi * _power_or_inf(a, so.alpha) * (t0 + u) ** (1.0 - g_exp * so.alpha)
-                / (g_exp * so.alpha - 1.0) * w.value(lo + u)
-            )
+            # where a**alpha overflows, the same bound from the decaying envelope
+            if a_alpha < math.inf:
+                env = so.hi * a_alpha * (t0 + u) ** (1.0 - g_exp * so.alpha)
+            else:
+                env = amp_env * (t0 + u)
+            cands.append(env / (g_exp * so.alpha - 1.0) * w.value(lo + u))
         wm = w.mass(lo + u, math.inf)
         if math.isfinite(wm):
             cands.append(amp_env * wm)
         if kind == "power" and kappa > 1.0:
             moff = min(t0, wtail.offset)
-            cands.append(
-                so.hi * _power_or_inf(a, so.alpha) * wtail.amplitude
-                * (moff + u) ** (1.0 - kappa) / (kappa - 1.0)
-            )
+            cands.append(so.hi * a_alpha * wtail.amplitude * (moff + u) ** (1.0 - kappa) / (kappa - 1.0))
         return min(cands) if cands else math.inf
 
     def crossing(u0: float, b0: float) -> float:
@@ -1181,10 +1193,7 @@ def _power_tail_cutoff(young, tail: PowerTail, w: _WeightView, lo: float) -> flo
         return math.inf
 
     rungs = chain([u], takewhile(partial(operator.ge, 1e300), _ladder(u * 1.6, 1.6)))
-    u = _entered_search(bound, rungs, 1.6, crossing)
-    if u is None:
-        raise InconclusiveQuadratureError("power tail truncation did not certify")
-    return u
+    return _cutoff("power tail", bound, rungs, 1.6, crossing)
 
 
 def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
@@ -1217,10 +1226,8 @@ def _tail_region_value(young, profile, w: _WeightView, integrand) -> float:
                 rem = min(rem, slope * tail.amplitude * math.exp(-tail.rate * u) * wm)
             return rem
 
-        u = _entered_search(bound, islice(_ladder(max(10.0 / tail.rate, 1.0), 1.6), 200), 1.6,
-                            lambda u0, rem0: u0 + math.log(rem0 / (0.5 * _ATOL)) / tail.rate)
-        if u is None:
-            raise InconclusiveQuadratureError("exponential tail truncation did not certify")
+        u = _cutoff("exponential tail", bound, islice(_ladder(max(10.0 / tail.rate, 1.0), 1.6), 200), 1.6,
+                    lambda u0, rem0: u0 + math.log(rem0 / (0.5 * _ATOL)) / tail.rate)
     else:
         u = _power_tail_cutoff(young, tail, w, lo)
 
@@ -1370,9 +1377,10 @@ def _heads_partial(heads, x: float) -> float:
     k = sum(isinstance(h, LogSingularity) for h in heads)
     if r <= 0.0:
         return math.inf
-    if k == 0:
-        return c * x**r / r
-    return c * _gamma_tail(k, r, math.log(1.0 / x))
+    # integral_0^x log(1/t)**k t**(r - 1) dt = Gamma(k + 1, z) / r**(k + 1), z = r log(1/x),
+    # and Gamma(k + 1, z) = k! e^(-z) sum_{j <= k} z**j / j! for integer k
+    z = r * math.log(1.0 / x)
+    return c * x**r * math.factorial(k) * sum(z**j / math.factorial(j) for j in range(k + 1)) / r ** (k + 1)
 
 
 def _singular_piece(heads, other, integrand, b: float) -> float:
@@ -1392,16 +1400,9 @@ def _singular_piece(heads, other, integrand, b: float) -> float:
     h = _heads_partial(heads, b)
     if math.isinf(h) or other is None or other.steps:
         return r_sup * h
-    parts = {}
-
-    def certifies(eps: float) -> bool:
-        parts[eps] = r_inf, h = other.value(eps), _heads_partial(heads, eps)
-        return (r_sup - r_inf) * h < 0.5 * _ATOL
-
     # b, b/10, ...: the ladder ends at its first rung below 1e-290
     decades = (e * 0.1 for e in takewhile(lambda e: e >= 1e-290, _ladder(b, 0.1)))
-    eps = _first_holding(certifies, chain([b], decades))
-    if eps is None:
-        raise InconclusiveQuadratureError("singular piece truncation did not certify")
-    r_inf, h = parts[eps]
-    return r_inf * h + (_integrate(integrand, _decade_split(eps, b)) if eps < b else 0.0)
+    eps = _cutoff("singular piece", lambda e: (r_sup - other.value(e)) * _heads_partial(heads, e),
+                  chain([b], decades), 0.1, lambda e0, d0: math.inf)
+    near = other.value(eps) * _heads_partial(heads, eps)
+    return near + (_integrate(integrand, _geo_split(eps, b, _decades(eps, b))) if eps < b else 0.0)

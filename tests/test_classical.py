@@ -162,6 +162,20 @@ class TestOrliczNorm:
                 assert orl <= 2 * lux * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("norm", [cs.luxemburg_norm, cs.orlicz_norm], ids=["luxemburg", "orlicz"])
+@pytest.mark.parametrize(
+    "f",
+    [rr.simple_function([0.0], [1.0]), rr.simple_function([2.0, -1.0], [0.5, 0.25]),
+     rr.DecreasingProfile((), head=rr.LogSingularity(0.5, 1.0))],
+    ids=["zero", "steps", "log-head"],
+)
+def test_a_norm_tolerance_must_be_finite_and_positive(norm, f, tol):
+    # checked before any search, the zero function's shortcut included
+    with pytest.raises(DomainError, match="tolerance"):
+        norm(yg.power(2), f, tol=tol)
+
+
 class TestHolder:
     def test_zero_pair(self):
         z = rr.simple_function([0.0], [1.0])

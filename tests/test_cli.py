@@ -309,6 +309,12 @@ MALFORMED_MATRICES = {
     "truncated": '{"entries": [[1, 2], [3,',
     "missing-entries": '{"dim": 2}',
     "not-an-object": "[[1, 2], [3, 4]]",
+    "bool-entry": '{"entries": [[true, 0], [0, 1]]}',
+    "string-entry": '{"entries": [["1", 0], [0, 1]]}',
+    "string-in-pair": '{"entries": [[["1", 0], 0], [0, 1]]}',
+    "fractional-dim": '{"entries": [[1, 0], [0, 1]], "dim": 1.5}',
+    "string-dim": '{"entries": [[1, 0], [0, 1]], "dim": "2"}',
+    "bool-dim": '{"entries": [[1]], "dim": true}',
 }
 
 MALFORMED_PROFILES = {
@@ -325,6 +331,19 @@ MALFORMED_PROFILES = {
     "two-heads": '{"head": {"kind": "log_singularity"}, "tail": {"kind": "inv_power", "exponent": 0.5}}',
     "power-tail-junction-overflows":
         '{"steps": [[1, 1]], "tail": {"kind": "power", "amplitude": 1, "exponent": 3, "offset": 1e-200}}',
+    "infinite-log-coeff": '{"head": {"kind": "log_singularity", "coeff": 1e400}}',
+    "infinite-inv-power-coeff": '{"head": {"kind": "inv_power", "coeff": 1e400, "exponent": 0.5}}',
+    "infinite-inv-power-width": '{"head": {"kind": "inv_power", "exponent": 0.5, "width": 1e400}}',
+    "infinite-exponential-rate": '{"tail": {"kind": "exponential", "amplitude": 1, "rate": 1e400}}',
+    "infinite-exponential-amplitude": '{"tail": {"kind": "exponential", "amplitude": 1e400, "rate": 1}}',
+    "infinite-power-amplitude": '{"tail": {"kind": "power", "amplitude": 1e400, "exponent": 2}}',
+    "infinite-power-exponent": '{"tail": {"kind": "power", "amplitude": 1, "exponent": 1e400}}',
+    "infinite-power-offset": '{"tail": {"kind": "power", "amplitude": 1, "exponent": 2, "offset": 1e400}}',
+    "string-step": '{"steps": [["3", "1"]]}',
+    "bool-step": '{"steps": [[true, 1]]}',
+    "string-coeff": '{"head": {"kind": "log_singularity", "coeff": "0.5"}}',
+    "bool-rate": '{"tail": {"kind": "exponential", "amplitude": 1, "rate": true}}',
+    "integer-past-doubles": '{"steps": [[1' + "0" * 400 + ', 1]]}',
 }
 
 MALFORMED_TWO_COLUMNS = {
@@ -352,6 +371,7 @@ class TestMalformedInput:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("domain error:")
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize("case", sorted(MALFORMED_PROFILES))
     def test_profile_exits_2_with_one_line(self, runner, tmp_path, case):
         path = self._write(tmp_path, MALFORMED_PROFILES[case])
@@ -378,6 +398,17 @@ class TestMalformedInput:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("domain error:")
 
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("extra", [[], ["--orlicz"]], ids=["luxemburg", "orlicz"])
+    def test_a_tolerance_that_is_not_finite_and_positive_exits_2(self, runner, tmp_path, tolerance, extra):
+        f = tmp_path / "f.txt"
+        f.write_text("2.0 0.5\n-1.0 0.25\n")
+        res = runner.invoke(main, ["norm", "--young", "power:2", "--function", str(f), "--tolerance", tolerance,
+                                   *extra])
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr == "domain error: the norm tolerance must be finite and > 0\n"
+
     def test_no_traceback_from_the_command_line(self, tmp_path):
         path = self._write(tmp_path, MALFORMED_MATRICES["truncated"])
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -389,6 +420,30 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("domain error:")
+
+
+def test_no_command_loads_scipy():
+    # scipy's import was more than half of a command's start; a weighted log
+    # head runs the head truncation, and the regularity check the heads'
+    # exact partial integral
+    data = Path(__file__).resolve().parent / "data"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from orlicz_kit.cli import main\n"
+        "for args in (['norm', '--young', 'cosh-1', '--profile', 'glog.json', '--weight', 'exp.json'],\n"
+        "             ['check', 'regular', '--profile', 'glog.json', '--weight', 'exp.json']):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), exc.code\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=data,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("extra", [[], ["--orlicz"]], ids=["luxemburg", "orlicz"])

@@ -293,10 +293,13 @@ def linear_scan_cutoff(young, back, w, lo):
     while math.isfinite(u):
         cands = []
         if g_exp * so.alpha > 1.0:
-            cands.append(
-                so.hi * power_or_inf(a, so.alpha) * (t0 + u) ** (1.0 - g_exp * so.alpha)
-                / (g_exp * so.alpha - 1.0) * w.value(lo + u)
-            )
+            # where a**alpha overflows, the code forms this bound as
+            # hi * (a * (t0 + u)**-g)**alpha * (t0 + u)
+            if math.isfinite(power_or_inf(a, so.alpha)):
+                env = so.hi * power_or_inf(a, so.alpha) * (t0 + u) ** (1.0 - g_exp * so.alpha)
+            else:
+                env = so.hi * power_or_inf(a * (t0 + u) ** (-g_exp), so.alpha) * (t0 + u)
+            cands.append(env / (g_exp * so.alpha - 1.0) * w.value(lo + u))
         wm = w.mass(lo + u, math.inf)
         if math.isfinite(wm):
             cands.append(so.hi * power_or_inf(a * (t0 + u) ** (-g_exp), so.alpha) * wm)

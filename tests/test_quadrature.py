@@ -8,6 +8,7 @@ a closed form.
 import json
 import math
 import statistics
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -558,6 +559,60 @@ def test_power_tails_over_the_double_range_raise_only_toolkit_errors(spec):
                         rr.modular(young, p, w)
                     except OrliczKitError:
                         pass
+
+
+def test_a_power_tail_whose_amplitude_power_overflows():
+    # a**2 = 1e320 overflows, so the truncation bound is formed from the
+    # decaying envelope (a (t0 + u)**-3)**2; closed form a**2 t0**-5 / 5
+    got = rr.modular(yg.power(2.0), D((), P(1e160, 3.0, 1e3)))
+    ref = mp.mpf(1e160) ** 2 * mp.mpf(1e3) ** -5 / 5
+    assert abs(got - ref) <= rr._RTOL * ref
+
+
+class TestClosedFormIncompleteGamma:
+    """The head truncation's bound on integral_y^inf s**k e^(-r*s) ds and the
+    heads' exact partial integral, against mpmath at 30 digits."""
+
+    def test_the_tail_bound_is_never_below_the_incomplete_gamma(self):
+        # k: a growth degree, plus 1/2 for a log factor, plus 1 for a weight's
+        # log head, non-integer under power:p; r: the ladders' decay rates;
+        # y: from just above k/r while y**k e^(-r*y) is a normal double.  The
+        # bound is exact for k = 0, so there it may fall short by the
+        # rounding of r*y and of exp
+        checked = 0
+        with mp.workdps(30):
+            for k in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.41354, 3.0, 4.5, 6.0):
+                for r in (1e-3, 3e-3, 0.01, 0.1, 0.37, 1.0, 1.7, 2.0):
+                    y = max(k / r * (1 + 2.0**-20), 1e-3)
+                    while k * math.log(y) - r * y > math.log(sys.float_info.min):
+                        got = rr._gamma_tail(k, r, y)
+                        ref = mp.gammainc(k + 1, mp.mpf(r) * mp.mpf(y)) / mp.mpf(r) ** (k + 1)
+                        rounding = (r * y + 4) * sys.float_info.epsilon
+                        assert got >= ref * (1 - rounding), (k, r, y)
+                        if k == 0.0:
+                            assert got <= ref * (1 + rounding), (k, r, y)
+                        checked += 1
+                        y *= 1.3
+        assert checked > 2000
+
+    def test_the_tail_bound_is_inf_where_it_does_not_hold(self):
+        # the bound needs r*y > k
+        for k, r, y in ((2.0, 1.0, 2.0), (2.0, 1.0, 1.5), (0.0, -1.0, 3.0), (0.0, 0.0, 3.0), (1.0, 1e-300, 1e300)):
+            assert rr._gamma_tail(k, r, y) == math.inf, (k, r, y)
+
+    @pytest.mark.parametrize("logs", [1, 2])
+    @pytest.mark.parametrize("theta", [None, 0.05, 0.3, 0.5, 0.9, 0.999])
+    def test_heads_partial_is_within_a_few_ulp(self, logs, theta):
+        # integral_0^x prod(heads) = c Gamma(k + 1, r log(1/x)) / r**(k + 1)
+        for c in (1e-3, 0.7, 3.0):
+            heads = [L(c, 1.0)] * logs + ([I(2.5, theta, 1.0)] if theta else [])
+            r = mp.mpf(1.0 - (theta or 0.0))
+            coeff = math.prod(h.coeff for h in heads)
+            for x in (1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0):
+                got = rr._heads_partial(heads, x)
+                with mp.workdps(30):
+                    ref = coeff * mp.gammainc(logs + 1, r * mp.log(1 / mp.mpf(x))) / r ** (logs + 1)
+                assert abs(got - ref) <= 6 * math.ulp(float(ref)), (c, x)
 
 
 class TestCrossIntegral:

@@ -117,6 +117,21 @@ class TestProfiles:
         assert q.steps == ((6.0, 1.0),)
         assert q.tail == rr.ExponentialTail(3.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            rr.DecreasingProfile((), rr.ExponentialTail(1e10, 1.0)),
+            rr.DecreasingProfile((), rr.PowerTail(1e10, 2.0)),
+            rr.DecreasingProfile((), head=rr.LogSingularity(1e10, 1.0)),
+            rr.DecreasingProfile((), head=rr.InvPowerSingularity(1e10, 0.5, 1.0)),
+        ],
+        ids=["exponential", "power", "log", "inv-power"],
+    )
+    def test_scale_overflow_is_a_domain_error(self, p):
+        # the amplitude or coefficient 1e310 overflows to inf
+        with pytest.raises(DomainError, match="finite"):
+            p.scale(1e300)
+
     def test_serialization_roundtrip(self):
         profiles = [
             rr.DecreasingProfile(((2.0, 1.0), (1.0, 0.5))),
