@@ -1,19 +1,24 @@
 """Classical Orlicz-space computations.
 
 Luxemburg norms are the level-1 crossing of the modular lambda -> M(f/lambda)
-= integral Psi(|f|/lambda) dmu, which is non-increasing: a bracket lo < hi
-with M(f/lo) > 1 >= M(f/hi), found by a gallop over the x4 ladder while
-lambda and 1/lambda are finite doubles, and on up to the largest double, is
-shrunk by regula falsi with the Illinois modification (Dowell & Jarratt,
-1971) on (log lambda, log M).  For power Young functions log M is exactly
-linear in log lambda, and for the catalog functions nearly so, so a few
-steps suffice where bisection takes about forty.  A geometric bisection
-step is taken instead when an end has M = 0 or M = inf (flat stretches and
-threshold jumps), when the interpolant is not strictly inside the bracket,
-and when the bracket has not halved within a few steps.  The witness
-returned is the upper (feasible) end of the final bracket, so a converged
-report always has modular_at_witness <= 1, and within 1e-8 of 1 when the
-modular is continuous at the crossing.
+= integral Psi(|f|/lambda) dmu, which is non-increasing (_level_crossing).
+In x = log lambda, h(x) = M(f e^-x) is convex with d log h / dx <= -1, and
+Young's equality gives its slope, h' = -(M + Q) for Q = integral Gamma(|f| /
+lambda) (Krasnosel'skii & Rutickii, ch. I).  Step inputs sum M and Q
+exactly over their levels, so every evaluation certifies a bracket of the
+norm, by a tangent of h on one side and the slope bound on the other, and
+the next point is the Newton point of log h: exact for power Young
+functions, a few steps for the other catalog kinds.  Analytic profiles,
+whose Q would be a second quadrature, and thresholds, whose M jumps to inf,
+take the value-only search: a gallop over the x4 ladder while lambda and
+1/lambda are finite doubles, and on up to the largest double, then regula
+falsi with the Illinois modification (Dowell & Jarratt, 1971) on (log
+lambda, log M).  Both take a geometric bisection step where M is 0 or inf
+(flat stretches and threshold jumps), where the step leaves the bracket,
+and where the bracket has not halved within a few steps.  The witness
+returned is the least evaluated lambda with M <= 1, so a converged report
+always has modular_at_witness <= 1, and within 1e-8 of 1 when the modular
+is continuous at the crossing.
 
 The Orlicz (dual-pairing) norm is the Amemiya formula
 inf_{k>0} (1 + modular(k*f)) / k (Krasnosel'skii & Rutickii, Convex
@@ -57,6 +62,7 @@ against membership in the weighted cosh-1 space, which must agree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain, takewhile
 
@@ -101,11 +107,20 @@ __all__ = [
     "classical_regular_check",
 ]
 
-#: Step budget of the Illinois phase of the Luxemburg and Amemiya norms.
+#: Step budget of the norm searches: the Illinois phase, or the Newton
+#: evaluations of a step Luxemburg norm.
 _MAX_ITER = 200
 #: Luxemburg search steps allowed without halving the bracket before a
 #: geometric bisection step is forced.
 _STALL_STEPS = 3
+#: Relative outward rounding of a certified Newton bracket end: a few ulp
+#: for the rounding of the sums, exp and log.
+_ROUND = 8.0 * 2.0**-52
+#: The most a Newton point is aimed past its root, in log lambda: 16 ulp,
+#: over the rounding of the modular, so that the point lands on the feasible
+#: side, and an exact Newton step leaves the witness about 16 ulp above the
+#: root.
+_AIM = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -113,9 +128,11 @@ class NormReport:
     """Outcome of a norm computation: value, optimal parameter, diagnostics.
 
     iterations counts the search's evaluations: of the modular in a
-    Luxemburg search, of Q and the final M in an Amemiya search.  The first
-    batch of Q points there (k0 and every level-kink jump) counts as one,
-    although on profiles with analytic parts each point is a quadrature."""
+    Luxemburg search, with Q at the same lambda on step inputs (one M and
+    one Q kernel call), and of Q and the final M in an Amemiya search.  The
+    first batch of Q points there (k0 and every level-kink jump) counts as
+    one, although on profiles with analytic parts each point is a
+    quadrature."""
 
     value: float
     witness: float | None
@@ -268,36 +285,102 @@ def _step_sum(kernel, levels: np.ndarray, masses: np.ndarray):
     return total
 
 
-def _step_modular_fn(young: YoungFunction, f, w):
-    """For a step-only input, a fast scales -> modular(scale * f) map: the
-    levels and weight masses are computed once, here (_step_levels), and
-    each call goes straight to the Young function's array kernel.  Returns
-    None where _step_levels does."""
-    steps = _step_levels(f, w)
-    return None if steps is None else _step_sum(young._eval_arr, *steps)
-
-
 def _log_modular(m: float) -> float:
     """log of a modular value, with log 0 = -inf (and log inf = inf)."""
     return math.log(m) if m > 0.0 else -math.inf
 
 
-def _level_crossing(fn, start: float, tol: float, known=None):
+def _level_crossing(fn, start: float, tol: float, known=None, gap=None, bounds=None):
     """Bracket and solve fn(t) = 1 for fn > 1 left of a point, <= 1 right of it.
 
-    fn is memoised, seeded with `known` (points t -> fn(t) the caller has
-    already evaluated); the bracket is its tightest evaluated pair after one
-    _first_holding search over the x4 ladder from `start`, up if fn(start)
-    > 1 (then the largest double) and down otherwise, while t and 1/t (where
-    callers evaluate) are positive finite doubles and short of the nearest
-    known point past the crossing, which ends the ladder.  A rung whose fn raises
-    InconclusiveQuadratureError counts as past the crossing, and its error
-    is raised only if it is the crossing rung, which a rung-by-rung walk
-    from start evaluates too.  Safeguarded Illinois regula falsi on
-    (log t, log fn) then shrinks the bracket to relative width tol.
-    Returns (lo, hi, fn(lo), fn(hi), evaluations, converged), counting the
-    known points out.  Without a crossing, converged is False and lo = hi is
-    the ladder's last rung."""
+    Value-only (gap None): fn is memoised, seeded with `known` (points t ->
+    fn(t) the caller has already evaluated); the bracket is its tightest
+    evaluated pair after one _first_holding search over the x4 ladder from
+    `start`, up if fn(start) > 1 (then the largest double) and down
+    otherwise, while t and 1/t (where callers evaluate) are positive finite
+    doubles and short of the nearest known point past the crossing, which
+    ends the ladder.  A rung whose fn raises InconclusiveQuadratureError
+    counts as past the crossing, and its error is raised only if it is the
+    crossing rung, which a rung-by-rung walk from start evaluates too.
+    Safeguarded Illinois regula falsi on (log t, log fn) then shrinks the
+    bracket.
+
+    With gap, fn(t) = M is the modular of f / t and gap(t) = Q the integral
+    of Gamma(f / t), the gap in Young's equality, so that h(x) = fn(e^x) has
+    h' = -(M + Q) (Krasnosel'skii & Rutickii, ch. I).  h is convex and
+    d log h / dx <= -1, as s psi(s) >= Psi(s), so each evaluation certifies
+    a bracket of the root with no ladder: [t e^((M - 1)/(M + Q)), t M] where
+    M > 1, [t max(M, e^(-(1 - M)/(M + Q))), t] where M <= 1, each end
+    rounded outward by _ROUND.  A kernel that takes the left limit of psi at
+    a kink gives the least steep tangent, which stays below h on both sides.
+    From `start` the search steps to the Newton point of log h, t e^(M log M
+    / (M + Q)), aimed min(tol/10, _AIM) to the feasible side so that the
+    evaluated upper end closes the bracket, and to the geometric midpoint
+    of the certified bracket instead where M is 0 or inf, where the Newton
+    point leaves the bracket, and after _STALL_STEPS steps that did not
+    halve it.  It evaluates only in `bounds` = [a, b]; a Newton point below
+    a puts the next point on a.  A root past b ends the search at b without
+    a crossing, fn(b) > 1; a root below a ends it with lo = a not certified.
+
+    Both stop once the bracket's relative width is at most tol or no double
+    lies strictly inside it.  Returns (lo, hi, fn(lo), fn(hi), evaluations,
+    converged), counting every call of fn (with gap, of the pair) and the
+    known points out; with gap, lo is certified, not evaluated, and fn(lo)
+    is None.  Without a crossing, converged is False and lo = hi is the
+    ladder's last rung or the end of bounds."""
+    if gap is not None:
+        a, b = bounds
+        # lo is certified once lo_ok, hi evaluated once m_hi is set, and cap
+        # is the least certified upper end
+        lo, hi, cap, lo_ok, m_hi = a, b, b, False, None
+        t, evals, stalled, width = min(max(start, a), b), 0, 0, math.inf
+        aim = math.exp(min(0.1 * tol, _AIM))
+        while True:
+            m, q = fn(t), gap(t)
+            evals += 1
+            d = m + q
+            if m <= 1.0:
+                hi, m_hi, cap = t, m, t
+                cert = t * max(m, math.exp((m - 1.0) / d)) if d > 0.0 else 0.0
+            else:
+                cert = t * math.exp((m - 1.0) / d) if d < math.inf else t
+                cap = min(cap, t * m * (1.0 + _ROUND))
+                lo, lo_ok = max(lo, t), True
+            cert *= 1.0 - _ROUND
+            if cert > lo:
+                lo, lo_ok = min(cert, math.nextafter(hi, 0.0)), True
+            if evals >= _MAX_ITER or (lo_ok and hi - lo <= tol * hi):
+                break
+            top = max(min(cap, hi), lo)
+            span = math.log(top / lo)
+            if span <= 0.5 * width:
+                width, stalled = span, 0
+            else:
+                stalled += 1
+            nxt = None
+            if stalled >= _STALL_STEPS:
+                width, stalled = span, 0
+            elif 0.0 < m < math.inf and d < math.inf:
+                newton = t * math.exp(math.log(m) * (m / d))
+                if lo < newton < top:
+                    nxt = newton * aim if newton * aim < hi else newton
+                elif newton <= a and not lo_ok:
+                    nxt = a
+            if nxt is None:
+                nxt = math.sqrt(lo) * math.sqrt(top)
+            # strictly inside, or the lower end of bounds, not yet certified
+            if not (lo < nxt < hi or (nxt == lo < hi and not lo_ok)):
+                nxt = math.nextafter(lo, math.inf)
+                if nxt >= hi:
+                    break
+            t = nxt
+        if m_hi is None:  # the root lies past b, or is within tol of it
+            m_hi = fn(b)
+            evals += 1
+            if m_hi > 1.0:
+                return b, b, m_hi, m_hi, evals, False
+        return lo, hi, None, m_hi, evals, lo_ok and hi - lo <= tol * hi
+
     known = known or {}
     seen, failed = dict(known), {}
     if start not in seen:
@@ -344,6 +427,10 @@ def _level_crossing(fn, start: float, tol: float, known=None):
             cand = lo * math.exp(min(max(span * g_lo / (g_lo - g_hi), gap), span - gap))
             if lo < cand < hi:
                 t = cand
+        if not lo < t < hi:  # the midpoint rounded onto an end
+            t = math.nextafter(lo, math.inf)
+            if t >= hi:  # no double lies between them
+                break
         m = seen[t] = fn(t)
         if m <= 1.0:
             hi, g_hi = t, _log_modular(m)
@@ -364,6 +451,34 @@ def _level_crossing(fn, start: float, tol: float, known=None):
     return lo, hi, seen[lo], seen[hi], len(seen) + len(failed) - len(known), (hi - lo) <= tol * hi
 
 
+def _luxemburg_steps(young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float):
+    """_level_crossing of the step modular M(lambda) = sum m_i Psi(a_i /
+    lambda).  Where Psi jumps to inf past a threshold, the value-only search
+    bisects the jump from lambda = 1.  Otherwise the Newton search takes Q
+    from the same levels.  It starts where the top level over lambda is 1 +
+    young.vanish_below, unit size or past where Psi vanishes, so a top level
+    too small or too large for 1/lambda to be a normal double there is
+    scaled into [1, 2) by an exact power of two 2^e, with every level: in
+    the normal range the scaled sums have the bits of the unscaled ones.
+    lambda stays where lambda 2^-e is a normal double, and the bracket is
+    scaled back."""
+    if young.finite_threshold < math.inf:
+        mod = _step_sum(young._eval_arr, levels, masses)
+        return _level_crossing(lambda lam: float(mod(1.0 / lam)), 1.0, tol)
+    top, tiny = float(levels.max()), sys.float_info.min
+    e = 0
+    if not tiny <= top < 2.0**1021:
+        e = 1 - math.frexp(top)[1]
+        levels = np.ldexp(levels, e)
+    mod, gap = _step_sum(young._eval_arr, levels, masses), _step_sum(young._equality_gap_arr, levels, masses)
+    bounds = (math.ldexp(tiny, max(e, 0)), math.ldexp(sys.float_info.max, min(e, 0)))
+    lo, hi, m_lo, m_hi, evals, converged = _level_crossing(
+        lambda lam: float(mod(1.0 / lam)), math.ldexp(top, e) / (1.0 + young.vanish_below), tol,
+        gap=lambda lam: float(gap(1.0 / lam)), bounds=bounds,
+    )
+    return math.ldexp(lo, -e), math.ldexp(hi, -e), m_lo, m_hi, evals, converged
+
+
 def luxemburg_norm(
     young: YoungFunction,
     f,
@@ -371,26 +486,33 @@ def luxemburg_norm(
     *,
     tol: float = 1e-12,
 ) -> NormReport:
-    """inf{lambda > 0 : modular(f / lambda) <= 1} by safeguarded Illinois
-    regula falsi on (log lambda, log modular).
+    """inf{lambda > 0 : modular(f / lambda) <= 1}, the level-1 crossing of the
+    modular (_level_crossing).
 
-    The search stops when the bracket's relative width is at most tol; each
-    iteration is one modular evaluation, and modular_at_witness reuses the
-    one taken at the witness.  Returns 0 for f = 0 and +inf for non-members.
-    When the modular jumps across level 1 (threshold kinds), every step is a
-    geometric bisection, the returned witness is the boundary infimum and
-    modular_at_witness records the sub-unit value.  tol must be finite and
-    > 0 (DomainError)."""
+    Step inputs take Newton steps on log M, with the slope -(M + Q) that
+    Young's equality gives, and each evaluation certifies a bracket
+    (_luxemburg_steps); profiles with analytic parts and threshold kinds
+    take safeguarded Illinois regula falsi on (log lambda, log M).  The
+    search stops when the bracket's relative width is at most tol, or no
+    double lies inside it; each iteration is one evaluation of the modular
+    (with Q on the Newton path), and modular_at_witness reuses the one taken
+    at the witness, the bracket's upper end.  Returns 0 for f = 0 and +inf
+    for non-members.  When the modular jumps across level 1 (threshold
+    kinds), every step is a geometric bisection, the returned witness is
+    the boundary infimum and modular_at_witness records the sub-unit value.
+    tol must be finite and > 0 (DomainError)."""
     if not 0 < tol < math.inf:
         raise DomainError("the norm tolerance must be finite and > 0")
     p, w = _as_input(f, weight)
     if p.is_zero:
         return NormReport(0.0, None, 0, True, None, 0.0)
 
-    fast = _step_modular_fn(young, p, w)
-    if fast is not None:
+    steps = _step_levels(p, w)
+    if steps is not None:
+        if not steps[0].max(initial=0.0) > 0.0:  # the weight has no mass where f > 0
+            return NormReport(0.0, None, 0, True, None, 0.0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            crossing = _level_crossing(lambda lam: float(fast(1.0 / lam)), 1.0, tol)
+            crossing = _luxemburg_steps(young, *steps, tol)
     else:
         pre = membership(young, p, w)
         if not pre.member:

@@ -1086,9 +1086,10 @@ def _first_holding(holds, rungs, guess: int = 0) -> float | None:
         rung below 1e-290;
       * the scale of the comparison tests (_finite_scale): 1, 1/2, 1/4,
         ..., while positive;
-      * norm brackets (_level_crossing): x4 (then the largest double) or
-        x0.25, while t and 1/t are finite, up to the nearest point already
-        known past the crossing."""
+      * value-only norm brackets (_level_crossing: analytic Luxemburg
+        norms, thresholds and Amemiya norms): x4 (then the largest double)
+        or x0.25, while t and 1/t are finite, up to the nearest point
+        already known past the crossing."""
     rungs = iter(rungs)
     seen = list(islice(rungs, guess + 1))
     if not seen:

@@ -1,5 +1,7 @@
 """Shared test fixtures."""
 
+import functools
+
 import pytest
 
 from orlicz_kit import classical_space as cs
@@ -16,6 +18,7 @@ def count_calls(monkeypatch):
         calls = []
         original = getattr(cls, attr)
 
+        @functools.wraps(original)
         def counted(self, *args):
             calls.append(1)
             return original(self, *args)
@@ -38,6 +41,29 @@ def modular_calls(monkeypatch):
         return modular(young, p, w)
 
     monkeypatch.setattr(cs, "modular", counted)
+    return calls
+
+
+@pytest.fixture
+def step_evals(monkeypatch):
+    """Counts of the step norms' kernel calls for this test, the step path's
+    counterpart of modular_calls: "gap" sums the gap in Young's equality
+    over the levels (one Q evaluation), "modular" Psi.  Each call of a
+    _step_sum map is one kernel call, for one scale or a batch of them."""
+    calls = {"gap": 0, "modular": 0}
+    step_sum = cs._step_sum
+
+    def counted(kernel, levels, masses):
+        total = step_sum(kernel, levels, masses)
+        key = "gap" if kernel.__name__ == "_equality_gap_arr" else "modular"
+
+        def call(scales):
+            calls[key] += 1
+            return total(scales)
+
+        return call
+
+    monkeypatch.setattr(cs, "_step_sum", counted)
     return calls
 
 

@@ -114,6 +114,24 @@ class TestNorm:
             assert res.exit_code == 4, res.output
             assert "offset 1 is lost" in res.output
 
+    @pytest.mark.parametrize("inputs", [["f.txt"], ["glog.json", "exp.json"]], ids=["function", "profile"])
+    def test_a_tolerance_below_one_ulp_exits_3_after_a_few_evaluations(self, runner, inputs, step_evals,
+                                                                         modular_calls):
+        # no bracket closes at tol 1e-20: the search stops at adjacent
+        # doubles after a few evaluations, and counts each one
+        data = Path(__file__).parent / "data"
+        flags = ["--function"] if len(inputs) == 1 else ["--profile", "--weight"]
+        args = [a for flag, name in zip(flags, inputs) for a in (flag, str(data / name))]
+        res = runner.invoke(main, ["norm", "--young", "cosh-1", *args, "--tolerance", "1e-20"])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == "norm computation did not converge\n"
+        payload = json.loads(res.stdout)
+        assert not payload["converged"] and payload["iterations"] <= 30
+        if len(inputs) == 1:  # one M and one Q kernel call per evaluation
+            assert step_evals == {"gap": payload["iterations"], "modular": payload["iterations"]}
+        else:
+            assert modular_calls == {"gap": 0, "modular": payload["iterations"]}
+
     def test_requires_exactly_one_input(self, runner, fixtures):
         res = runner.invoke(main, ["norm", "--young", "power:2"])
         assert res.exit_code == 2

@@ -195,6 +195,15 @@ def test_subnormal_atom_does_not_converge():
     assert rep.modular_at_witness <= 1.0
 
 
+def test_a_norm_whose_level_over_it_overflows_does_not_converge():
+    # the identity norm of 1e308 on mass 1e-320 is 1e-12, where the level
+    # over lambda, 1e320, is past the largest double: the search reports an
+    # upper bound with M <= 1, not converged, where reading the overflow as
+    # a jump of M would report 0.556 as converged
+    rep = cs.luxemburg_norm(yg.identity(), rr.simple_function([1e308], [1e-320]))
+    assert not rep.converged and rep.value >= 1e-12 and rep.modular_at_witness <= 1.0
+
+
 def test_a_witness_near_the_least_double_keeps_the_start_finite():
     # the witness is 2^-1024, so 2 / witness overflows; the norm, sqrt(2)
     # 1e308 (the cosh-1 modular of c log(1/t) on (0, 1] is c^2 / (1 - c^2)),

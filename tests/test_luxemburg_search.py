@@ -1,13 +1,17 @@
-"""The Luxemburg root search (safeguarded Illinois regula falsi on
-(log lambda, log modular)) against closed forms and a plain-bisection
-oracle, its report invariants, its work counts, and the truncation
-searches (power tail, log and inverse-power heads, exponential tail,
-singular piece) against linear scans of their ladders."""
+"""The level-crossing search of the norms against closed forms, a
+plain-bisection oracle and 30-digit mpmath: the step Luxemburg norms'
+Newton path (each evaluation certifies a bracket through Young's equality)
+and the value-only loop of the analytic Luxemburg and the Amemiya norms
+(safeguarded Illinois regula falsi on (log lambda, log modular)), their
+report invariants and work counts; and the truncation searches (power
+tail, log and inverse-power heads, exponential tail, singular piece)
+against linear scans of their ladders."""
 
 import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -49,24 +53,20 @@ def assert_invariants(rep, continuous=True):
         assert rep.modular_at_witness >= 1.0 - 1e-8
 
 
-def recorded_search(monkeypatch, young, f):
-    """Run luxemburg_norm on a simple function and return the report and
-    the (lambda, modular) pairs it evaluated, in order."""
+def recorded_search(young, f):
+    """Run the value-only _level_crossing on the step modular of a simple
+    function, from 1 to tol 1e-12, and return its result and the (lambda,
+    modular) pairs it evaluated, in order."""
     seen = []
-    make = cs._step_modular_fn
+    mod = cs._step_sum(young._eval_arr, *cs._step_levels(f, None))
 
-    def recording(young, p, w):
-        fast = make(young, p, w)
+    def fn(lam):
+        m = float(mod(1.0 / lam))
+        seen.append((lam, m))
+        return m
 
-        def mod(scale):
-            m = fast(scale)
-            seen.append((1.0 / scale, float(m)))
-            return m
-
-        return mod
-
-    monkeypatch.setattr(cs, "_step_modular_fn", recording)
-    return cs.luxemburg_norm(young, f), seen
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return cs._level_crossing(fn, 1.0, 1e-12), seen
 
 
 def is_rung(t, start=1.0):
@@ -115,10 +115,13 @@ def test_against_bisection_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_YOUNGS))
-def test_infinite_or_zero_end_takes_bisection(monkeypatch, name):
-    rep, seen = recorded_search(monkeypatch, ORACLE_YOUNGS[name], F)
-    # one evaluation per iteration: nothing is evaluated twice
-    assert len(seen) == rep.iterations
+def test_infinite_or_zero_end_takes_bisection(name):
+    # the value-only loop, which the analytic and Amemiya norms take, on
+    # the step modulars of F
+    (lo, hi, _, _, evals, converged), seen = recorded_search(ORACLE_YOUNGS[name], F)
+    assert converged and hi - lo <= 1e-12 * hi
+    # one evaluation per call: nothing is evaluated twice
+    assert len(seen) == evals == len(set(seen))
     steps = bracket_steps(seen)
     for lo, m_lo, hi, m_hi, lam in steps:
         if m_lo == math.inf or m_hi == 0.0:
@@ -132,30 +135,90 @@ def test_infinite_or_zero_end_takes_bisection(monkeypatch, name):
         assert flat
 
 
-@pytest.mark.parametrize("jump", [1.7, 2.5, 10.0])
-def test_lopsided_jump_halves_bracket_every_few_steps(monkeypatch, jump):
-    # a modular with a finite jump from 1e30 to 0.9 at lambda = jump starves
-    # regula falsi: the bracket must still halve within _STALL_STEPS + 1 steps
-    seen = []
-
-    def fake(young, p, w):
-        def mod(scale):
-            m = 1e30 if 1.0 / scale < jump else 0.9
-            seen.append((1.0 / scale, m))
-            return m
-
-        return mod
-
-    monkeypatch.setattr(cs, "_step_modular_fn", fake)
-    rep = cs.luxemburg_norm(yg.power(2.0), F)
-    assert rep.converged and rep.value == pytest.approx(jump, rel=1e-11)
-    spans = [math.log(hi / lo) for lo, _, hi, _, _ in bracket_steps(seen)]
-    ref, since = spans[0], 0
+def halving_gaps(spans):
+    """The most steps any span of the list takes to halve the last span
+    that halved, or the first."""
+    ref, since, most = spans[0], 0, 0
     for span in spans[1:]:
         since += 1
         if span <= 0.5 * ref:
             ref, since = span, 0
-        assert since <= cs._STALL_STEPS
+        most = max(most, since)
+    return most
+
+
+@pytest.mark.parametrize("jump", [1.7, 2.5, 10.0])
+def test_lopsided_jump_halves_bracket_every_few_steps(jump):
+    # a finite jump from 1e30 to 0.9 at t = jump starves regula falsi: the
+    # value-only loop must still halve the bracket within _STALL_STEPS + 1
+    # steps
+    seen = []
+
+    def fn(t):
+        m = 1e30 if t < jump else 0.9
+        seen.append((t, m))
+        return m
+
+    lo, hi, _, _, _, converged = cs._level_crossing(fn, 1.0, 1e-12)
+    assert converged and hi == pytest.approx(jump, rel=1e-11)
+    assert halving_gaps([math.log(hi / lo) for lo, _, hi, _, _ in bracket_steps(seen)]) <= cs._STALL_STEPS
+
+
+def newton_crossing(fn, gap, start=1.0, tol=1e-12, bounds=(1e-300, 1e300)):
+    """The Newton path of _level_crossing on maps t -> M and t -> Q, and the
+    (t, M) pairs it evaluated, in order."""
+    seen = []
+
+    def recorded(t):
+        m = fn(t)
+        seen.append((t, m))
+        return m
+
+    return cs._level_crossing(recorded, start, tol, gap=gap, bounds=bounds), seen
+
+
+def evaluated_ends(seen, bounds=(1e-300, 1e300)):
+    """For each evaluation after the first, the bracket of the evaluations
+    before it, (the largest t with M > 1, the least with M <= 1), or the
+    end of bounds, and its t: the bracket where no evaluation certifies
+    more than its own side of the root."""
+    lo, hi = bounds
+    out = []
+    for i, (t, m) in enumerate(seen):
+        if i:
+            out.append((lo, hi, t))
+        lo, hi = (max(lo, t), hi) if m > 1.0 else (lo, min(hi, t))
+    return out
+
+
+@pytest.mark.parametrize("c", [1e-200, 3.7e5, 1e200])
+def test_newton_bisects_where_the_modular_is_0_or_inf(c):
+    # M and Q jump from inf to 0 at c: neither value gives a Newton point,
+    # so every step is the geometric midpoint of the evaluated ends
+    def jump(t):
+        return math.inf if t < c else 0.0
+
+    (lo, hi, f_lo, f_hi, evals, converged), seen = newton_crossing(jump, jump)
+    assert converged and lo < c <= hi and hi - lo <= 1e-12 * hi and f_lo is None and f_hi == 0.0
+    assert len(seen) == evals > 30
+    for a, b, t in evaluated_ends(seen):
+        assert t == pytest.approx(math.sqrt(a) * math.sqrt(b), rel=1e-14)
+
+
+@pytest.mark.parametrize("start", [1.0, 100.0])
+@pytest.mark.parametrize("jump", [1.7, 2.5, 10.0])
+def test_newton_halves_the_bracket_at_a_lopsided_jump(jump, start):
+    # M = t^-2 and Q = M, a power:2 modular, past the jump, and inf before
+    # it: every Newton point is the smooth root 1, below the jump, so the
+    # search falls back on bisection and halves the bracket within
+    # _STALL_STEPS + 1 steps, to the jump
+    def modular(t):
+        return math.inf if t < jump else t**-2.0
+
+    (lo, hi, _, f_hi, evals, converged), seen = newton_crossing(modular, modular, start)
+    assert converged and lo < jump <= hi and hi - lo <= 1e-12 * hi and f_hi == hi**-2.0
+    assert len(seen) == evals
+    assert halving_gaps([math.log(b / a) for a, b, _ in evaluated_ends(seen)]) <= cs._STALL_STEPS
 
 
 def recorded_crossing(fn):
@@ -238,20 +301,81 @@ def test_level_crossing_bisects_a_jump_from_inf_to_0(c):
     assert len(ts) - n > 30
 
 
-def test_illinois_work_count():
-    # regula falsi without the Illinois halving keeps one end for many steps
-    # and takes about 40% more steps on these functions
-    rng = np.random.default_rng(5)
-    fs = [random_simple(rng) for _ in range(50)]
-    for young, bound in ((yg.cosh_minus_1(), 12.0), (yg.xlog1p(), 10.5), (yg.zygmund_llogl(), 14.0)):
-        total = sum(cs.luxemburg_norm(young, f).iterations for f in fs)
-        assert total <= bound * len(fs)
+def protocol_functions(n=300, seed=14):
+    """ROADMAP item 14's protocol: simple functions of 1-6 atoms with levels
+    log-uniform on [1e-2, 1e2] and masses U(0.1, 2)."""
+    rng = np.random.default_rng(seed)
+    fs = []
+    for _ in range(n):
+        k = int(rng.integers(1, 7))
+        fs.append(rr.simple_function(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), k)), rng.uniform(0.1, 2.0, k)))
+    return fs
 
 
-def test_power_norm_work_count():
+def mean_evaluations(young, fs, step_evals):
+    """The mean iterations of the Luxemburg norms of fs, each one M and one Q
+    kernel call."""
+    total = 0
+    for f in fs:
+        rep = cs.luxemburg_norm(young, f)
+        assert rep.converged
+        total += rep.iterations
+    assert step_evals == {"gap": total, "modular": total}
+    return total / len(fs)
+
+
+def test_newton_work_count(step_evals):
+    # Newton on log M takes 4.6, 4.3, 4.2, 3.2 and 5.3 evaluations a norm
+    # here, against 11.4, 10.1, 10.0, 9.6 and 12.6 for the value-only loop
+    fs = protocol_functions()
+    for spec, bound in (("cosh-1", 5.0), ("llog", 5.0), ("xlog1p", 5.0), ("lexp", 4.0), ("llogl", 6.0)):
+        assert mean_evaluations(yg.from_spec(spec), fs, step_evals) <= bound, spec
+        step_evals.update(gap=0, modular=0)
+
+
+def test_power_norm_work_count(step_evals):
+    # log M is linear in log lambda: the first Newton step lands on the
+    # root, aimed a few ulp past it, and closes the bracket
+    fs = protocol_functions()
+    for spec in ("power:1.5", "power:3"):
+        assert mean_evaluations(yg.from_spec(spec), fs, step_evals) <= 2.0, spec
+        step_evals.update(gap=0, modular=0)
     for p in (1.0, 1.5, 2.0, 3.5):
         rep = cs.luxemburg_norm(yg.power(p), F)
-        assert rep.converged and rep.iterations <= 8
+        assert rep.converged and rep.iterations == 2
+
+
+@pytest.mark.parametrize("young", [yg.power(2.0), yg.cosh_minus_1(), yg.complement(yg.identity())],
+                         ids=lambda y: y.name)
+def test_a_weight_without_mass_on_the_steps_gives_norm_0(young):
+    # the modular is 0 at every lambda, as for f = 0
+    steps, weight = rr.DecreasingProfile(((7.5, 0.25), (3.0, 0.5))), rr.DecreasingProfile(())
+    assert cs.luxemburg_norm(young, steps, weight) == cs.NormReport(0.0, None, 0, True, None, 0.0)
+    assert cs.orlicz_norm(young, steps, weight) == cs.NormReport(0.0, None, 0, True, None, 0.0)
+
+
+def test_a_tolerance_below_one_ulp_stops_at_adjacent_doubles(step_evals):
+    # at tol 1e-20 no bracket closes: the step search stops once no double
+    # lies inside it, with every evaluation counted
+    rep = cs.luxemburg_norm(yg.cosh_minus_1(), rr.simple_function([1.0, 0.5], [0.7, 1.3]), tol=1e-20)
+    lo, hi = rep.bracket
+    assert not rep.converged and math.nextafter(lo, math.inf) == hi == rep.value
+    assert step_evals == {"gap": rep.iterations, "modular": rep.iterations} and rep.iterations <= 12
+
+
+@pytest.mark.parametrize("name", ["luxemburg", "orlicz"])
+def test_a_tolerance_below_one_ulp_stops_the_analytic_searches(name, modular_calls):
+    # the golden weighted profile at tol 1e-20: the value-only loop stops at
+    # adjacent doubles too, with every modular call counted
+    p, w = (rr.profile_from_dict(json.loads((DATA_DIR / n).read_text())) for n in ("glog.json", "exp.json"))
+    rep = (cs.luxemburg_norm if name == "luxemburg" else cs.orlicz_norm)(yg.cosh_minus_1(), p, w, tol=1e-20)
+    assert not rep.converged and rep.iterations <= 30
+    if name == "luxemburg":
+        lo, hi = rep.bracket
+        assert math.nextafter(lo, math.inf) == hi and modular_calls == {"gap": 0, "modular": rep.iterations}
+    else:
+        # Q at each search step, then M at both ends of the bracket, counted once
+        assert modular_calls == {"gap": rep.iterations - 1, "modular": 2}
 
 
 def test_cosh_work_count_on_step_function():
@@ -268,6 +392,41 @@ def test_weighted_profile_work_count():
     assert rep.iterations <= 20
     # the mpmath root of int_0^1 (cosh(log(1/t)/lam) - 1) e^-t dt = 1
     assert rep.value == pytest.approx(1.392432277626598, rel=1e-12)
+
+
+#: The step Luxemburg path's Young functions: every catalog kind, a density
+#: with a jump, a threshold kind and a numeric conjugate.
+BRACKET_YOUNGS = {
+    **{spec: yg.from_spec(spec) for spec in ("identity", "power:1.5", "power:3", "cosh-1", "llog", "xlog1p", "llogl",
+                                             "lexp")},
+    "tabulated": yg.tabulated([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    "threshold": yg.complement(yg.identity()),
+    "conjugate(xlog1p)": yg.complement(yg.xlog1p()),
+}
+PROB = rr.probability_space()
+BRACKET_F = rr.simple_function([3.0, -1.0, 0.5, 2.0, -0.25], [0.1, 0.15, 0.35, 0.25, 0.15], PROB)
+#: an aligned density of BRACKET_F; its zero drops an atom
+BRACKET_DENSITY = rr.simple_function([0.5, 2.0, 0.0, 1.0, 0.25], [0.1, 0.15, 0.35, 0.25, 0.15], PROB)
+#: Relative float round-off allowed on the modular at a bracket end, as in
+#: the double-range sweep.
+ROUNDOFF = 1e-14
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["plain", "density"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("name", BRACKET_YOUNGS)
+def test_step_bracket_is_certified(name, scale, density):
+    # the lower end certified by a tangent (or evaluated, for the threshold
+    # kind's bisection) has M >= 1, and the witness M <= 1, by 30-digit mpmath
+    young, weight = BRACKET_YOUNGS[name], BRACKET_DENSITY if density else None
+    f = BRACKET_F.scale(scale)
+    rep = cs.luxemburg_norm(young, f, weight)
+    lo, hi = rep.bracket
+    assert rep.converged and hi == rep.witness == rep.value and hi - lo <= 1e-12 * hi
+    g, _ = cs._as_input(f, weight)  # the density merged into the masses
+    with mp.workdps(30):
+        m_lo, m_hi = (mpr.modular(young, g, None, 1 / mp.mpf(t), dps=30) for t in (lo, hi))
+    assert m_lo >= 1 - ROUNDOFF and m_hi <= 1 + ROUNDOFF
 
 
 def power_or_inf(x, d):

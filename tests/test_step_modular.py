@@ -1,5 +1,6 @@
 """The batched step modular: exact agreement with the one-scale sum, and the
-number of Young-function evaluations a Luxemburg norm spends."""
+number of Young-function evaluations (Psi and the gap in Young's equality)
+a Luxemburg norm spends."""
 
 import math
 
@@ -59,7 +60,7 @@ def amemiya(m, k):
 @pytest.mark.parametrize("young_name", sorted(YOUNGS))
 def test_batched_grid_equals_per_point(young_name, weight_name):
     young, weight = YOUNGS[young_name], WEIGHTS[weight_name]
-    fast = cs._step_modular_fn(young, PROFILE, weight)
+    fast = cs._step_sum(young._eval_arr, *cs._step_levels(PROFILE, weight))
     # the norm searches hold this errstate around their evaluations
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         batched = fast(GRID)
@@ -74,9 +75,12 @@ def test_batched_grid_equals_per_point(young_name, weight_name):
 F = rr.simple_function([3.0, -1.0, 0.5, 2.0, -0.25], [0.3, 0.5, 1.2, 0.7, 0.4])
 
 
-def test_luxemburg_norm_evaluation_count(count_calls):
-    # one evaluation per iteration; modular_at_witness reuses the last one
+def test_luxemburg_norm_evaluation_count(count_calls, step_evals):
+    # one evaluation of M and one of Q per iteration; modular_at_witness
+    # reuses the last one
     calls = count_calls(yg.CoshMinusOne, "_eval_arr")
+    gaps = count_calls(yg.CoshMinusOne, "_equality_gap_arr")
     rep = cs.luxemburg_norm(yg.cosh_minus_1(), F)
     assert rep.converged
-    assert len(calls) == rep.iterations
+    assert len(calls) == len(gaps) == rep.iterations
+    assert step_evals == {"gap": rep.iterations, "modular": rep.iterations}
