@@ -1,24 +1,24 @@
 """Classical Orlicz-space computations.
 
-Luxemburg norms are the level-1 crossing of the modular lambda -> M(f/lambda)
-= integral Psi(|f|/lambda) dmu, which is non-increasing (_level_crossing).
-In x = log lambda, h(x) = M(f e^-x) is convex with d log h / dx <= -1, and
-Young's equality gives its slope, h' = -(M + Q) for Q = integral Gamma(|f| /
-lambda) (Krasnosel'skii & Rutickii, ch. I).  Step inputs sum M and Q
-exactly over their levels, so every evaluation certifies a bracket of the
-norm, by a tangent of h on one side and the slope bound on the other, and
-the next point is the Newton point of log h: exact for power Young
+Luxemburg norms are the level-1 crossing of the modular lambda ->
+M(f/lambda) = integral Psi(|f|/lambda) dmu, which is non-increasing.  In x =
+log lambda, h(x) = M(f e^-x) is convex with d log h / dx <= -1, and Young's
+equality gives its slope, h' = -(M + Q) for Q = integral Gamma(|f| / lambda)
+(Krasnosel'skii & Rutickii, ch. I).  Step inputs sum M and Q exactly over
+their levels, so every evaluation certifies a bracket of the norm, by a
+tangent of h on one side and the slope bound on the other, and the next
+point is the Newton point of log h (_newton_crossing): exact for power Young
 functions, a few steps for the other catalog kinds.  Analytic profiles,
 whose Q would be a second quadrature, and thresholds, whose M jumps to inf,
-take the value-only search: a gallop over the x4 ladder while lambda and
-1/lambda are finite doubles, and on up to the largest double, then regula
-falsi with the Illinois modification (Dowell & Jarratt, 1971) on (log
-lambda, log M).  Both take a geometric bisection step where M is 0 or inf
-(flat stretches and threshold jumps), where the step leaves the bracket,
-and where the bracket has not halved within a few steps.  The witness
-returned is the least evaluated lambda with M <= 1, so a converged report
-always has modular_at_witness <= 1, and within 1e-8 of 1 when the modular
-is continuous at the crossing.
+take the value-only search (_level_crossing): a gallop over the x4 ladder
+while lambda and 1/lambda are finite doubles, and on up to the largest
+double, then regula falsi with the Illinois modification (Dowell & Jarratt,
+1971) on (log lambda, log M).  Both take a geometric bisection step where M
+is 0 or inf (flat stretches and threshold jumps), where the step leaves the
+bracket, and where the bracket has not halved within a few steps.  The
+witness returned is the least evaluated lambda with M <= 1, so a converged
+report always has modular_at_witness <= 1, and within 1e-8 of 1 when the
+modular is continuous at the crossing.
 
 The Orlicz (dual-pairing) norm is the Amemiya formula
 inf_{k>0} (1 + modular(k*f)) / k (Krasnosel'skii & Rutickii, Convex
@@ -290,97 +290,22 @@ def _log_modular(m: float) -> float:
     return math.log(m) if m > 0.0 else -math.inf
 
 
-def _level_crossing(fn, start: float, tol: float, known=None, gap=None, bounds=None):
+def _level_crossing(fn, start: float, tol: float, known=None):
     """Bracket and solve fn(t) = 1 for fn > 1 left of a point, <= 1 right of it.
 
-    Value-only (gap None): fn is memoised, seeded with `known` (points t ->
-    fn(t) the caller has already evaluated); the bracket is its tightest
-    evaluated pair after one _first_holding search over the x4 ladder from
-    `start`, up if fn(start) > 1 (then the largest double) and down
-    otherwise, while t and 1/t (where callers evaluate) are positive finite
-    doubles and short of the nearest known point past the crossing, which
-    ends the ladder.  A rung whose fn raises InconclusiveQuadratureError
-    counts as past the crossing, and its error is raised only if it is the
-    crossing rung, which a rung-by-rung walk from start evaluates too.
-    Safeguarded Illinois regula falsi on (log t, log fn) then shrinks the
-    bracket.
-
-    With gap, fn(t) = M is the modular of f / t and gap(t) = Q the integral
-    of Gamma(f / t), the gap in Young's equality, so that h(x) = fn(e^x) has
-    h' = -(M + Q) (Krasnosel'skii & Rutickii, ch. I).  h is convex and
-    d log h / dx <= -1, as s psi(s) >= Psi(s), so each evaluation certifies
-    a bracket of the root with no ladder: [t e^((M - 1)/(M + Q)), t M] where
-    M > 1, [t max(M, e^(-(1 - M)/(M + Q))), t] where M <= 1, each end
-    rounded outward by _ROUND.  A kernel that takes the left limit of psi at
-    a kink gives the least steep tangent, which stays below h on both sides.
-    From `start` the search steps to the Newton point of log h, t e^(M log M
-    / (M + Q)), aimed min(tol/10, _AIM) to the feasible side so that the
-    evaluated upper end closes the bracket, and to the geometric midpoint
-    of the certified bracket instead where M is 0 or inf, where the Newton
-    point leaves the bracket, and after _STALL_STEPS steps that did not
-    halve it.  It evaluates only in `bounds` = [a, b]; a Newton point below
-    a puts the next point on a.  A root past b ends the search at b without
-    a crossing, fn(b) > 1; a root below a ends it with lo = a not certified.
-
-    Both stop once the bracket's relative width is at most tol or no double
-    lies strictly inside it.  Returns (lo, hi, fn(lo), fn(hi), evaluations,
-    converged), counting every call of fn (with gap, of the pair) and the
-    known points out; with gap, lo is certified, not evaluated, and fn(lo)
-    is None.  Without a crossing, converged is False and lo = hi is the
-    ladder's last rung or the end of bounds."""
-    if gap is not None:
-        a, b = bounds
-        # lo is certified once lo_ok, hi evaluated once m_hi is set, and cap
-        # is the least certified upper end
-        lo, hi, cap, lo_ok, m_hi = a, b, b, False, None
-        t, evals, stalled, width = min(max(start, a), b), 0, 0, math.inf
-        aim = math.exp(min(0.1 * tol, _AIM))
-        while True:
-            m, q = fn(t), gap(t)
-            evals += 1
-            d = m + q
-            if m <= 1.0:
-                hi, m_hi, cap = t, m, t
-                cert = t * max(m, math.exp((m - 1.0) / d)) if d > 0.0 else 0.0
-            else:
-                cert = t * math.exp((m - 1.0) / d) if d < math.inf else t
-                cap = min(cap, t * m * (1.0 + _ROUND))
-                lo, lo_ok = max(lo, t), True
-            cert *= 1.0 - _ROUND
-            if cert > lo:
-                lo, lo_ok = min(cert, math.nextafter(hi, 0.0)), True
-            if evals >= _MAX_ITER or (lo_ok and hi - lo <= tol * hi):
-                break
-            top = max(min(cap, hi), lo)
-            span = math.log(top / lo)
-            if span <= 0.5 * width:
-                width, stalled = span, 0
-            else:
-                stalled += 1
-            nxt = None
-            if stalled >= _STALL_STEPS:
-                width, stalled = span, 0
-            elif 0.0 < m < math.inf and d < math.inf:
-                newton = t * math.exp(math.log(m) * (m / d))
-                if lo < newton < top:
-                    nxt = newton * aim if newton * aim < hi else newton
-                elif newton <= a and not lo_ok:
-                    nxt = a
-            if nxt is None:
-                nxt = math.sqrt(lo) * math.sqrt(top)
-            # strictly inside, or the lower end of bounds, not yet certified
-            if not (lo < nxt < hi or (nxt == lo < hi and not lo_ok)):
-                nxt = math.nextafter(lo, math.inf)
-                if nxt >= hi:
-                    break
-            t = nxt
-        if m_hi is None:  # the root lies past b, or is within tol of it
-            m_hi = fn(b)
-            evals += 1
-            if m_hi > 1.0:
-                return b, b, m_hi, m_hi, evals, False
-        return lo, hi, None, m_hi, evals, lo_ok and hi - lo <= tol * hi
-
+    fn is memoised, seeded with `known` (points t -> fn(t) the caller has
+    already evaluated); the bracket is its tightest evaluated pair after one
+    _first_holding search over the x4 ladder from `start`, up if fn(start)
+    > 1 (then the largest double) and down otherwise, while t and 1/t (where
+    callers evaluate) are positive finite doubles and short of the nearest
+    known point past the crossing, which ends the ladder.  A rung whose fn raises
+    InconclusiveQuadratureError counts as past the crossing, and its error
+    is raised only if it is the crossing rung, which a rung-by-rung walk
+    from start evaluates too.  Safeguarded Illinois regula falsi on
+    (log t, log fn) then shrinks the bracket to relative width tol, or until
+    no double lies strictly inside it.  Returns (lo, hi, fn(lo), fn(hi),
+    evaluations, converged), counting the known points out.  Without a
+    crossing, converged is False and lo = hi is the ladder's last rung."""
     known = known or {}
     seen, failed = dict(known), {}
     if start not in seen:
@@ -451,11 +376,103 @@ def _level_crossing(fn, start: float, tol: float, known=None, gap=None, bounds=N
     return lo, hi, seen[lo], seen[hi], len(seen) + len(failed) - len(known), (hi - lo) <= tol * hi
 
 
+def _newton_crossing(fn, gap, start: float, tol: float, bounds):
+    """Bracket and solve fn(t) = 1 as _level_crossing does, by Newton steps
+    on log fn that each certify a bracket.
+
+    fn(t) = M is the modular of f / t and gap(t) = Q the integral of
+    Gamma(f / t), the gap in Young's equality, so that h(x) = fn(e^x) has
+    h' = -(M + Q) (Krasnosel'skii & Rutickii, ch. I).  h is convex and
+    d log h / dx <= -1, as s psi(s) >= Psi(s), so each evaluation certifies
+    a bracket of the root with no ladder: [t e^((M - 1)/(M + Q)), t M] where
+    M > 1, [t max(M, e^(-(1 - M)/(M + Q))), t] where M <= 1, each end
+    rounded outward by _ROUND.  Where Q is not finite (an overflowed Gamma
+    term whose small mass would have brought it back) only the slope bound
+    certifies: t where M > 1, t M where M <= 1.  A kernel that takes the
+    left limit of psi at a kink gives the least steep tangent, which stays
+    below h on both sides.  From `start` the search steps to the Newton
+    point of log h, t e^(M log M / (M + Q)), aimed min(tol/10, _AIM) to the
+    feasible side so that the evaluated upper end closes the bracket; where
+    Q is not finite, the secant of log h through the last evaluation with
+    0 < M < inf stands in for the tangent.  It steps to the geometric
+    midpoint of the certified bracket instead where M is 0 or inf, where
+    the step leaves the bracket, and after _STALL_STEPS steps that did not
+    halve it.  It evaluates only in `bounds` = [a, b]; a Newton point below
+    a puts the next point on a.
+
+    Stops once the bracket's relative width is at most tol or no double
+    lies strictly inside it.  Returns (lo, hi, None, fn(hi), evaluations,
+    converged), counting each (M, Q) pair as one evaluation: lo is
+    certified, not evaluated.  A root past b ends the search at b without a
+    crossing, converged False and lo = hi = b with fn(b) > 1; a root below a
+    ends it with lo = a not certified, converged False."""
+    a, b = bounds
+    # lo is certified once lo_ok, hi evaluated once m_hi is set, and cap
+    # is the least certified upper end
+    lo, hi, cap, lo_ok, m_hi = a, b, b, False, None
+    t, evals, stalled, width, last = min(max(start, a), b), 0, 0, math.inf, None
+    aim = math.exp(min(0.1 * tol, _AIM))
+    while True:
+        m, q = fn(t), gap(t)
+        evals += 1
+        d = m + q
+        if m <= 1.0:
+            hi, m_hi, cap = t, m, t
+            cert = t * (max(m, math.exp((m - 1.0) / d)) if 0.0 < d < math.inf else m)
+        else:
+            cert = t * math.exp((m - 1.0) / d) if d < math.inf else t
+            cap = min(cap, t * m * (1.0 + _ROUND))
+            lo, lo_ok = max(lo, t), True
+        cert *= 1.0 - _ROUND
+        if cert > lo:
+            lo, lo_ok = min(cert, math.nextafter(hi, 0.0)), True
+        if evals >= _MAX_ITER or (lo_ok and hi - lo <= tol * hi):
+            break
+        top = max(min(cap, hi), lo)
+        span = math.log(top / lo)
+        if span <= 0.5 * width:
+            width, stalled = span, 0
+        else:
+            stalled += 1
+        nxt, step = None, math.nan
+        if 0.0 < m < math.inf:
+            # Newton's step in log t, or where Q is not finite the secant's
+            # through the last evaluation with a finite positive M
+            g = math.log(m)
+            if d < math.inf:
+                step = g * (m / d)
+            elif last is not None and last[1] != g:
+                step = g * (math.log(t / last[0]) / (last[1] - g))
+            last = t, g
+        if stalled >= _STALL_STEPS:
+            width, stalled = span, 0
+        elif math.isfinite(step):
+            newton = t * math.exp(step)
+            if lo < newton < top:
+                nxt = newton * aim if newton * aim < hi else newton
+            elif newton <= a and not lo_ok:
+                nxt = a
+        if nxt is None:
+            nxt = math.sqrt(lo) * math.sqrt(top)
+        # strictly inside, or the lower end of bounds, not yet certified
+        if not (lo < nxt < hi or (nxt == lo < hi and not lo_ok)):
+            nxt = math.nextafter(lo, math.inf)
+            if nxt >= hi:
+                break
+        t = nxt
+    if m_hi is None:  # the root lies past b, or is within tol of it
+        m_hi = fn(b)
+        evals += 1
+        if m_hi > 1.0:
+            return b, b, m_hi, m_hi, evals, False
+    return lo, hi, None, m_hi, evals, lo_ok and hi - lo <= tol * hi
+
+
 def _luxemburg_steps(young: YoungFunction, levels: np.ndarray, masses: np.ndarray, tol: float):
-    """_level_crossing of the step modular M(lambda) = sum m_i Psi(a_i /
-    lambda).  Where Psi jumps to inf past a threshold, the value-only search
-    bisects the jump from lambda = 1.  Otherwise the Newton search takes Q
-    from the same levels.  It starts where the top level over lambda is 1 +
+    """The level-1 crossing of the step modular M(lambda) = sum m_i Psi(a_i
+    / lambda).  Where Psi jumps to inf past a threshold, the value-only
+    _level_crossing bisects the jump from lambda = 1.  Otherwise
+    _newton_crossing takes Q from the same levels.  It starts where the top level over lambda is 1 +
     young.vanish_below, unit size or past where Psi vanishes, so a top level
     too small or too large for 1/lambda to be a normal double there is
     scaled into [1, 2) by an exact power of two 2^e, with every level: in
@@ -472,9 +489,9 @@ def _luxemburg_steps(young: YoungFunction, levels: np.ndarray, masses: np.ndarra
         levels = np.ldexp(levels, e)
     mod, gap = _step_sum(young._eval_arr, levels, masses), _step_sum(young._equality_gap_arr, levels, masses)
     bounds = (math.ldexp(tiny, max(e, 0)), math.ldexp(sys.float_info.max, min(e, 0)))
-    lo, hi, m_lo, m_hi, evals, converged = _level_crossing(
-        lambda lam: float(mod(1.0 / lam)), math.ldexp(top, e) / (1.0 + young.vanish_below), tol,
-        gap=lambda lam: float(gap(1.0 / lam)), bounds=bounds,
+    lo, hi, m_lo, m_hi, evals, converged = _newton_crossing(
+        lambda lam: float(mod(1.0 / lam)), lambda lam: float(gap(1.0 / lam)),
+        math.ldexp(top, e) / (1.0 + young.vanish_below), tol, bounds,
     )
     return math.ldexp(lo, -e), math.ldexp(hi, -e), m_lo, m_hi, evals, converged
 

@@ -165,8 +165,8 @@ def test_lopsided_jump_halves_bracket_every_few_steps(jump):
 
 
 def newton_crossing(fn, gap, start=1.0, tol=1e-12, bounds=(1e-300, 1e300)):
-    """The Newton path of _level_crossing on maps t -> M and t -> Q, and the
-    (t, M) pairs it evaluated, in order."""
+    """_newton_crossing on maps t -> M and t -> Q, and the (t, M) pairs it
+    evaluated, in order."""
     seen = []
 
     def recorded(t):
@@ -174,7 +174,7 @@ def newton_crossing(fn, gap, start=1.0, tol=1e-12, bounds=(1e-300, 1e300)):
         seen.append((t, m))
         return m
 
-    return cs._level_crossing(recorded, start, tol, gap=gap, bounds=bounds), seen
+    return cs._newton_crossing(recorded, gap, start, tol, bounds), seen
 
 
 def evaluated_ends(seen, bounds=(1e-300, 1e300)):
@@ -219,6 +219,36 @@ def test_newton_halves_the_bracket_at_a_lopsided_jump(jump, start):
     assert converged and lo < jump <= hi and hi - lo <= 1e-12 * hi and f_hi == hi**-2.0
     assert len(seen) == evals
     assert halving_gaps([math.log(b / a) for a, b, _ in evaluated_ends(seen)]) <= cs._STALL_STEPS
+
+
+@pytest.mark.parametrize("start", [0.5, 1.0, 3.0])
+def test_newton_certifies_by_the_slope_bound_where_q_is_not_finite(start):
+    # M = t^-4, a power:4 modular with root 1, and Q = inf as where every
+    # Gamma term overflowed: only d log M / d log t <= -1 certifies, so the
+    # search steps along secants and still encloses the root
+    (lo, hi, _, f_hi, evals, converged), seen = newton_crossing(lambda t: t**-4.0, lambda t: math.inf, start)
+    assert converged and lo < 1.0 <= hi and hi - lo <= 1e-12 * hi and f_hi == hi**-4.0
+    assert len(seen) == evals <= 4
+
+
+#: Steps whose Gamma term overflows a double near the norm while M stays
+#: finite, the small mass bringing it below 1: cosh-1 and lexp past about
+#: 704 (their roots are near 705.3), and power:50 at its root.
+OVERFLOWING_GAP = [("cosh-1", 1e-306), ("lexp", 1e-306), ("power:50", 1e-308)]
+
+
+@pytest.mark.parametrize("spec, mass", OVERFLOWING_GAP, ids=[spec for spec, _ in OVERFLOWING_GAP])
+def test_a_gap_that_overflows_keeps_the_bracket_certified(spec, mass):
+    young, f = yg.from_spec(spec), rr.simple_function([1.0], [mass])
+    rep = cs.luxemburg_norm(young, f)
+    lo, hi = rep.bracket
+    assert rep.converged and hi == rep.witness == rep.value and hi - lo <= 1e-12 * hi
+    assert rep.iterations <= 24
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert young._equality_gap_arr(np.array([1.0 / hi]))[0] == math.inf
+    with mp.workdps(30):
+        m_lo, m_hi = (mpr.modular(young, f, None, 1 / mp.mpf(t), dps=30) for t in (lo, hi))
+    assert m_lo >= 1 - ROUNDOFF and m_hi <= 1 + ROUNDOFF
 
 
 def recorded_crossing(fn):
